@@ -1,10 +1,10 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -61,18 +61,19 @@ type scenarioFrame struct {
 	RunResponse
 }
 
-// errorFrame reports one failed unit without tearing down the stream:
-// list-mode scenario failures carry their index and the stream continues;
-// grid-mode failures are terminal (the final done frame never arrives).
-type errorFrame struct {
-	Index *int   `json:"index,omitempty"`
-	Error string `json:"error"`
-}
-
 // gridHeaderFrame opens a grid-mode stream with the resolved geometry, so
 // clients can allocate before any cell arrives.
 type gridHeaderFrame struct {
 	Grid gridInfo `json:"grid"`
+}
+
+func gridHeader(sc *scenario.Scenario, job *scenario.GridJob, refine bool) *gridHeaderFrame {
+	return &gridHeaderFrame{Grid: gridInfo{
+		Name: sc.Name, Title: sc.Title,
+		XAxis: job.XAxis, YAxis: job.YAxis,
+		Xs: job.Xs, Ys: job.Ys, Layers: job.Layers, Cells: job.Cells(),
+		Refine: refine,
+	}}
 }
 
 type gridInfo struct {
@@ -116,48 +117,6 @@ type gridDoneFrame struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// ndjsonWriter serializes frames to the response, one JSON object per
-// line, flushing after every frame so results stream instead of buffering.
-// Each frame's serialize+write+flush time feeds the
-// pubopt_batch_frame_write_seconds histogram (nil metrics skips it).
-type ndjsonWriter struct {
-	w       http.ResponseWriter
-	flusher http.Flusher
-	metrics *metrics
-	started bool
-}
-
-func newNDJSONWriter(w http.ResponseWriter, m *metrics) *ndjsonWriter {
-	flusher, _ := w.(http.Flusher)
-	return &ndjsonWriter{w: w, flusher: flusher, metrics: m}
-}
-
-// frame writes one NDJSON frame. The first frame commits the 200 status
-// and the x-ndjson content type; errors after that point must travel as
-// error frames, not status codes.
-func (nw *ndjsonWriter) frame(v any) error {
-	start := time.Now()
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("serializing frame: %w", err)
-	}
-	if !nw.started {
-		nw.w.Header().Set("Content-Type", "application/x-ndjson")
-		nw.w.WriteHeader(http.StatusOK)
-		nw.started = true
-	}
-	if _, err := nw.w.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	if nw.flusher != nil {
-		nw.flusher.Flush()
-	}
-	if nw.metrics != nil {
-		nw.metrics.observeFrame(time.Since(start).Seconds())
-	}
-	return nil
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if err := decodeJSONBody(w, r, &req, false); err != nil {
@@ -174,10 +133,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "give only one of \"grid\" (a registered name) or \"grid_json\" (an inline definition)")
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
+	workers := s.workers(req.Workers)
 	if listMode {
 		if req.Refine {
 			writeError(w, http.StatusBadRequest, "\"refine\" applies to grid mode only")
@@ -186,20 +142,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.batchScenarios(w, r, req.Scenarios, workers)
 		return
 	}
-	if req.Refine {
-		s.batchGridRefined(w, r, &req, workers)
+	res, code, err := s.resolve(kindGrid, ref{name: req.Grid, inline: req.GridJSON})
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
-	s.batchGrid(w, r, &req, workers)
+	job, err := res.sc.CompileGrid()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Refine {
+		s.batchGridRefined(w, r, res, job, workers)
+		return
+	}
+	s.batchGrid(w, r, res.sc, job, workers)
 }
 
 // ---------------------------------------------------------------------------
 // List mode.
 
-// batchScenarios solves each listed scenario through the same cache path as
-// POST /v1/runs, streaming one frame per completion in request order. A bad
-// element (unknown name, invalid inline definition, failed solve) becomes
-// an error frame carrying its index; the rest of the batch continues.
+// batchScenarios solves each listed scenario exactly as POST /v1/runs would,
+// streaming one frame per completion in request order. A bad element
+// (unknown name, invalid inline definition, a grid or dynamics scenario,
+// failed solve) becomes an error frame carrying its index; the rest of the
+// batch continues.
 func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []json.RawMessage, workers int) {
 	if len(list) > maxBatchScenarios {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch lists at most %d scenarios, got %d", maxBatchScenarios, len(list))
@@ -208,12 +175,11 @@ func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []j
 	nw := newNDJSONWriter(w, s.metrics)
 	start := time.Now()
 	results, errs := 0, 0
-	for i := range list {
+	for i, raw := range list {
 		if r.Context().Err() != nil {
 			return // client went away; stop solving
 		}
-		i := i
-		frame := s.solveBatchEntry(r, i, list[i], workers)
+		frame := s.batchEntry(r.Context(), i, raw, workers)
 		if ef, isErr := frame.(*errorFrame); isErr {
 			errs++
 			s.logger.Warn("batch entry failed",
@@ -228,102 +194,25 @@ func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []j
 	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
 	nw.frame(&listDoneFrame{
 		Done: true, Results: results, Errors: errs,
-		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+		ElapsedMS: ms(time.Since(start)),
 	})
 }
 
-// solveBatchEntry resolves one list element (name or inline definition) and
-// solves it through the cache, returning the frame to stream. Each entry is
-// metered and flight-recorded like a standalone run, under the batch
-// request's trace ID.
-func (s *Server) solveBatchEntry(r *http.Request, index int, raw json.RawMessage, workers int) any {
-	errf := func(format string, args ...any) *errorFrame {
-		return &errorFrame{Index: &index, Error: fmt.Sprintf(format, args...)}
+// batchEntry resolves one list element — a JSON string names a registered
+// scenario, anything else is an inline definition — and runs it, returning
+// the frame to stream.
+func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage, workers int) any {
+	entry := ref{inline: raw, entry: true}
+	if json.Unmarshal(raw, &entry.name) == nil {
+		entry.inline = nil
 	}
-	var key string
-	var getScenario func() (*scenario.Scenario, error)
-	var name string
-	if err := json.Unmarshal(raw, &name); err == nil {
-		k, ok := s.scenarioKeys[name]
-		if !ok {
-			return errf("unknown scenario %q", name)
-		}
-		key = k
-		getScenario = func() (*scenario.Scenario, error) {
-			sc, ok := scenario.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q vanished from the registry", name)
-			}
-			return sc, nil
-		}
-	} else {
-		sc, err := scenario.Load(strings.NewReader(string(raw)))
-		if err != nil {
-			return errf("%v", err)
-		}
-		canon, err := sc.CanonicalJSON()
-		if err != nil {
-			return errf("serializing scenario: %v", err)
-		}
-		key, err = cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			return errf("%v", err)
-		}
-		getScenario = func() (*scenario.Scenario, error) { return sc, nil }
-		name = sc.Name
-	}
-
-	reqStart := time.Now()
-	// delta is only written when the solve closure runs, and DoContext runs
-	// it in this goroutine (coalesced callers never execute it), so no lock.
-	var delta obs.SolveStats
-	val, status, err := s.store.DoContext(r.Context(), key, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		var sink obs.Counters
-		sc, err := getScenario()
-		if err != nil {
-			return nil, err
-		}
-		if sc.IsGrid() {
-			return nil, fmt.Errorf("scenario %q is a 2-D grid; submit it via the \"grid\" field", sc.Name)
-		}
-		if sc.IsDynamic() {
-			return nil, fmt.Errorf("scenario %q is a dynamics simulation; stream it via POST /v1/simulate", sc.Name)
-		}
-		tables, err := s.runScenario(sc, workers, &sink)
-		delta = sink.Snapshot()
-		s.counters.Add(delta)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
-	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
+	res, _, err := s.resolve(kindRun, entry)
 	if err != nil {
-		outcome = "error"
+		return &errorFrame{Index: &index, Error: err.Error()}
 	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	ev := obs.Event{
-		Time: time.Now(), Trace: obs.TraceID(r.Context()), Kind: "run",
-		Name: name, Key: shortKey(key), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	}
+	resp, err := s.runScenarioCached(ctx, res, workers)
 	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
-		return errf("solve failed: %v", err)
-	}
-	s.recorder.Record(ev)
-	resp := RunResponse{
-		RunResult: *val.(*RunResult),
-		Cache:     status.String(),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-	}
-	if s.trace {
-		resp.Trace = obs.TraceID(r.Context())
+		return &errorFrame{Index: &index, Error: "solve failed: " + err.Error()}
 	}
 	return &scenarioFrame{Index: index, RunResponse: resp}
 }
@@ -338,29 +227,18 @@ type solvedCell struct {
 	key  string
 }
 
-// batchGrid streams a grid scenario cell by cell: header frame, cached
-// cells first (they cost one map probe each), then solved cells in
-// completion order, then the summary. Solving distributes rows across
-// workers by work stealing with one warm-started solver per worker, and
-// only rows with at least one missing cell are visited.
-func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, req *batchRequest, workers int) {
-	sc, errStatus, err := s.resolveGridScenario(req.Grid, req.GridJSON)
-	if err != nil {
-		writeError(w, errStatus, "%v", err)
-		return
-	}
-	job, err := sc.CompileGrid()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-
+// batchGrid streams a grid scenario cell by cell: cached cells first (they
+// cost one map probe each), then solved cells in completion order. Solving
+// distributes rows across workers by work stealing with one warm-started
+// solver per worker, and only rows with at least one missing cell are
+// visited.
+func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
 	// Content-address every cell up front; the key layout is row-major.
 	keys := make([]string, job.Cells())
 	cols := len(job.Xs)
 	for row := 0; row < len(job.Ys); row++ {
 		for col := 0; col < cols; col++ {
-			k, err := cache.Key("batch/cell/v1", job.CellSpec(row, col))
+			k, err := cache.Key(nsCell, job.CellSpec(row, col))
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, "hashing cell (%d,%d): %v", row, col, err)
 				return
@@ -368,211 +246,106 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, req *batchReq
 			keys[row*cols+col] = k
 		}
 	}
-
-	nw := newNDJSONWriter(w, s.metrics)
-	start := time.Now()
-	trace := obs.TraceID(r.Context())
-	frameTrace := ""
-	if s.trace {
-		frameTrace = trace
-	}
-	if err := nw.frame(&gridHeaderFrame{Grid: gridInfo{
-		Name: sc.Name, Title: sc.Title,
-		XAxis: job.XAxis, YAxis: job.YAxis,
-		Xs: job.Xs, Ys: job.Ys, Layers: job.Layers, Cells: job.Cells(),
-	}}); err != nil {
-		return
-	}
-
-	// Probe phase: stream hits immediately, collect misses per row.
-	hits := 0
-	missing := make(map[int][]int) // row -> missing columns, ascending
-	var missRows []int
-	for row := 0; row < len(job.Ys); row++ {
-		for col := 0; col < cols; col++ {
-			if r.Context().Err() != nil {
-				return // client gone mid-probe: stop streaming cached cells
-			}
-			val, ok := s.store.Lookup(keys[row*cols+col])
-			if !ok {
-				if len(missing[row]) == 0 {
-					missRows = append(missRows, row)
+	s.serveStream(w, r, "grid", sc.Name, gridHeader(sc, job, false), func(st *stream) (any, error) {
+		// Probe phase: stream hits immediately, collect misses per row.
+		missing := make(map[int][]int) // row -> missing columns, ascending
+		var missRows []int
+		for row := 0; row < len(job.Ys); row++ {
+			for col := 0; col < cols; col++ {
+				if err := st.ctx.Err(); err != nil {
+					return nil, err
 				}
-				missing[row] = append(missing[row], col)
-				continue
-			}
-			hits++
-			// The cached Cell carries the row/col of whichever grid solved
-			// it first; its content address covers only physics, so a
-			// resized or reordered grid can hit cells whose stored indices
-			// no longer match. Re-anchor to this request's geometry before
-			// streaming.
-			cell := val.(scenario.Cell)
-			cell.Row, cell.Col = row, col
-			if err := nw.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: frameTrace}); err != nil {
-				return
-			}
-		}
-	}
-
-	// Solve phase: only rows with holes, warm-started along each row. The
-	// stopped flag aborts promptly when the client disconnects — workers
-	// poll it per cell, so at most one in-flight cell per worker completes
-	// after cancellation.
-	solved := 0
-	// gridDelta collects the solve workers' kernel telemetry; zero when the
-	// grid was fully cached.
-	var gridDelta obs.SolveStats
-	if len(missRows) > 0 {
-		if workers > len(missRows) {
-			workers = len(missRows)
-		}
-		var stopped atomic.Bool
-		cellCh := make(chan solvedCell, cols)
-		solveErr := make(chan error, 1)
-		// gridDelta is written before the goroutine body returns, which
-		// happens-before the deferred close(cellCh), which happens-before the
-		// stream loop observing the closed channel — so reading it after the
-		// loop is safe without a lock.
-		ctx := r.Context()
-		go func() {
-			defer close(cellCh)
-			defer func() {
-				if p := recover(); p != nil {
-					select {
-					case solveErr <- fmt.Errorf("grid solve panicked: %v", p):
-					default:
-					}
-				}
-			}()
-			// A grid solve occupies one worker-pool slot, like any pooled
-			// solve: its internal row parallelism plays the role of a
-			// solve's per-solve parallelism, so concurrent cold grids queue
-			// instead of oversubscribing the CPU. A client that vanishes
-			// while queued gives its slot wait up via the request context.
-			release, err := s.store.ReserveContext(ctx)
-			if err != nil {
-				return
-			}
-			defer release()
-			s.metrics.solveStarted()
-			defer s.metrics.solveFinished()
-			state := make([]*scenario.GridWorker, workers)
-			sweep.RunRowsContext(ctx, workers, len(missRows), func(worker, ri int) {
-				if state[worker] == nil {
-					state[worker] = job.NewWorker()
-				}
-				row := missRows[ri]
-				for _, col := range missing[row] {
-					if stopped.Load() {
-						return
-					}
-					cell := state[worker].SolveCell(row, col)
-					cellCh <- solvedCell{cell: cell, key: keys[row*cols+col]}
-				}
-			})
-			for _, gw := range state {
-				if gw != nil {
-					gridDelta.Accumulate(gw.Stats())
-				}
-			}
-			s.counters.Add(gridDelta)
-		}()
-
-	stream:
-		for {
-			select {
-			case c, ok := <-cellCh:
+				val, ok := s.store.Lookup(keys[row*cols+col])
 				if !ok {
-					break stream
+					if len(missing[row]) == 0 {
+						missRows = append(missRows, row)
+					}
+					missing[row] = append(missing[row], col)
+					continue
 				}
-				s.store.Put(c.key, c.cell)
-				solved++
-				s.recorder.Record(obs.Event{
-					Time: time.Now(), Trace: trace, Kind: "cell", Name: sc.Name,
-					Key: shortKey(c.key), Outcome: cache.Miss.String(),
-				})
-				if err := nw.frame(&cellFrame{Cell: c.cell, Cache: cache.Miss.String(), Trace: frameTrace}); err != nil {
-					stopped.Store(true)
+				st.hits++
+				// The cached Cell carries the row/col of whichever grid solved
+				// it first; its content address covers only physics, so a
+				// resized or reordered grid can hit cells whose stored indices
+				// no longer match. Re-anchor to this request's geometry before
+				// streaming.
+				cell := val.(scenario.Cell)
+				cell.Row, cell.Col = row, col
+				if err := st.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+					return nil, err
 				}
-			case <-ctx.Done():
-				stopped.Store(true)
-				// Drain so the workers can finish their in-flight cells and
-				// the goroutine exits; solved-but-unstreamed cells still
-				// enter the cache — the work is not wasted.
-				for c := range cellCh {
-					s.store.Put(c.key, c.cell)
-					solved++
-				}
-				break stream
 			}
 		}
-		select {
-		case err := <-solveErr:
-			s.logger.Error("batch grid failed", "grid", sc.Name, "trace", trace, "error", err)
-			s.recorder.Record(obs.Event{
-				Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-				Outcome: "error", Error: err.Error(),
-				DurationMS: float64(time.Since(start).Microseconds()) / 1e3,
-			})
-			s.metrics.observeSolve("error", time.Since(start).Seconds())
-			//pubopt:allow(streamcheck): terminal error frame right before return; the stream is over regardless
-			nw.frame(&errorFrame{Error: err.Error()})
-			return
-		default:
+		if len(missRows) > 0 {
+			if err := st.reserve(); err != nil {
+				return nil, err
+			}
+			if err := solveGridRows(st, job, keys, missRows, missing, workers); err != nil {
+				return nil, err
+			}
 		}
-		if r.Context().Err() != nil {
-			return // client gone: no summary frame
-		}
-	}
-
-	elapsed := time.Since(start)
-	// The whole grid request is one solve-duration observation: "miss" if
-	// anything was solved, "hit" for a fully warm replay.
-	outcome := cache.Miss.String()
-	if solved == 0 {
-		outcome = cache.Hit.String()
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	s.recorder.Record(obs.Event{
-		Time: time.Now(), Trace: trace, Kind: "grid", Name: sc.Name,
-		Outcome: outcome, DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver: gridDelta,
-	})
-	s.logger.Info("batch grid served",
-		"grid", sc.Name, "cells", job.Cells(), "solved", solved, "cached", hits,
-		"elapsed_s", elapsed.Seconds(), "solves", gridDelta.Solves,
-		"evals", gridDelta.Evals, "trace", trace)
-	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
-	nw.frame(&gridDoneFrame{
-		Done: true, Cells: job.Cells(), Solved: solved, CacheHits: hits,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+		return &gridDoneFrame{
+			Done: true, Cells: job.Cells(), Solved: st.solved, CacheHits: st.hits,
+			ElapsedMS: st.elapsedMS(),
+		}, nil
 	})
 }
 
-// resolveGridScenario materializes a grid scenario from its registered name
-// or inline JSON, enforcing that it actually declares a grid. Shared by the
-// batch grid modes and /v1/query.
-func (s *Server) resolveGridScenario(name string, raw json.RawMessage) (*scenario.Scenario, int, error) {
-	var sc *scenario.Scenario
-	if name != "" {
-		got, ok := s.scenarios[name]
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q", name)
+// solveGridRows solves the missing cells, warm-started along each row, and
+// streams each as it completes. Solving runs on its own goroutine so frames
+// keep flowing while rows are in flight. When the client disconnects the
+// workers stop within one cell each; cells solved meanwhile are still
+// cached — the work is not wasted.
+func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []int, missing map[int][]int, workers int) error {
+	cols := len(job.Xs)
+	var stopped atomic.Bool
+	var solveErr error
+	// A row's worth of buffer lets a worker run ahead of a frame write that
+	// is waiting on a slow client.
+	cells := make(chan solvedCell, cols)
+	go func() {
+		// Writes to solveErr and st.delta happen before close(cells), which
+		// happens before the stream loop below ends, so reading them after
+		// the loop needs no lock.
+		defer close(cells)
+		defer func() {
+			if p := recover(); p != nil {
+				solveErr = fmt.Errorf("grid solve panicked: %v", p)
+			}
+		}()
+		state := make([]*scenario.GridWorker, min(workers, len(missRows)))
+		sweep.RunRowsContext(st.ctx, len(state), len(missRows), func(worker, ri int) {
+			if state[worker] == nil {
+				state[worker] = job.NewWorker()
+			}
+			row := missRows[ri]
+			for _, col := range missing[row] {
+				if stopped.Load() || st.ctx.Err() != nil {
+					return
+				}
+				cells <- solvedCell{cell: state[worker].SolveCell(row, col), key: keys[row*cols+col]}
+			}
+		})
+		for _, gw := range state {
+			if gw != nil {
+				st.delta.Accumulate(gw.Stats())
+			}
 		}
-		sc = got
-	} else {
-		got, err := scenario.Load(strings.NewReader(string(raw)))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
+	}()
+	for c := range cells {
+		st.bank("cell", c.key, c.cell, obs.SolveStats{})
+		if stopped.Load() {
+			continue
 		}
-		sc = got
+		if st.ctx.Err() != nil || st.frame(&cellFrame{Cell: c.cell, Cache: cache.Miss.String(), Trace: st.echo}) != nil {
+			stopped.Store(true)
+		}
 	}
-	if sc.IsDynamic() {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q is a dynamics simulation; stream it via POST /v1/simulate", sc.Name)
+	if solveErr != nil {
+		return solveErr
 	}
-	if !sc.IsGrid() {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q declares a 1-D sweep; use \"scenarios\" for it or add a sweep.grid axis", sc.Name)
+	if stopped.Load() {
+		return errClientGone
 	}
-	return sc, 0, nil
+	return nil
 }

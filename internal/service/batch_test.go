@@ -237,6 +237,27 @@ func TestBatchGridScenarioInListModeIsErrorFrame(t *testing.T) {
 	if !strings.Contains(msg, "grid") {
 		t.Fatalf("error %q does not point at the grid field", msg)
 	}
+	assertRejectedBeforeSolve(t, s)
+}
+
+// assertRejectedBeforeSolve checks that list entries of the wrong kind were
+// turned away at resolution, like any other client error: they never reach
+// the cache or the solve pool, count as no failed solve, and record no
+// error event.
+func assertRejectedBeforeSolve(t *testing.T, s *Server) {
+	t.Helper()
+	if st := s.CacheStats(); st.Misses != 0 {
+		t.Fatalf("rejected entries went through the cache: %+v", st)
+	}
+	if got := metricValue(t, s, `pubopt_solve_duration_seconds_count{outcome="error"}`); got != 0 {
+		t.Fatalf("rejected entries counted as %g failed solves", got)
+	}
+	er := decode[eventsResponse](t, do(t, s, "GET", "/debug/events", ""))
+	for _, ev := range er.Events {
+		if ev.Outcome == "error" {
+			t.Fatalf("rejected entry recorded an error event: %+v", ev)
+		}
+	}
 }
 
 // cancelingWriter is a ResponseWriter that cancels the request context

@@ -1,0 +1,394 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+
+	"github.com/netecon-sim/publicoption/internal/cache"
+	"github.com/netecon-sim/publicoption/internal/obs"
+	"github.com/netecon-sim/publicoption/internal/scenario"
+)
+
+// The request pipeline the package comment describes: resolve, then either
+// cached (one result) or serveStream (an NDJSON stream of units).
+
+// Cache key namespaces, one per kind of cached value. Every content address
+// the server computes is cache.Key(namespace, content).
+const (
+	nsRun        = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
+	nsExperiment = "run/experiment/v1"   // *RunResult of an experiment; content: id plus result-changing config
+	nsCell       = "batch/cell/v1"       // scenario.Cell; content: GridJob.CellSpec/CellSpecAt
+	nsSurrogate  = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
+	nsTick       = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
+)
+
+// scenarioKind is what a scenario declares and what an endpoint solves.
+type scenarioKind int
+
+const (
+	kindRun  scenarioKind = iota // a 1-D sweep
+	kindGrid                     // a 2-D grid
+	kindSim                      // a dynamics simulation
+)
+
+// kindRoutes names, per kind, the endpoint that solves it and the request
+// fields that reference a scenario there.
+var kindRoutes = [...]struct{ what, endpoint, nameField, inlineField string }{
+	kindRun:  {"a 1-D sweep", "/v1/runs", "scenario", "scenario_json"},
+	kindGrid: {"a 2-D grid", "/v1/batch", "grid", "grid_json"},
+	kindSim:  {"a dynamics simulation", "/v1/simulate", "scenario", "scenario_json"},
+}
+
+func kindOf(sc *scenario.Scenario) scenarioKind {
+	switch {
+	case sc.IsGrid():
+		return kindGrid
+	case sc.IsDynamic():
+		return kindSim
+	}
+	return kindRun
+}
+
+// ref is a request's reference to a scenario: a registered name or an
+// inline definition. entry marks a /v1/batch list element, where the
+// element's JSON type already picked the form.
+type ref struct {
+	name   string
+	inline json.RawMessage
+	entry  bool
+}
+
+// resolved is a scenario ready to solve. Registered scenarios are resolved
+// once, at startup, so a warm named request never re-derives anything.
+type resolved struct {
+	// sc is read-only: for registered names it is the registry copy every
+	// request shares.
+	sc    *scenario.Scenario
+	named bool
+	// canon is the canonical JSON every key of the scenario derives from.
+	canon json.RawMessage
+	// key is the content key of the scenario's result: under nsRun for 1-D
+	// sweeps, nsSurrogate for grids, and empty for simulations, which are
+	// keyed per tick.
+	key string
+}
+
+func newResolved(sc *scenario.Scenario, named bool) (*resolved, error) {
+	canon, err := sc.CanonicalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("serializing scenario: %v", err)
+	}
+	res := &resolved{sc: sc, named: named, canon: canon}
+	switch kindOf(sc) {
+	case kindRun:
+		res.key, err = cache.Key(nsRun, res.canon)
+	case kindGrid:
+		res.key, err = cache.Key(nsSurrogate, res.canon)
+	}
+	return res, err
+}
+
+// resolve maps ref to a scenario of the wanted kind, or to an error and the
+// HTTP status it maps to: 400 for a malformed reference or a scenario of
+// another kind, 404 for an unknown name.
+func (s *Server) resolve(want scenarioKind, r ref) (*resolved, int, error) {
+	inline := len(r.inline) > 0
+	if !r.entry && (r.name == "") == !inline {
+		rt := kindRoutes[want]
+		return nil, http.StatusBadRequest, fmt.Errorf("give exactly one of %q (a registered name) or %q (an inline definition)", rt.nameField, rt.inlineField)
+	}
+	if !inline {
+		res, ok := s.named[r.name]
+		if !ok {
+			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q", r.name)
+		}
+		if err := wrongKind(want, r, res.sc); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		return res, 0, nil
+	}
+	sc, err := scenario.Load(bytes.NewReader(r.inline))
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if err := wrongKind(want, r, sc); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	res, err := newResolved(sc, false)
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	return res, 0, nil
+}
+
+// wrongKind rejects a scenario the wanted kind of solve cannot take,
+// pointing the client at the endpoint that can.
+func wrongKind(want scenarioKind, r ref, sc *scenario.Scenario) error {
+	got := kindOf(sc)
+	switch {
+	case got == want:
+		return nil
+	case want == kindSim:
+		return fmt.Errorf("scenario %q has no dynamics block; run it via POST /v1/runs or /v1/batch", sc.Name)
+	case got == kindRun:
+		return fmt.Errorf("scenario %q declares a 1-D sweep; use \"scenarios\" for it or add a sweep.grid axis", sc.Name)
+	case got == kindSim && (want == kindGrid || r.entry):
+		return fmt.Errorf("scenario %q is a dynamics simulation; stream it via POST /v1/simulate", sc.Name)
+	case r.entry:
+		return fmt.Errorf("scenario %q is a 2-D grid; submit it via the \"grid\" field", sc.Name)
+	}
+	rt := kindRoutes[got]
+	field := rt.nameField
+	if len(r.inline) > 0 {
+		field = rt.inlineField
+	}
+	return fmt.Errorf("scenario %q is %s; run it via POST %s with the %q field", sc.Name, rt.what, rt.endpoint, field)
+}
+
+// cached returns key's value, running solve on a miss. solve runs at most
+// once per key across concurrent callers, inside a worker-pool slot, and
+// gets a sink for its kernel telemetry; a coalesced caller whose ctx ends
+// stops waiting. Every call is one solve-duration observation and one
+// flight-recorder event (kind, name); a miss logs "solved", a failure
+// "solve failed".
+func (s *Server) cached(ctx context.Context, kind, name, key string, solve func(stats *obs.Counters) (any, error)) (any, cache.Status, time.Duration, error) {
+	start := time.Now()
+	// delta is only written when the solve closure runs, and DoContext runs
+	// it in this goroutine (coalesced callers never execute it), so no lock.
+	var delta obs.SolveStats
+	val, status, err := s.store.DoContext(ctx, key, func() (any, error) {
+		s.metrics.solveStarted()
+		defer s.metrics.solveFinished()
+		var sink obs.Counters
+		v, err := solve(&sink)
+		delta = sink.Snapshot()
+		s.counters.Add(delta)
+		return v, err
+	})
+	elapsed := time.Since(start)
+	trace := obs.TraceID(ctx)
+	ev := obs.Event{
+		Time: time.Now(), Trace: trace, Kind: kind, Name: name,
+		Key: shortKey(key), Outcome: status.String(),
+		DurationMS: ms(elapsed), Solver: delta,
+	}
+	if err != nil {
+		ev.Outcome, ev.Error = "error", err.Error()
+		s.logger.Warn("solve failed",
+			"kind", kind, "name", name, "key", shortKey(key), "trace", trace, "error", err)
+	} else if status == cache.Miss {
+		s.logger.Info("solved",
+			"kind", kind, "name", name, "key", shortKey(key),
+			"elapsed_s", elapsed.Seconds(), "solves", delta.Solves,
+			"evals", delta.Evals, "trace", trace)
+	}
+	s.metrics.observeSolve(ev.Outcome, elapsed.Seconds())
+	s.recorder.Record(ev)
+	return val, status, elapsed, err
+}
+
+// errClientGone marks a failed frame write: the client disconnected, so the
+// stream stops without telling anyone.
+var errClientGone = errors.New("client disconnected mid-stream")
+
+// stream is one NDJSON response between its header frame and its terminal
+// frame, as the endpoint's body sees it.
+type stream struct {
+	s     *Server
+	nw    *ndjsonWriter
+	ctx   context.Context
+	trace string
+	echo  string // trace ID echoed in unit frames; "" without Options.Trace
+	kind  string // "grid" or "sim": the closing event's kind
+	name  string
+	start time.Time
+
+	// Set by the body: units served from the cache and solved, the solves'
+	// kernel telemetry, and the key the closing event carries, if any.
+	hits, solved int
+	delta        obs.SolveStats
+	key          string
+
+	release func() // the held worker-pool slot, if any
+}
+
+// serveStream streams one request: header, then body's unit frames, then
+// body's done frame — or an error frame when body fails or panics. A client
+// that disconnects gets no terminal frame, and the request no summary
+// metric, event or log line; the solver telemetry of work already done is
+// still counted. Otherwise the request is one solve-duration observation
+// ("miss" if any unit was solved, else "hit"), one summary event, and one
+// log line.
+func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, kind, name string, header any, body func(st *stream) (done any, err error)) {
+	st := &stream{
+		s: s, nw: newNDJSONWriter(w, s.metrics), ctx: r.Context(),
+		trace: obs.TraceID(r.Context()), echo: s.echo(r.Context()),
+		kind: kind, name: name, start: time.Now(),
+	}
+	if err := st.nw.frame(header); err != nil {
+		return
+	}
+	terminal, err := st.run(body)
+	s.counters.Add(st.delta)
+	if errors.Is(err, errClientGone) || st.ctx.Err() != nil {
+		return
+	}
+	elapsed := time.Since(st.start)
+	ev := obs.Event{
+		Time: time.Now(), Trace: st.trace, Kind: kind, Name: name,
+		Key: shortKey(st.key), Outcome: cache.Hit.String(),
+		DurationMS: ms(elapsed), Solver: st.delta,
+	}
+	if st.solved > 0 {
+		ev.Outcome = cache.Miss.String()
+	}
+	if err != nil {
+		ev.Outcome, ev.Error = "error", err.Error()
+		s.logger.Error("stream failed", "kind", kind, "name", name, "trace", st.trace, "error", err)
+		terminal = &errorFrame{Error: err.Error()}
+	} else {
+		s.logger.Info("stream served",
+			"kind", kind, "name", name, "solved", st.solved, "cached", st.hits,
+			"elapsed_s", elapsed.Seconds(), "solves", st.delta.Solves,
+			"evals", st.delta.Evals, "trace", st.trace)
+	}
+	s.metrics.observeSolve(ev.Outcome, elapsed.Seconds())
+	s.recorder.Record(ev)
+	//pubopt:allow(streamcheck): terminal frame; the stream ends either way and there is nothing left to abort
+	st.nw.frame(terminal)
+}
+
+// run calls body, turning a panic into an error — the 200 status is
+// committed, so the client must still get a terminal frame — and gives
+// back the pool slot body reserved.
+func (st *stream) run(body func(st *stream) (any, error)) (done any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%s stream panicked: %v", st.kind, p)
+		}
+		if st.release != nil {
+			st.release()
+			st.s.metrics.solveFinished()
+		}
+	}()
+	return body(st)
+}
+
+// reserve claims a worker-pool slot for the stream's solve phase: its
+// internal parallelism plays the role of a solve's, so concurrent cold
+// streams queue instead of oversubscribing the CPU. It fails only when the
+// client leaves while queued.
+func (st *stream) reserve() error {
+	release, err := st.s.store.ReserveContext(st.ctx)
+	if err != nil {
+		return err
+	}
+	st.release = release
+	st.s.metrics.solveStarted()
+	return nil
+}
+
+// frame writes one unit frame.
+func (st *stream) frame(v any) error {
+	if err := st.nw.frame(v); err != nil {
+		return errClientGone
+	}
+	return nil
+}
+
+// bank caches one solved unit and records it as a flight-recorder event of
+// kind ("cell" or "tick") carrying the unit's solver telemetry.
+func (st *stream) bank(kind, key string, val any, solver obs.SolveStats) {
+	st.s.store.Put(key, val)
+	st.solved++
+	st.s.recorder.Record(obs.Event{
+		Time: time.Now(), Trace: st.trace, Kind: kind, Name: st.name,
+		Key: shortKey(key), Outcome: cache.Miss.String(), Solver: solver,
+	})
+}
+
+func (st *stream) elapsedMS() float64 { return ms(time.Since(st.start)) }
+
+// ndjsonWriter serializes frames to the response, one JSON object per
+// line, flushing after every frame so results stream instead of buffering.
+// Each frame's serialize+write+flush time feeds the
+// pubopt_batch_frame_write_seconds histogram.
+type ndjsonWriter struct {
+	w       http.ResponseWriter
+	flusher http.Flusher
+	metrics *metrics
+	started bool
+}
+
+func newNDJSONWriter(w http.ResponseWriter, m *metrics) *ndjsonWriter {
+	flusher, _ := w.(http.Flusher)
+	return &ndjsonWriter{w: w, flusher: flusher, metrics: m}
+}
+
+// frame writes one NDJSON frame. The first frame commits the 200 status
+// and the x-ndjson content type; errors after that point must travel as
+// error frames, not status codes.
+func (nw *ndjsonWriter) frame(v any) error {
+	start := time.Now()
+	b, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("serializing frame: %w", err)
+	}
+	if !nw.started {
+		nw.w.Header().Set("Content-Type", "application/x-ndjson")
+		nw.w.WriteHeader(http.StatusOK)
+		nw.started = true
+	}
+	if _, err := nw.w.Write(append(b, '\n')); err != nil {
+		return err
+	}
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
+	nw.metrics.observeFrame(time.Since(start).Seconds())
+	return nil
+}
+
+// errorFrame reports one failed unit without tearing down the stream:
+// list-mode entry failures carry their index and the stream continues; a
+// failed grid or simulation stream ends with an index-less one instead of
+// its done frame.
+type errorFrame struct {
+	Index *int   `json:"index,omitempty"`
+	Error string `json:"error"`
+}
+
+// workers is a request's per-solve parallelism: its own positive override,
+// else the server default. It never enters a cache key.
+func (s *Server) workers(override int) int {
+	if override > 0 {
+		return override
+	}
+	return s.solveWorkers
+}
+
+// echo is the trace ID response bodies carry: the request's with
+// Options.Trace, else empty.
+func (s *Server) echo(ctx context.Context) string {
+	if s.trace {
+		return obs.TraceID(ctx)
+	}
+	return ""
+}
+
+// shortKey abbreviates a cache key for logs and events: enough hex to
+// correlate, not enough to drown the line.
+func shortKey(key string) string {
+	if len(key) > 12 {
+		return key[:12]
+	}
+	return key
+}
+
+// ms renders a duration in the milliseconds responses and events report.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

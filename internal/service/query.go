@@ -1,8 +1,8 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -105,159 +105,93 @@ func (s *Server) handleQueryGet(w http.ResponseWriter, r *http.Request) {
 // surrogate through the cache, evaluate — falling back to a cached kernel
 // solve when the surrogate's error bound is not verified.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	if (req.Grid == "") == (len(req.GridJSON) == 0) {
-		writeError(w, http.StatusBadRequest, "give exactly one of \"grid\" (a registered name) or \"grid_json\" (an inline definition)")
-		return
-	}
-	sc, errStatus, err := s.resolveGridScenario(req.Grid, req.GridJSON)
+	res, code, err := s.resolve(kindGrid, ref{name: req.Grid, inline: req.GridJSON})
 	if err != nil {
-		writeError(w, errStatus, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
-	job, err := sc.CompileGrid()
+	job, err := res.sc.CompileGrid()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	surrKey, err := s.surrogateKey(sc)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
-
-	reqStart := time.Now()
-	trace := obs.TraceID(r.Context())
-	res, status, err := s.surrogateFor(r, sc.Name, surrKey, job, workers)
+	start := time.Now()
+	surr, status, err := s.surrogate(r.Context(), res, job, s.workers(req.Workers))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "building surrogate: %v", err)
 		return
 	}
-
-	vals, err := res.Values(req.X, req.Y)
+	vals, err := surr.Values(req.X, req.Y)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := QueryResponse{
-		Grid: sc.Name, X: req.X, Y: req.Y,
+		Grid: res.sc.Name, X: req.X, Y: req.Y,
 		Values:    job.ValuesMap(vals),
 		Source:    "surrogate",
-		Verified:  res.Verified(),
-		MaxError:  res.MaxError(),
-		Tolerance: res.Tolerance(),
+		Verified:  surr.Verified(),
+		MaxError:  surr.MaxError(),
+		Tolerance: surr.Tolerance(),
 		Cache:     status.String(),
 	}
-	if !res.Verified() {
+	if !surr.Verified() {
 		// The error bound does not hold (verification failed or was
 		// disabled): answer with one kernel solve through the per-cell
 		// cache instead of unverified interpolation.
-		cell, st, err := s.solvePointCached(r, job, req.X, req.Y)
+		cell, status, err := s.solvePoint(r.Context(), res.sc.Name, job, req.X, req.Y)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "fallback solve: %v", err)
 			return
 		}
 		resp.Values = cell.Values
 		resp.Source = "solve"
-		resp.Cache = st.String()
+		resp.Cache = status.String()
 	}
 	s.metrics.observeQuery(resp.Source)
-	resp.ElapsedMS = float64(time.Since(reqStart).Microseconds()) / 1e3
-	if s.trace {
-		resp.Trace = trace
-	}
+	resp.ElapsedMS = ms(time.Since(start))
+	resp.Trace = s.echo(r.Context())
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// surrogateKey is the content address of a grid scenario's refined
-// surrogate: the canonical scenario bytes (refine block included) under the
-// surrogate namespace.
-func (s *Server) surrogateKey(sc *scenario.Scenario) (string, error) {
-	canon, err := sc.CanonicalJSON()
-	if err != nil {
-		return "", fmt.Errorf("serializing scenario: %v", err)
-	}
-	return cache.Key("refine/surrogate/v1", json.RawMessage(canon))
-}
-
-// surrogateFor returns the grid's refined surrogate, building it through
-// the cache's worker pool on first need. The build reads and writes the
-// per-cell equilibrium cache, so it shares solves with POST /v1/batch.
-func (s *Server) surrogateFor(r *http.Request, name, surrKey string, job *scenario.GridJob, workers int) (*refine.Result, cache.Status, error) {
-	reqStart := time.Now()
-	var delta obs.SolveStats
-	lookup, store := s.cellHooks(job)
-	val, status, err := s.store.DoContext(r.Context(), surrKey, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		var sink obs.Counters
-		prob, flush := job.RefineProblem(&sink)
-		res, err := refine.Run(r.Context(), prob, job.RefineSpec(), refine.Options{
-			Workers: workers, Lookup: lookup, Store: store,
-		})
-		flush()
-		delta = sink.Snapshot()
-		s.counters.Add(delta)
-		if err != nil {
-			return nil, err
-		}
-		s.refineCounters.Add(res.Stats())
-		return res, nil
+// surrogate returns the grid's refined surrogate, building it through the
+// cache on first need.
+func (s *Server) surrogate(ctx context.Context, res *resolved, job *scenario.GridJob, workers int) (*refine.Result, cache.Status, error) {
+	val, status, _, err := s.cached(ctx, "query", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
+		return s.refineGrid(ctx, job, stats, refine.Options{Workers: workers})
 	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
 	if err != nil {
-		outcome = "error"
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	ev := obs.Event{
-		Time: time.Now(), Trace: obs.TraceID(r.Context()), Kind: "query",
-		Name: name, Key: shortKey(surrKey), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	}
-	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
-		s.logger.Warn("surrogate build failed",
-			"grid", name, "key", shortKey(surrKey), "trace", ev.Trace, "error", err)
 		return nil, status, err
-	}
-	s.recorder.Record(ev)
-	if status == cache.Miss {
-		res := val.(*refine.Result)
-		st := res.Stats()
-		s.logger.Info("surrogate built",
-			"grid", name, "key", shortKey(surrKey),
-			"points_solved", st.PointsSolved, "points_reused", st.PointsReused,
-			"probes", st.ProbeSolves, "leaves", st.Leaves(),
-			"verified", res.Verified(), "max_error", res.MaxError(),
-			"elapsed_s", elapsed.Seconds(), "trace", ev.Trace)
 	}
 	return val.(*refine.Result), status, nil
 }
 
-// solvePointCached solves one off-lattice grid point through the per-cell
-// equilibrium cache — the unverified-surrogate fallback path of /v1/query.
-func (s *Server) solvePointCached(r *http.Request, job *scenario.GridJob, x, y float64) (scenario.Cell, cache.Status, error) {
-	key, err := cache.Key("batch/cell/v1", job.CellSpecAt(x, y))
+// refineGrid runs the grid's adaptive refinement with its lattice points and
+// probes on the per-cell equilibrium cache, so it shares solves with dense
+// POST /v1/batch runs, and adds its stats to the server's refine counters.
+func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *obs.Counters, opts refine.Options) (*refine.Result, error) {
+	prob, flush := job.RefineProblem(stats)
+	opts.Lookup, opts.Store = s.cellHooks(job)
+	surr, err := refine.Run(ctx, prob, job.RefineSpec(), opts)
+	flush()
+	if err != nil {
+		return nil, err
+	}
+	s.refineCounters.Add(surr.Stats())
+	return surr, nil
+}
+
+// solvePoint solves one off-lattice point of grid name through the per-cell
+// equilibrium cache — the unverified-surrogate fallback of /v1/query.
+func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (scenario.Cell, cache.Status, error) {
+	key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
 	if err != nil {
 		return scenario.Cell{}, 0, err
 	}
-	val, status, err := s.store.DoContext(r.Context(), key, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
+	val, status, _, err := s.cached(ctx, "cell", name, key, func(stats *obs.Counters) (any, error) {
 		worker := job.NewWorker()
 		cell := scenario.Cell{Row: -1, Col: -1, X: x, Y: y, Values: worker.SolveAt(x, y)}
-		s.counters.Add(worker.Stats())
-		s.recorder.Record(obs.Event{
-			Time: time.Now(), Trace: obs.TraceID(r.Context()), Kind: "cell",
-			Name: job.Layers[0], Key: shortKey(key), Outcome: cache.Miss.String(),
-			Solver: worker.Stats(),
-		})
+		stats.Add(worker.Stats())
 		return cell, nil
 	})
 	if err != nil {
@@ -274,7 +208,7 @@ func (s *Server) solvePointCached(r *http.Request, job *scenario.GridJob, x, y f
 // goroutine-safe.
 func (s *Server) cellHooks(job *scenario.GridJob) (lookup func(x, y float64) ([]float64, bool), store func(x, y float64, vals []float64)) {
 	lookup = func(x, y float64) ([]float64, bool) {
-		key, err := cache.Key("batch/cell/v1", job.CellSpecAt(x, y))
+		key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
 		if err != nil {
 			return nil, false
 		}
@@ -289,7 +223,7 @@ func (s *Server) cellHooks(job *scenario.GridJob) (lookup func(x, y float64) ([]
 		return job.ValuesSlice(cell.Values)
 	}
 	store = func(x, y float64, vals []float64) {
-		key, err := cache.Key("batch/cell/v1", job.CellSpecAt(x, y))
+		key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
 		if err != nil {
 			return
 		}

@@ -134,6 +134,26 @@ func TestQueryFallsBackToSolveWhenUnverified(t *testing.T) {
 	if first.Cache != "miss" {
 		t.Fatalf("first fallback cache=%q, want miss", first.Cache)
 	}
+	// The fallback solve is accounted like any cached solve: its event names
+	// the grid and times the solve, and the solve-duration histogram counts
+	// it next to the surrogate build.
+	er := decode[eventsResponse](t, do(t, s, "GET", "/debug/events", ""))
+	cellEvents := 0
+	for _, ev := range er.Events {
+		if ev.Kind != "cell" {
+			continue
+		}
+		cellEvents++
+		if ev.Name != "query-unverified" || ev.Outcome != "miss" || ev.DurationMS <= 0 {
+			t.Fatalf("fallback event %+v, want a timed query-unverified miss", ev)
+		}
+	}
+	if cellEvents != 1 {
+		t.Fatalf("recorded %d fallback cell events, want 1", cellEvents)
+	}
+	if got := metricValue(t, s, `pubopt_solve_duration_seconds_count{outcome="miss"}`); got != 2 {
+		t.Fatalf(`pubopt_solve_duration_seconds_count{outcome="miss"} = %g, want 2 (surrogate build + fallback solve)`, got)
+	}
 
 	// The same point again: the fallback cell is content-addressed, so the
 	// repeat is a cache hit, not a re-solve.

@@ -1,14 +1,21 @@
 // Package service is the long-running serving layer over the model: a
 // stdlib-only HTTP JSON API exposing the scenario registry, the experiment
-// registry, and a run endpoint that solves equilibria on demand.
+// registry, and endpoints that solve equilibria on demand.
 //
-// Every run result flows through a content-addressed equilibrium cache
-// (internal/cache): the request's full specification — the scenario's
-// canonical JSON, or the experiment id plus its result-changing config — is
-// hashed into a key, identical concurrent requests are deduplicated onto
-// one solve, and a bounded worker pool keeps concurrent distinct solves
-// from oversubscribing the CPU. The model is deterministic, so cached
-// results never go stale.
+// Every solving endpoint is a thin view over one request pipeline
+// (pipeline.go). The resolver maps the request's scenario — a registered
+// name or an inline definition — and the kind of solve the endpoint does
+// (1-D sweep, 2-D grid, dynamics) to the scenario and its content key: the
+// SHA-256 of its canonical JSON, so a name and an identical inline copy
+// share cache entries. Single results then take one cached call through the
+// content-addressed equilibrium cache (internal/cache), where identical
+// concurrent requests coalesce onto one solve and a bounded worker pool
+// keeps distinct solves from oversubscribing the CPU; NDJSON streams (grids
+// cell by cell, simulations tick by tick) take one stream runner that
+// serves cached units first and solves the rest in one pool slot. Both own
+// the metrics, flight-recorder events and log lines, so every endpoint is
+// metered the same way. The model is deterministic, so cached results
+// never go stale.
 //
 // Endpoints:
 //
@@ -37,6 +44,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,8 +128,7 @@ type Server struct {
 	// through JSON on every call.
 	scenarioInfos   []ScenarioInfo
 	experimentInfos []ExperimentInfo
-	scenarios       map[string]*scenario.Scenario // read-only, for GET /v1/scenarios/{name}
-	scenarioKeys    map[string]string             // name -> content-address cache key
+	named           map[string]*resolved // every registered scenario, resolved
 
 	// Runner indirection, overridable in tests to count or stub solves.
 	// stats receives the run's solver telemetry (nil-safe).
@@ -169,21 +176,15 @@ func New(opts Options) *Server {
 		runExperiment: func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error) {
 			return e.Run(cfg), nil
 		},
-		scenarios:    make(map[string]*scenario.Scenario),
-		scenarioKeys: make(map[string]string),
+		named: make(map[string]*resolved),
 	}
 	for _, sc := range scenario.All() {
 		s.scenarioInfos = append(s.scenarioInfos, ScenarioInfo{Name: sc.Name, Title: sc.Title, Reference: sc.Reference, Grid: sc.IsGrid(), Dynamic: sc.IsDynamic()})
-		s.scenarios[sc.Name] = sc
-		canon, err := sc.CanonicalJSON()
+		res, err := newResolved(sc, true)
 		if err != nil {
-			panic("service: built-in scenario does not serialize: " + err.Error())
+			panic("service: resolving built-in scenario: " + err.Error())
 		}
-		key, err := cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			panic("service: hashing built-in scenario: " + err.Error())
-		}
-		s.scenarioKeys[sc.Name] = key
+		s.named[sc.Name] = res
 	}
 	for _, e := range experiment.All() {
 		s.experimentInfos = append(s.experimentInfos, ExperimentInfo{ID: e.ID, Title: e.Title, Expect: e.Expect})
@@ -352,12 +353,12 @@ func (s *Server) handleListScenarios(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGetScenario(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	sc, ok := s.scenarios[name]
+	res, ok := s.named[name]
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown scenario %q", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, sc)
+	writeJSON(w, http.StatusOK, res.sc)
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
@@ -382,81 +383,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}
-	if (req.Scenario == "") == (len(req.ScenarioJSON) == 0) {
-		writeError(w, http.StatusBadRequest, "give exactly one of \"scenario\" (a registered name) or \"scenario_json\" (an inline definition)")
+	res, code, err := s.resolve(kindRun, ref{name: req.Scenario, inline: req.ScenarioJSON})
+	if err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
+	resp, err := s.runScenarioCached(r.Context(), res, s.workers(req.Workers))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
 
-	// Content address: the canonical scenario bytes, regardless of whether
-	// they arrived as a name or inline. A named scenario and its identical
-	// inline copy share one cache entry. The named path uses the key
-	// precomputed at startup, so warm hits never touch the registry; the
-	// scenario itself is only materialized (a deep copy) inside the solve.
-	var key string
-	var getScenario func() (*scenario.Scenario, error)
-	if req.Scenario != "" {
-		var ok bool
-		key, ok = s.scenarioKeys[req.Scenario]
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown scenario %q", req.Scenario)
-			return
-		}
-		if s.scenarios[req.Scenario].IsGrid() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a 2-D grid; run it via POST /v1/batch with the \"grid\" field", req.Scenario)
-			return
-		}
-		if s.scenarios[req.Scenario].IsDynamic() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a dynamics simulation; run it via POST /v1/simulate with the \"scenario\" field", req.Scenario)
-			return
-		}
-		getScenario = func() (*scenario.Scenario, error) {
-			sc, ok := scenario.Get(req.Scenario)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q vanished from the registry", req.Scenario)
-			}
-			return sc, nil
-		}
-	} else {
-		sc, err := scenario.Load(strings.NewReader(string(req.ScenarioJSON)))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if sc.IsGrid() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a 2-D grid; run it via POST /v1/batch with the \"grid_json\" field", sc.Name)
-			return
-		}
-		if sc.IsDynamic() {
-			writeError(w, http.StatusBadRequest, "scenario %q is a dynamics simulation; run it via POST /v1/simulate with the \"scenario_json\" field", sc.Name)
-			return
-		}
-		canon, err := sc.CanonicalJSON()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "serializing scenario: %v", err)
-			return
-		}
-		key, err = cache.Key("run/scenario/v1", json.RawMessage(canon))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		getScenario = func() (*scenario.Scenario, error) { return sc, nil }
-	}
-
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
-	name := req.Scenario
-	if name == "" {
-		if sc, err := getScenario(); err == nil {
-			name = sc.Name
-		}
-	}
-	s.respondRun(w, r, "run", name, key, func(stats *obs.Counters) (any, error) {
-		sc, err := getScenario()
-		if err != nil {
-			return nil, err
+// runScenarioCached solves a resolved 1-D scenario through the cache. Its
+// content address is the canonical scenario, so a named scenario and an
+// identical inline copy share one entry. A registered scenario is only
+// materialized — a deep copy of the shared registry entry — on a miss.
+func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers int) (RunResponse, error) {
+	return s.respondRun(ctx, "run", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
+		sc := res.sc
+		if res.named {
+			sc, _ = scenario.Get(sc.Name) // always found: the registry is immutable
 		}
 		tables, err := s.runScenario(sc, workers, stats)
 		if err != nil {
@@ -500,94 +448,36 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		Seed uint64 `json:"seed"`
 		CPs  int    `json:"cps"`
 	}
-	key, err := cache.Key("run/experiment/v1", experimentKey{ID: id, Fast: req.Fast, Seed: req.Seed, CPs: req.CPs})
+	key, err := cache.Key(nsExperiment, experimentKey{ID: id, Fast: req.Fast, Seed: req.Seed, CPs: req.CPs})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.solveWorkers
-	}
-	cfg := experiment.Config{Fast: req.Fast, Seed: req.Seed, CPs: req.CPs, Workers: workers}
+	cfg := experiment.Config{Fast: req.Fast, Seed: req.Seed, CPs: req.CPs, Workers: s.workers(req.Workers)}
 	// Experiments drive their own runner internals (experiment.Config has no
 	// stats plumbing), so their events carry zero solver telemetry.
-	s.respondRun(w, r, "experiment", e.ID, key, func(stats *obs.Counters) (any, error) {
+	resp, err := s.respondRun(r.Context(), "experiment", e.ID, key, func(*obs.Counters) (any, error) {
 		tables, err := s.runExperiment(e, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &RunResult{Kind: "experiment", Name: e.ID, Title: e.Title, Tables: tablesToWire(tables)}, nil
 	})
-}
-
-// respondRun funnels both run endpoints through the cache and renders the
-// shared response envelope. The solve closure runs at most once per key
-// across all concurrent requests; the stats sink it receives collects the
-// solve's kernel telemetry for the server-wide counters and the flight
-// recorder. Coalesced waiters honor request-context cancellation.
-func (s *Server) respondRun(w http.ResponseWriter, r *http.Request, kind, name, key string, solve func(stats *obs.Counters) (any, error)) {
-	reqStart := time.Now()
-	// delta is only written when the solve closure runs, and Do runs it in
-	// this goroutine (coalesced callers never execute it), so no lock.
-	var delta obs.SolveStats
-	val, status, err := s.store.DoContext(r.Context(), key, func() (any, error) {
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		var sink obs.Counters
-		v, err := solve(&sink)
-		delta = sink.Snapshot()
-		s.counters.Add(delta)
-		return v, err
-	})
-	elapsed := time.Since(reqStart)
-	outcome := status.String()
 	if err != nil {
-		outcome = "error"
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	trace := obs.TraceID(r.Context())
-	ev := obs.Event{
-		Time: time.Now(), Trace: trace, Kind: kind, Name: name,
-		Key: shortKey(key), Outcome: outcome,
-		DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver:     delta,
-	}
-	if err != nil {
-		ev.Error = err.Error()
-		s.recorder.Record(ev)
-		s.logger.Warn("solve failed",
-			"kind", kind, "name", name, "key", shortKey(key), "trace", trace, "error", err)
 		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
 		return
-	}
-	s.recorder.Record(ev)
-	result := val.(*RunResult)
-	if status == cache.Miss {
-		s.logger.Info("solved",
-			"kind", result.Kind, "name", result.Name, "key", shortKey(key),
-			"elapsed_s", elapsed.Seconds(), "solves", delta.Solves,
-			"evals", delta.Evals, "trace", trace)
-	}
-	resp := RunResponse{
-		RunResult: *result,
-		Cache:     status.String(),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-	}
-	if s.trace {
-		resp.Trace = trace
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// shortKey abbreviates a cache key for logs and events: enough hex to
-// correlate, not enough to drown the line.
-func shortKey(key string) string {
-	if len(key) > 12 {
-		return key[:12]
+// respondRun answers a run through the cache in the shared response
+// envelope: the result, how the cache satisfied it, and the wall time.
+func (s *Server) respondRun(ctx context.Context, kind, name, key string, solve func(stats *obs.Counters) (any, error)) (RunResponse, error) {
+	val, status, elapsed, err := s.cached(ctx, kind, name, key, solve)
+	if err != nil {
+		return RunResponse{}, err
 	}
-	return key
+	return RunResponse{RunResult: *val.(*RunResult), Cache: status.String(), ElapsedMS: ms(elapsed), Trace: s.echo(ctx)}, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -2,14 +2,10 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
 	"github.com/netecon-sim/publicoption/internal/dynamics"
-	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 )
 
@@ -86,196 +82,90 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}
-	sc, errStatus, err := s.resolveSimScenario(&req)
+	res, code, err := s.resolve(kindSim, ref{name: req.Scenario, inline: req.ScenarioJSON})
 	if err != nil {
-		writeError(w, errStatus, "%v", err)
+		writeError(w, code, "%v", err)
 		return
 	}
-	canon, err := sc.CanonicalJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "serializing scenario: %v", err)
-		return
-	}
+	sc := res.sc
 
 	// Content-address every tick up front.
 	ticks := sc.Dynamics.Ticks
 	keys := make([]string, ticks)
-	for t := 0; t < ticks; t++ {
-		k, err := cache.Key("sim/tick/v1", simTickAddress{Spec: canon, Tick: t})
+	for t := range keys {
+		k, err := cache.Key(nsTick, simTickAddress{Spec: res.canon, Tick: t})
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "hashing tick %d: %v", t, err)
 			return
 		}
 		keys[t] = k
 	}
-
-	nw := newNDJSONWriter(w, s.metrics)
-	start := time.Now()
-	trace := obs.TraceID(r.Context())
-	frameTrace := ""
-	if s.trace {
-		frameTrace = trace
-	}
-	if err := nw.frame(&simHeaderFrame{Sim: simInfo{
+	header := &simHeaderFrame{Sim: simInfo{
 		Name: sc.Name, Title: sc.Title,
 		Providers: providerNames(sc), Metrics: sc.Sweep.Metrics, Ticks: ticks,
-	}}); err != nil {
-		return
-	}
-
-	// Probe phase: stream the contiguous cached prefix from tick 0. The
-	// last prefix record is the exact state the next tick starts from
-	// (TickRecord doubles as resume state), so the solve phase continues
-	// from it; cached ticks beyond the first hole are ignored and simply
-	// overwritten by the fresh solve.
-	hits := 0
-	var last *dynamics.TickRecord
-	for t := 0; t < ticks; t++ {
-		if r.Context().Err() != nil {
-			return // client gone mid-probe: stop streaming cached ticks
-		}
-		val, ok := s.store.Lookup(keys[t])
-		if !ok {
-			break
-		}
-		rec := val.(dynamics.TickRecord)
-		if err := nw.frame(&simTickFrame{Tick: rec, Cache: cache.Hit.String(), Trace: frameTrace}); err != nil {
-			return
-		}
-		hits++
-		last = &rec
-	}
-
-	// Solve phase: restore from the prefix and run the remaining ticks
-	// live, one frame per tick.
-	solved := 0
-	var delta obs.SolveStats
-	if hits < ticks {
-		// A simulation occupies one worker-pool slot, like any pooled
-		// solve; concurrent cold simulations queue instead of
-		// oversubscribing the CPU. A client that vanishes while queued
-		// gives its slot wait up via the request context.
-		release, err := s.store.ReserveContext(r.Context())
-		if err != nil {
-			return
-		}
-		defer release()
-		s.metrics.solveStarted()
-		defer s.metrics.solveFinished()
-		eng, err := dynamics.New(sc)
-		if err == nil && last != nil {
-			err = eng.Restore(*last)
-		}
-		if err != nil {
-			s.simulateFailed(nw, sc, trace, start, err)
-			return
-		}
-		for eng.Tick() < ticks {
-			if r.Context().Err() != nil {
-				break // client gone: keep nothing in flight
+	}}
+	s.serveStream(w, r, "sim", sc.Name, header, func(st *stream) (any, error) {
+		// Probe phase: stream the contiguous cached prefix from tick 0. The
+		// last prefix record is the exact state the next tick starts from
+		// (TickRecord doubles as resume state), so the solve phase continues
+		// from it; cached ticks beyond the first hole are ignored and simply
+		// overwritten by the fresh solve.
+		var last *dynamics.TickRecord
+		for _, key := range keys {
+			if err := st.ctx.Err(); err != nil {
+				return nil, err
 			}
-			var rec dynamics.TickRecord
-			var stepErr error
-			func() {
-				// A panicking tick (a solver invariant violation) must not
-				// tear down the committed stream without a terminal frame.
-				defer func() {
-					if p := recover(); p != nil {
-						stepErr = fmt.Errorf("tick %d panicked: %v", eng.Tick(), p)
-					}
-				}()
-				rec = eng.Step()
-			}()
-			if stepErr != nil {
-				delta = eng.Stats()
-				s.counters.Add(delta)
-				s.simulateFailed(nw, sc, trace, start, stepErr)
-				return
+			val, ok := s.store.Lookup(key)
+			if !ok {
+				break
 			}
-			s.store.Put(keys[rec.Tick], rec)
-			solved++
-			s.recorder.Record(obs.Event{
-				Time: time.Now(), Trace: trace, Kind: "tick", Name: sc.Name,
-				Key: shortKey(keys[rec.Tick]), Outcome: cache.Miss.String(),
-				Solver: rec.Solver,
-			})
-			if err := nw.frame(&simTickFrame{Tick: rec, Cache: cache.Miss.String(), Trace: frameTrace}); err != nil {
-				break // mid-stream write failure: the client is gone
+			rec := val.(dynamics.TickRecord)
+			if err := st.frame(&simTickFrame{Tick: rec, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+				return nil, err
+			}
+			st.hits++
+			last = &rec
+		}
+		if st.hits < ticks {
+			if err := simulateRest(st, sc, keys, last); err != nil {
+				return nil, err
 			}
 		}
-		delta = eng.Stats()
-		s.counters.Add(delta)
-		s.metrics.observeSimTicks(solved)
-	}
-
-	if r.Context().Err() != nil {
-		return // client gone: no summary frame
-	}
-	elapsed := time.Since(start)
-	// The whole simulation request is one solve-duration observation:
-	// "miss" if anything was solved, "hit" for a fully warm replay.
-	outcome := cache.Miss.String()
-	if solved == 0 {
-		outcome = cache.Hit.String()
-	}
-	s.metrics.observeSolve(outcome, elapsed.Seconds())
-	s.recorder.Record(obs.Event{
-		Time: time.Now(), Trace: trace, Kind: "sim", Name: sc.Name,
-		Outcome: outcome, DurationMS: float64(elapsed.Microseconds()) / 1e3,
-		Solver: delta,
-	})
-	s.logger.Info("simulation served",
-		"scenario", sc.Name, "ticks", ticks, "solved", solved, "cached", hits,
-		"elapsed_s", elapsed.Seconds(), "solves", delta.Solves,
-		"evals", delta.Evals, "trace", trace)
-	//pubopt:allow(streamcheck): terminal summary frame; the stream ends either way and there is nothing left to abort
-	nw.frame(&simDoneFrame{
-		Done: true, Ticks: ticks, Solved: solved, CacheHits: hits,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+		return &simDoneFrame{
+			Done: true, Ticks: ticks, Solved: st.solved, CacheHits: st.hits,
+			ElapsedMS: st.elapsedMS(),
+		}, nil
 	})
 }
 
-// simulateFailed records and streams a terminal error after the stream has
-// already committed its 200 status.
-func (s *Server) simulateFailed(nw *ndjsonWriter, sc *scenario.Scenario, trace string, start time.Time, err error) {
-	s.logger.Error("simulation failed", "scenario", sc.Name, "trace", trace, "error", err)
-	s.recorder.Record(obs.Event{
-		Time: time.Now(), Trace: trace, Kind: "sim", Name: sc.Name,
-		Outcome: "error", Error: err.Error(),
-		DurationMS: float64(time.Since(start).Microseconds()) / 1e3,
-	})
-	s.metrics.observeSolve("error", time.Since(start).Seconds())
-	//pubopt:allow(streamcheck): terminal error frame right before return; the stream is over regardless
-	nw.frame(&errorFrame{Error: err.Error()})
-}
-
-// resolveSimScenario materializes the dynamics scenario of a simulate
-// request from its name or inline JSON, enforcing that it actually
-// declares a dynamics block.
-func (s *Server) resolveSimScenario(req *simulateRequest) (*scenario.Scenario, int, error) {
-	named := req.Scenario != ""
-	inline := len(req.ScenarioJSON) > 0
-	if named == inline {
-		return nil, http.StatusBadRequest, fmt.Errorf("give exactly one of \"scenario\" (a registered name) or \"scenario_json\" (an inline definition)")
+// simulateRest restores the engine from the cached prefix's last record (or
+// starts it fresh) and solves the remaining ticks live, one frame each.
+func simulateRest(st *stream, sc *scenario.Scenario, keys []string, last *dynamics.TickRecord) error {
+	if err := st.reserve(); err != nil {
+		return err
 	}
-	var sc *scenario.Scenario
-	if named {
-		got, ok := s.scenarios[req.Scenario]
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q", req.Scenario)
+	eng, err := dynamics.New(sc)
+	if err == nil && last != nil {
+		err = eng.Restore(*last)
+	}
+	if err != nil {
+		return err
+	}
+	defer func() {
+		st.delta = eng.Stats()
+		st.s.metrics.observeSimTicks(st.solved)
+	}()
+	for eng.Tick() < len(keys) {
+		if err := st.ctx.Err(); err != nil {
+			return err
 		}
-		sc = got
-	} else {
-		got, err := scenario.Load(strings.NewReader(string(req.ScenarioJSON)))
-		if err != nil {
-			return nil, http.StatusBadRequest, err
+		rec := eng.Step()
+		st.bank("tick", keys[rec.Tick], rec, rec.Solver)
+		if err := st.frame(&simTickFrame{Tick: rec, Cache: cache.Miss.String(), Trace: st.echo}); err != nil {
+			return err
 		}
-		sc = got
 	}
-	if !sc.IsDynamic() {
-		return nil, http.StatusBadRequest, fmt.Errorf("scenario %q has no dynamics block; run it via POST /v1/runs or /v1/batch", sc.Name)
-	}
-	return sc, 0, nil
+	return nil
 }
 
 // providerNames lists the scenario's providers in declaration order.

@@ -205,6 +205,7 @@ func TestStaticEndpointsRejectDynamics(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Fatalf("a dynamics scenario reached the static runner %d times", calls.Load())
 	}
+	assertRejectedBeforeSolve(t, s)
 }
 
 // TestScenarioListMarksDynamic checks GET /v1/scenarios advertises which
