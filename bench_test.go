@@ -1,17 +1,18 @@
 // Benchmark harness: one benchmark per figure of the paper's evaluation
-// (Figures 2–5 and 7–12), the headline regime comparison, the ablation
-// studies from DESIGN.md, and micro-benchmarks of the core solvers.
+// (Figures 2–5 and 7–12), the headline regime comparison, the Public
+// Option capacity study, and micro-benchmarks of the core solvers.
 //
-// The figure benchmarks regenerate the full published configuration
-// (1000-CP ensemble, full grids) per iteration; they are experiment
-// harnesses first and timing probes second. Run them once each:
+// The market-figure benchmarks solve the figure built-ins (fig4 to fig12,
+// regimes-comparison, ablation-pubopt-capacity) at full size — the 1000-CP
+// ensemble and full grids — per iteration; they are reproduction harnesses
+// first and timing probes second. Run them once each:
 //
 //	go test -bench=. -benchmem -benchtime=1x
 //
 // Each figure benchmark reports a headline scalar from the regenerated
 // data (peak revenue, surplus level, crossover price …) via ReportMetric so
 // regressions in the *economics*, not just the runtime, are visible in
-// benchmark diffs. EXPERIMENTS.md records the paper-vs-measured comparison.
+// benchmark diffs.
 package publicoption_test
 
 import (
@@ -20,16 +21,54 @@ import (
 	publicoption "github.com/netecon-sim/publicoption"
 )
 
-// runFigure executes a registered experiment once per iteration and returns
-// the last run's tables for metric extraction.
-func runFigure(b *testing.B, id string) []*publicoption.ResultTable {
+// builtin returns a copy of the named built-in scenario (fatal if missing).
+func builtin(b *testing.B, name string) *publicoption.Scenario {
 	b.Helper()
-	cfg := publicoption.ExperimentConfig{}
+	s, ok := publicoption.ScenarioByName(name)
+	if !ok {
+		b.Fatalf("missing built-in %s", name)
+	}
+	return s
+}
+
+// runGrid solves a grid built-in once per iteration and returns the last
+// run's grid for metric extraction.
+func runGrid(b *testing.B, name string) *publicoption.ResultGrid {
+	b.Helper()
+	s := builtin(b, name)
+	var g *publicoption.ResultGrid
+	for i := 0; i < b.N; i++ {
+		var err error
+		if g, err = s.RunGrid(publicoption.ScenarioRunOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return g
+}
+
+// runTables solves a 1-D built-in once per iteration and returns the last
+// run's tables.
+func runTables(b *testing.B, name string) []*publicoption.ResultTable {
+	b.Helper()
+	s := builtin(b, name)
 	var tables []*publicoption.ResultTable
 	for i := 0; i < b.N; i++ {
-		tables = publicoption.RunExperiment(id, cfg)
+		var err error
+		if tables, err = s.Run(publicoption.ScenarioRunOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return tables
+}
+
+// row returns one row of a grid layer as a series over the column axis.
+func row(b *testing.B, g *publicoption.ResultGrid, layer string, r int) publicoption.ResultSeries {
+	b.Helper()
+	s, err := g.Row(layer, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // seriesByName finds a series in a table (fatal if missing).
@@ -54,53 +93,61 @@ func argmax(ys []float64) int {
 	return best
 }
 
+func last(ys []float64) float64 { return ys[len(ys)-1] }
+
+// Rows of the figure built-ins: fig4/fig7 rows are ν ∈ {20, 50, 100, 150,
+// 200}, fig5/fig8 rows κ ∈ {0.2, 0.5, 0.9}.
+const (
+	rowNu150, rowNu200 = 3, 4
+	rowKappa05         = 1
+	rowKappa09         = 2
+)
+
 func BenchmarkFig2DemandFamily(b *testing.B) {
-	tables := runFigure(b, "fig2")
-	s := seriesByName(b, tables[0], "beta=5")
 	// Paper: β=5 roughly halves demand at a 10% throughput drop.
-	for i := range s.X {
-		if s.X[i] >= 0.9 {
-			b.ReportMetric(s.Y[i], "demand@ω=0.9")
-			break
-		}
+	var d float64
+	for i := 0; i < b.N; i++ {
+		d = publicoption.ExponentialDemand{Beta: 5}.At(0.9)
 	}
+	b.ReportMetric(d, "demand@ω=0.9")
 }
 
 func BenchmarkFig3RateEquilibrium(b *testing.B) {
-	tables := runFigure(b, "fig3")
-	demand := tables[1]
 	// Capacity at which Skype-type demand saturates (paper: between Google
 	// and Netflix).
-	s := seriesByName(b, demand, "skype")
-	for i := range s.X {
-		if s.Y[i] >= 0.95 {
-			b.ReportMetric(s.X[i], "skype-satur-ν")
-			break
+	pop := publicoption.Archetypes()
+	satur := -1.0
+	for i := 0; i < b.N; i++ {
+		satur = -1
+		for nu := 0.0; nu <= 6000 && satur < 0; nu += 25 {
+			if publicoption.RateEquilibrium(nu, pop).Demand(2) >= 0.95 { // skype
+				satur = nu
+			}
 		}
 	}
+	b.ReportMetric(satur, "skype-satur-ν")
 }
 
 func BenchmarkFig4MonopolyPriceSweep(b *testing.B) {
-	tables := runFigure(b, "fig4")
-	psi := seriesByName(b, tables[0], "nu=200")
+	psi := row(b, runGrid(b, "fig4"), "psi/monopolist", rowNu200)
 	peak := argmax(psi.Y)
 	b.ReportMetric(psi.X[peak], "c*@ν=200")    // paper: ≈ 0.45
 	b.ReportMetric(psi.Y[peak], "Ψpeak@ν=200") // revenue at the optimum
 }
 
 func BenchmarkFig5MonopolyStrategyGrid(b *testing.B) {
-	tables := runFigure(b, "fig5")
-	psi := seriesByName(b, tables[0], "k=0.9,c=0.5")
-	phi := seriesByName(b, tables[1], "k=0.9,c=0.5")
+	g := runGrid(b, "fig5-c05")
+	psi := row(b, g, "psi/monopolist", rowKappa09)
+	phi := row(b, g, "phi", rowKappa09)
 	b.ReportMetric(psi.Y[argmax(psi.Y)], "Ψpeak@κ=0.9")
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φfinal@κ=0.9")
+	b.ReportMetric(last(phi.Y), "Φfinal@κ=0.9")
 }
 
 func BenchmarkFig7DuopolyPriceSweep(b *testing.B) {
-	tables := runFigure(b, "fig7")
-	share := seriesByName(b, tables[0], "nu=150")
-	psi150 := seriesByName(b, tables[1], "nu=150")
-	psi200 := seriesByName(b, tables[1], "nu=200")
+	g := runGrid(b, "fig7")
+	share := row(b, g, "share/incumbent", rowNu150)
+	psi150 := row(b, g, "psi/incumbent", rowNu150)
+	psi200 := row(b, g, "psi/incumbent", rowNu200)
 	b.ReportMetric(share.Y[argmax(share.Y)], "m_I-max@ν=150") // paper: slightly > 0.5
 	// Paper: peak Ψ_I at ν=200 is LOWER than at ν=150 under κ=1.
 	b.ReportMetric(psi150.Y[argmax(psi150.Y)], "Ψpeak@ν=150")
@@ -108,92 +155,40 @@ func BenchmarkFig7DuopolyPriceSweep(b *testing.B) {
 }
 
 func BenchmarkFig8DuopolyStrategyGrid(b *testing.B) {
-	tables := runFigure(b, "fig8")
-	share := seriesByName(b, tables[2], "k=0.5,c=0.2")
-	phi := seriesByName(b, tables[1], "k=0.5,c=0.2")
-	b.ReportMetric(share.Y[len(share.Y)-1], "m_I@abundant") // paper: ≤ 0.5
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φ@abundant")
+	g := runGrid(b, "fig8-c02")
+	b.ReportMetric(last(row(b, g, "share/incumbent", rowKappa05).Y), "m_I@abundant") // paper: ≤ 0.5
+	b.ReportMetric(last(row(b, g, "phi", rowKappa05).Y), "Φ@abundant")
 }
 
 func BenchmarkFig9MonopolyPriceSweepB(b *testing.B) {
-	tables := runFigure(b, "fig9")
-	phi := seriesByName(b, tables[1], "nu=200")
-	b.ReportMetric(phi.Y[0], "Φ@c=0,ν=200")
+	b.ReportMetric(row(b, runGrid(b, "fig9"), "phi", rowNu200).Y[0], "Φ@c=0,ν=200")
 }
 
 func BenchmarkFig10MonopolyStrategyGridB(b *testing.B) {
-	tables := runFigure(b, "fig10")
-	phi := seriesByName(b, tables[1], "k=0.5,c=0.5")
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φfinal")
+	b.ReportMetric(last(row(b, runGrid(b, "fig10-c05"), "phi", rowKappa05).Y), "Φfinal")
 }
 
 func BenchmarkFig11DuopolyPriceSweepB(b *testing.B) {
-	tables := runFigure(b, "fig11")
-	share := seriesByName(b, tables[0], "nu=150")
+	share := row(b, runGrid(b, "fig11"), "share/incumbent", rowNu150)
 	b.ReportMetric(share.Y[argmax(share.Y)], "m_I-max@ν=150")
 }
 
 func BenchmarkFig12DuopolyStrategyGridB(b *testing.B) {
-	tables := runFigure(b, "fig12")
-	phi := seriesByName(b, tables[1], "k=0.5,c=0.2")
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φ@abundant")
+	b.ReportMetric(last(row(b, runGrid(b, "fig12-c02"), "phi", rowKappa05).Y), "Φ@abundant")
 }
 
 func BenchmarkRegimesComparison(b *testing.B) {
-	tables := runFigure(b, "regimes")
-	phi := tables[0]
-	po := seriesByName(b, phi, "public-option")
-	ne := seriesByName(b, phi, "neutral")
-	un := seriesByName(b, phi, "unregulated")
-	last := len(po.Y) - 1
+	phi := runTables(b, "regimes-comparison")[0]
 	// The paper's headline ordering at abundant capacity.
-	b.ReportMetric(po.Y[last], "Φ-public-option")
-	b.ReportMetric(ne.Y[last], "Φ-neutral")
-	b.ReportMetric(un.Y[last], "Φ-unregulated")
-}
-
-func BenchmarkAblationAlphaFair(b *testing.B) {
-	tables := runFigure(b, "ablation-alphafair")
-	phi := seriesByName(b, tables[0], "maxmin")
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φfinal-maxmin")
-}
-
-func BenchmarkAblationTCPvsMaxMin(b *testing.B) {
-	tables := runFigure(b, "ablation-tcp")
-	jain := seriesByName(b, tables[0], "jain")
-	maxErr := seriesByName(b, tables[0], "max-rel-err")
-	b.ReportMetric(jain.Y[len(jain.Y)-1], "jain@40flows")
-	b.ReportMetric(maxErr.Y[len(maxErr.Y)-1], "relerr@40flows")
-}
-
-func BenchmarkAblationMM1Baseline(b *testing.B) {
-	tables := runFigure(b, "ablation-mm1")
-	mm := seriesByName(b, tables[0], "mm1")
-	b.ReportMetric(mm.Y[len(mm.Y)-1], "mm1-utilization")
-}
-
-func BenchmarkAblationNashVsCompetitive(b *testing.B) {
-	tables := runFigure(b, "ablation-nash")
-	nash := seriesByName(b, tables[1], "nash")
-	comp := seriesByName(b, tables[1], "competitive")
-	var worst float64
-	for i := range nash.Y {
-		d := nash.Y[i] - comp.Y[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	b.ReportMetric(worst, "maxΦgap")
+	b.ReportMetric(last(seriesByName(b, phi, "public-option").Y), "Φ-public-option")
+	b.ReportMetric(last(seriesByName(b, phi, "neutral").Y), "Φ-neutral")
+	b.ReportMetric(last(seriesByName(b, phi, "unregulated").Y), "Φ-unregulated")
 }
 
 func BenchmarkAblationPublicOptionCapacity(b *testing.B) {
-	tables := runFigure(b, "ablation-pubopt-capacity")
-	phi := seriesByName(b, tables[0], "phi-with-po")
+	phi := seriesByName(b, runTables(b, "ablation-pubopt-capacity")[0], "phi")
 	b.ReportMetric(phi.Y[0], "Φ@γ=0.05")
-	b.ReportMetric(phi.Y[len(phi.Y)-1], "Φ@γ=0.5")
+	b.ReportMetric(last(phi.Y), "Φ@γ=0.5")
 }
 
 // --- Micro-benchmarks of the core solvers (true performance probes). ---

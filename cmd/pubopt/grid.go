@@ -99,31 +99,9 @@ func gridRunCmd(args []string) error {
 		return fmt.Errorf("unknown format %q (heatmap or csv)", *format)
 	}
 
-	var (
-		s   *publicoption.Scenario
-		err error
-	)
-	if *name != "" {
-		var ok bool
-		s, ok = publicoption.ScenarioByName(*name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try 'pubopt grid list')", *name)
-		}
-	} else if *jsonPath == "-" {
-		s, err = publicoption.LoadScenario(os.Stdin)
-	} else {
-		f, ferr := os.Open(*jsonPath)
-		if ferr != nil {
-			return ferr
-		}
-		s, err = publicoption.LoadScenario(f)
-		f.Close()
-	}
+	s, err := loadScenario("grid run", *name, *jsonPath)
 	if err != nil {
 		return err
-	}
-	if !s.IsGrid() {
-		return fmt.Errorf("scenario %q declares a 1-D sweep; run it with 'pubopt scenario run', or add a sweep.grid row axis", s.Name)
 	}
 	if err := s.ApplyEnsembleOverrides(*seed, *cps); err != nil {
 		return err

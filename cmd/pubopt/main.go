@@ -1,12 +1,10 @@
 // Command pubopt regenerates the figures of Ma & Misra, "The Public Option:
-// a Non-regulatory Alternative to Network Neutrality" (CoNEXT 2011), plus
-// the repository's ablation studies.
+// a Non-regulatory Alternative to Network Neutrality" (CoNEXT 2011) — each
+// market figure is a built-in scenario, e.g. `pubopt grid run --name fig4` —
+// and runs, serves and validates declarative market scenarios.
 //
 // Usage:
 //
-//	pubopt list
-//	pubopt run fig4 [fig5 ...] | all   [-format chart|text|csv] [-out DIR]
-//	                                   [-fast] [-seed N] [-cps N] [-workers N]
 //	pubopt scenario list
 //	pubopt scenario show <name>
 //	pubopt scenario run --name <name> | --json <file>  [-format ...] [-out DIR]
@@ -22,13 +20,13 @@
 //	pubopt simulate list
 //	pubopt simulate run --name <name> | --json <file>  [-format chart|csv|heatmap]
 //	                                   [-layer NAME] [-out DIR]
-//	                                   [-seed N] [-cps N] [-workers N]
+//	                                   [-seed N] [-cps N]
 //	pubopt serve [-addr HOST:PORT] [-workers N] [-cache-entries N]
 //	             [-log-level LEVEL] [-log-format text|json] [-trace]
 //	             [-events N] [-pprof]
 //
-// With -out, each table is written as CSV into DIR (one file per table);
-// otherwise tables render to stdout in the chosen format.
+// With -out, results are also written as CSV into DIR; otherwise they
+// render to stdout in the chosen format.
 //
 // Exit codes: 0 on success (including help), 1 on runtime errors, 2 on
 // usage errors (missing or unknown commands, bad flags).
@@ -40,9 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
-	"time"
 
 	publicoption "github.com/netecon-sim/publicoption"
 )
@@ -90,13 +86,6 @@ func run(args []string) error {
 		return errUsage
 	}
 	switch args[0] {
-	case "list":
-		for _, e := range publicoption.Experiments() {
-			fmt.Printf("%-26s %s\n", e.ID, e.Title)
-		}
-		return nil
-	case "run":
-		return runCmd(args[1:])
 	case "scenario":
 		return scenarioCmd(args[1:])
 	case "grid":
@@ -125,11 +114,10 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `pubopt — reproduce the figures of "The Public Option" (CoNEXT 2011)
 
 commands:
-  list                      list available experiments
-  run <id ...|all> [flags]  run experiments and render their tables
   scenario <subcmd>         declarative market scenarios: list, show,
                             run --name <name> | --json <file>
-  grid <subcmd>             2-D grid sweeps (γ×ν, σ×ν, c×κ, ...): list,
+  grid <subcmd>             2-D grid sweeps (γ×ν, σ×ν, c×κ, ...) and the
+                            paper's figures (fig4 ... fig12): list,
                             run --name <name> | --json <file>; -refine
                             switches to adaptive refinement
   query --name <name> -x X -y Y
@@ -146,13 +134,7 @@ commands:
                             simulator and check fluid/packet agreement
                             (Tier-2; see 'pubopt validate -h')
 
-flags for run:
-  -format chart|text|csv    output format to stdout (default chart)
-  -out DIR                  also write each table as CSV under DIR
-  -fast                     reduced grids and ensembles (for smoke tests)
-  -seed N                   ensemble seed (default: the published seed)
-  -cps N                    ensemble size (default 1000)
-  -workers N                parallel curves (default GOMAXPROCS)
+'pubopt <command> -h' lists a command's flags.
 
 flags for serve:
   -addr HOST:PORT           listen address (default :8080)
@@ -171,83 +153,49 @@ flags for serve:
 `)
 }
 
-func runCmd(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	format := fs.String("format", "chart", "output format: chart, text or csv")
-	outDir := fs.String("out", "", "directory for CSV output (one file per table)")
-	fast := fs.Bool("fast", false, "reduced grids and ensemble")
-	seed := fs.Uint64("seed", 0, "ensemble seed (0 = published seed)")
-	cps := fs.Int("cps", 0, "ensemble size (0 = default)")
-	workers := fs.Int("workers", 0, "parallel curves (0 = GOMAXPROCS)")
-	// Flags may follow the experiment IDs; split them out first.
-	var ids []string
-	var flagArgs []string
-	for i, a := range args {
-		if strings.HasPrefix(a, "-") {
-			flagArgs = args[i:]
-			break
+// kindVerb returns the command that runs scenarios of s's kind, and how
+// an error message names that kind.
+func kindVerb(s *publicoption.Scenario) (verb, kind string) {
+	switch {
+	case s.IsGrid():
+		return "grid run", "declares a 2-D grid sweep"
+	case s.IsDynamic():
+		return "simulate run", "is a dynamics simulation"
+	}
+	return "scenario run", "declares a 1-D sweep"
+}
+
+// loadScenario returns the built-in called name, or the scenario in the
+// JSON file at jsonPath ("-" reads stdin), for a command that runs
+// scenarios of one kind: verb is "scenario run", "grid run" or
+// "simulate run". A scenario of another kind is refused with the command
+// that runs it.
+func loadScenario(verb, name, jsonPath string) (*publicoption.Scenario, error) {
+	var (
+		s   *publicoption.Scenario
+		err error
+	)
+	switch {
+	case name != "":
+		var ok bool
+		if s, ok = publicoption.ScenarioByName(name); !ok {
+			return nil, fmt.Errorf("unknown scenario %q (try 'pubopt %s list')", name, strings.Fields(verb)[0])
 		}
-		ids = append(ids, a)
-	}
-	if err := parseFlags(fs, flagArgs); err != nil {
-		return err
-	}
-	if len(ids) == 0 {
-		return fmt.Errorf("run: no experiment IDs given (try 'pubopt list')")
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = ids[:0]
-		for _, e := range publicoption.Experiments() {
-			ids = append(ids, e.ID)
+	case jsonPath == "-":
+		s, err = publicoption.LoadScenario(os.Stdin)
+	default:
+		f, ferr := os.Open(jsonPath)
+		if ferr != nil {
+			return nil, ferr
 		}
+		s, err = publicoption.LoadScenario(f)
+		f.Close()
 	}
-	cfg := publicoption.ExperimentConfig{
-		Fast:    *fast,
-		Seed:    *seed,
-		CPs:     *cps,
-		Workers: *workers,
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range ids {
-		e, ok := publicoption.Experiment(id)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", id)
-		}
-		start := time.Now()
-		tables := e.Run(cfg)
-		fmt.Printf("== %s: %s (%.1fs)\n", e.ID, e.Title, time.Since(start).Seconds())
-		fmt.Printf("   paper: %s\n\n", e.Expect)
-		for ti, tbl := range tables {
-			switch *format {
-			case "chart":
-				fmt.Println(publicoption.RenderChart(tbl, 90, 22))
-			case "text":
-				fmt.Println(publicoption.RenderText(tbl, 40))
-			case "csv":
-				if err := tbl.WriteCSV(os.Stdout); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("unknown format %q", *format)
-			}
-			if *outDir != "" {
-				if err := os.MkdirAll(*outDir, 0o755); err != nil {
-					return err
-				}
-				name := filepath.Join(*outDir, fmt.Sprintf("%s_table%d.csv", id, ti+1))
-				f, err := os.Create(name)
-				if err != nil {
-					return err
-				}
-				if err := tbl.WriteCSV(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
-					return err
-				}
-				fmt.Printf("   wrote %s\n", name)
-			}
-		}
+	if want, kind := kindVerb(s); want != verb {
+		return nil, fmt.Errorf("scenario %q %s; run it with 'pubopt %s'", s.Name, kind, want)
 	}
-	return nil
+	return s, nil
 }

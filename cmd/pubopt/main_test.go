@@ -38,11 +38,13 @@ func TestRunArgumentErrors(t *testing.T) {
 		{name: "unknown command", args: []string{"frobnicate"}, usage: true},
 		{name: "help", args: []string{"help"}},
 		{name: "help short flag", args: []string{"-h"}},
-		{name: "list", args: []string{"list"}},
+		// The figure reproductions are built-in scenarios now; the verbs
+		// that ran them are gone.
+		{name: "list", args: []string{"list"}, usage: true},
 		{name: "subcommand help flag", args: []string{"serve", "-h"}, wantHelp: true},
 
-		{name: "run without ids", args: []string{"run"}, wantErr: "no experiment IDs"},
-		{name: "run unknown id", args: []string{"run", "fig99"}, wantErr: `unknown experiment "fig99"`},
+		{name: "run without ids", args: []string{"run"}, usage: true},
+		{name: "run unknown id", args: []string{"run", "fig99"}, usage: true},
 		{name: "run bad flag", args: []string{"run", "fig4", "-bogus"}, usage: true},
 
 		{name: "scenario without subcommand", args: []string{"scenario"}, usage: true},
@@ -56,6 +58,19 @@ func TestRunArgumentErrors(t *testing.T) {
 		{name: "scenario run bad format", args: []string{"scenario", "run", "--name", "neutral-baseline", "-format", "bogus"}, wantErr: `unknown format "bogus"`},
 		{name: "scenario run override without ensemble", args: []string{"scenario", "run", "--name", "archetypes-capacity", "-seed", "7"}, wantErr: "has no ensemble seed"},
 		{name: "scenario run missing json file", args: []string{"scenario", "run", "--json", "/no/such/file.json"}, wantErr: "no such file"},
+
+		// Every verb that runs scenarios takes one kind and names the verb
+		// of any other kind.
+		{name: "scenario run 1-D", args: []string{"scenario", "run", "--name", "archetypes-capacity"}},
+		{name: "scenario run grid", args: []string{"scenario", "run", "--name", "po-sizing-gamma-nu"}, wantErr: "declares a 2-D grid sweep; run it with 'pubopt grid run'"},
+		{name: "scenario run dynamics", args: []string{"scenario", "run", "--name", "dyn-convergence"}, wantErr: "is a dynamics simulation; run it with 'pubopt simulate run'"},
+		{name: "grid run 1-D", args: []string{"grid", "run", "--name", "archetypes-capacity"}, wantErr: "declares a 1-D sweep; run it with 'pubopt scenario run'"},
+		{name: "grid run grid", args: []string{"grid", "run", "--name", "fig4", "-cps", "20"}},
+		{name: "grid run dynamics", args: []string{"grid", "run", "--name", "dyn-convergence"}, wantErr: "is a dynamics simulation; run it with 'pubopt simulate run'"},
+		{name: "simulate run 1-D", args: []string{"simulate", "run", "--name", "archetypes-capacity"}, wantErr: "declares a 1-D sweep; run it with 'pubopt scenario run'"},
+		{name: "simulate run grid", args: []string{"simulate", "run", "--name", "po-sizing-gamma-nu"}, wantErr: "declares a 2-D grid sweep; run it with 'pubopt grid run'"},
+		{name: "simulate run dynamics", args: []string{"simulate", "run", "--name", "dyn-convergence", "-cps", "20"}},
+		{name: "query 1-D", args: []string{"query", "--name", "archetypes-capacity", "-x", "1", "-y", "1"}, wantErr: "declares a 1-D sweep; run it with 'pubopt scenario run'"},
 
 		{name: "verify bad seed", args: []string{"verify", "12abc"}, wantErr: `bad seed "12abc"`},
 		{name: "verify negative seed", args: []string{"verify", "-5"}, wantErr: `bad seed "-5"`},
@@ -157,23 +172,26 @@ func TestScenarioRunWritesCSVOut(t *testing.T) {
 	}
 }
 
-func TestRunExperimentWritesCSVOut(t *testing.T) {
+// TestGridRunFigureWritesCSVOut runs a paper figure built-in on a small
+// ensemble and checks its long-form CSV lands under -out.
+func TestGridRunFigureWritesCSVOut(t *testing.T) {
 	quiet(t)
 	outDir := filepath.Join(t.TempDir(), "out")
-	err := run([]string{"run", "fig2", "-fast", "-format", "csv", "-out", outDir})
+	err := run([]string{"grid", "run", "--name", "fig4", "-cps", "40", "-format", "csv", "-out", outDir})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	matches, err := filepath.Glob(filepath.Join(outDir, "fig2_table*.csv"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no fig2 CSVs written under %s (err %v)", outDir, err)
-	}
-	b, err := os.ReadFile(matches[0])
+	b, err := os.ReadFile(filepath.Join(outDir, "fig4_grid.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(b), "series,") {
-		t.Fatalf("CSV does not start with the long-form header: %q", string(b[:min(40, len(b))]))
+	rows := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if rows[0] != "layer,price,nu,value" {
+		t.Fatalf("CSV header = %q", rows[0])
+	}
+	// 101 prices × 5 capacities, for each of the Ψ and Φ layers.
+	if got := len(rows) - 1; got != 2*101*5 {
+		t.Fatalf("CSV has %d data rows, want %d", got, 2*101*5)
 	}
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 
 	publicoption "github.com/netecon-sim/publicoption"
@@ -34,31 +33,11 @@ func queryCmd(args []string) error {
 		return usageErrorf("pubopt query: give exactly one of --name or --json")
 	}
 
-	var (
-		s   *publicoption.Scenario
-		err error
-	)
-	if *name != "" {
-		var ok bool
-		s, ok = publicoption.ScenarioByName(*name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try 'pubopt grid list')", *name)
-		}
-	} else if *jsonPath == "-" {
-		s, err = publicoption.LoadScenario(os.Stdin)
-	} else {
-		f, ferr := os.Open(*jsonPath)
-		if ferr != nil {
-			return ferr
-		}
-		s, err = publicoption.LoadScenario(f)
-		f.Close()
-	}
+	// Queries interpolate a grid's refinement surrogate, so they take the
+	// scenarios 'pubopt grid run' does.
+	s, err := loadScenario("grid run", *name, *jsonPath)
 	if err != nil {
 		return err
-	}
-	if !s.IsGrid() {
-		return fmt.Errorf("scenario %q declares a 1-D sweep; queries need a 2-D grid (a sweep.grid row axis)", s.Name)
 	}
 	if err := s.ApplyEnsembleOverrides(*seed, *cps); err != nil {
 		return err

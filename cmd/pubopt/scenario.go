@@ -24,10 +24,8 @@ func scenarioCmd(args []string) error {
 	case "list":
 		for _, s := range publicoption.Scenarios() {
 			marker := ""
-			if s.IsGrid() {
-				marker = " [grid: run with 'pubopt grid run']"
-			} else if s.IsDynamic() {
-				marker = " [dynamics: run with 'pubopt simulate run']"
+			if verb, _ := kindVerb(s); verb != "scenario run" {
+				marker = fmt.Sprintf(" [run with 'pubopt %s']", verb)
 			}
 			fmt.Printf("%-26s %s%s\n", s.Name, s.Title, marker)
 		}
@@ -100,31 +98,9 @@ func scenarioRunCmd(args []string) error {
 		return fmt.Errorf("unknown format %q (chart, text or csv)", *format)
 	}
 
-	var (
-		s   *publicoption.Scenario
-		err error
-	)
-	if *name != "" {
-		var ok bool
-		s, ok = publicoption.ScenarioByName(*name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try 'pubopt scenario list')", *name)
-		}
-	} else if *jsonPath == "-" {
-		s, err = publicoption.LoadScenario(os.Stdin)
-	} else {
-		f, ferr := os.Open(*jsonPath)
-		if ferr != nil {
-			return ferr
-		}
-		s, err = publicoption.LoadScenario(f)
-		f.Close()
-	}
+	s, err := loadScenario("scenario run", *name, *jsonPath)
 	if err != nil {
 		return err
-	}
-	if s.IsDynamic() {
-		return fmt.Errorf("scenario %q is a dynamics simulation; run it with 'pubopt simulate run'", s.Name)
 	}
 	if err := s.ApplyEnsembleOverrides(*seed, *cps); err != nil {
 		return err

@@ -18,9 +18,9 @@ import (
 	"github.com/netecon-sim/publicoption/internal/obs"
 )
 
-// serveCmd runs the HTTP query service: the scenario and experiment
-// registries behind a JSON API with a content-addressed equilibrium cache
-// (see docs/SERVICE.md) and the observability surface of
+// serveCmd runs the HTTP query service: the scenario registry, the
+// paper's figures included, behind a JSON API with a content-addressed
+// equilibrium cache (see docs/SERVICE.md) and the observability surface of
 // docs/OBSERVABILITY.md (structured logs, /metrics, /debug/events).
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)

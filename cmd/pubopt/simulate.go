@@ -57,8 +57,6 @@ flags for run:
   -out DIR                  also write each time-series table as CSV under DIR
   -seed N                   override the population's ensemble seed
   -cps N                    override the population's ensemble size
-  -workers N                accepted for symmetry; ticks are sequential, so
-                            the trajectory is identical for any value
 `)
 }
 
@@ -71,7 +69,6 @@ func simulateRunCmd(args []string) error {
 	outDir := fs.String("out", "", "directory for long-form CSV output")
 	seed := fs.Uint64("seed", 0, "ensemble seed override (0 = scenario value)")
 	cps := fs.Int("cps", 0, "ensemble size override (0 = scenario value)")
-	workers := fs.Int("workers", 0, "accepted for symmetry; never changes the trajectory")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -84,38 +81,16 @@ func simulateRunCmd(args []string) error {
 		return fmt.Errorf("unknown format %q (chart, csv or heatmap)", *format)
 	}
 
-	var (
-		s   *publicoption.Scenario
-		err error
-	)
-	if *name != "" {
-		var ok bool
-		s, ok = publicoption.ScenarioByName(*name)
-		if !ok {
-			return fmt.Errorf("unknown scenario %q (try 'pubopt simulate list')", *name)
-		}
-	} else if *jsonPath == "-" {
-		s, err = publicoption.LoadScenario(os.Stdin)
-	} else {
-		f, ferr := os.Open(*jsonPath)
-		if ferr != nil {
-			return ferr
-		}
-		s, err = publicoption.LoadScenario(f)
-		f.Close()
-	}
+	s, err := loadScenario("simulate run", *name, *jsonPath)
 	if err != nil {
 		return err
-	}
-	if !s.IsDynamic() {
-		return fmt.Errorf("scenario %q has no dynamics block; run it with 'pubopt scenario run' or 'pubopt grid run'", s.Name)
 	}
 	if err := s.ApplyEnsembleOverrides(*seed, *cps); err != nil {
 		return err
 	}
 
 	start := time.Now()
-	tr, err := publicoption.Simulate(s, publicoption.SimulateOptions{Workers: *workers})
+	tr, err := publicoption.Simulate(s, publicoption.SimulateOptions{})
 	if err != nil {
 		return err
 	}

@@ -93,6 +93,10 @@ func validateCmd(args []string) error {
 				fmt.Printf("== %s: skipped (batched population keeps no per-CP equilibrium)\n", s.Name)
 				continue
 			}
+			if s.IsDynamic() {
+				fmt.Printf("== %s: skipped (dynamics simulations have no sweep cells to sample)\n", s.Name)
+				continue
+			}
 			scenarios = append(scenarios, s)
 		}
 	} else {

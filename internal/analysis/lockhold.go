@@ -27,7 +27,6 @@ var lockHoldSolverPackages = []string{
 	"internal/mm1",
 	"internal/scenario",
 	"internal/sweep",
-	"internal/experiment",
 	"internal/validate",
 	"internal/netsim",
 }

@@ -1,6 +1,6 @@
 // Package cache provides the content-addressed result store behind the
-// pubopt HTTP service: solved scenario and experiment outcomes keyed by the
-// canonical JSON hash of their full specification.
+// pubopt HTTP service: solved scenario outcomes keyed by the canonical JSON
+// hash of their full specification.
 //
 // The store combines three mechanisms that together make a solver safe to
 // put behind heavy traffic:

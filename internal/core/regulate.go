@@ -216,7 +216,7 @@ func CheckHeadlineRanking(order []Regime) error {
 }
 
 // RegimeSweep evaluates CompareRegimes across capacities, returning one
-// Φ series per regime (the object behind the "regimes" experiment).
+// Φ series per regime.
 func RegimeSweep(solver *Solver, nus []float64, pop traffic.Population, cfg RegimeConfig) map[Regime][]float64 {
 	out := make(map[Regime][]float64)
 	for _, nu := range nus {

@@ -19,9 +19,9 @@ func getScenario(t *testing.T, name string) *scenario.Scenario {
 	return sc
 }
 
-func runScenario(t *testing.T, sc *scenario.Scenario, workers int) *Trajectory {
+func runScenario(t *testing.T, sc *scenario.Scenario) *Trajectory {
 	t.Helper()
-	tr, err := Run(sc, Options{Workers: workers})
+	tr, err := Run(sc, Options{})
 	if err != nil {
 		t.Fatalf("Run(%s): %v", sc.Name, err)
 	}
@@ -41,7 +41,7 @@ func TestFixedPointAgreement(t *testing.T) {
 	converged := 0
 	for _, name := range scenario.DynamicsNames() {
 		sc := getScenario(t, name)
-		tr := runScenario(t, sc, 0)
+		tr := runScenario(t, sc)
 		if !tr.Converged(5, 1e-9) {
 			t.Logf("%s: transient at tick %d (by design for shock/cycle scenarios)", name, len(tr.Ticks))
 			continue
@@ -92,7 +92,7 @@ func TestFixedPointGapFalsifiable(t *testing.T) {
 	}
 
 	// And a single perturbed record, independent of the loop.
-	tr := runScenario(t, sc, 0)
+	tr := runScenario(t, sc)
 	rec := tr.Ticks[len(tr.Ticks)-1]
 	rec.Shares = append([]float64(nil), rec.Shares...)
 	rec.Shares[0] += 1e-3
@@ -108,8 +108,7 @@ func TestFixedPointGapFalsifiable(t *testing.T) {
 
 // TestTrajectoryDeterministic pins the determinism contract: the same
 // scenario (including a seeded noise process) produces the bit-identical
-// trajectory on every run and for every worker count — Options.Workers is
-// execution-only and ticks are sequential by construction.
+// trajectory on every run.
 func TestTrajectoryDeterministic(t *testing.T) {
 	sc := getScenario(t, "dyn-demand-shock")
 	sc.Dynamics.Traffic = &scenario.TrafficSpec{
@@ -122,20 +121,15 @@ func TestTrajectoryDeterministic(t *testing.T) {
 		}
 		return string(b)
 	}
-	base := marshal(runScenario(t, sc, 0))
-	for _, workers := range []int{1, 4, 16} {
-		if got := marshal(runScenario(t, sc, workers)); got != base {
-			t.Fatalf("trajectory differs at workers=%d", workers)
-		}
-	}
-	if got := marshal(runScenario(t, sc, 0)); got != base {
+	base := marshal(runScenario(t, sc))
+	if got := marshal(runScenario(t, sc)); got != base {
 		t.Fatal("identical reruns produced different trajectories")
 	}
 
 	// Falsifiability of the comparison itself: a different noise seed must
 	// change the trajectory.
 	sc.Dynamics.Traffic.Seed = 12
-	if got := marshal(runScenario(t, sc, 0)); got == base {
+	if got := marshal(runScenario(t, sc)); got == base {
 		t.Fatal("different noise seeds produced identical trajectories")
 	}
 }
@@ -148,7 +142,7 @@ func TestTrajectoryDeterministic(t *testing.T) {
 func TestRestoreContinuesTrajectory(t *testing.T) {
 	for _, name := range []string{"dyn-convergence", "dyn-demand-shock"} {
 		sc := getScenario(t, name)
-		full := runScenario(t, sc, 0)
+		full := runScenario(t, sc)
 		mid := len(full.Ticks) / 2
 
 		e, err := New(sc)
@@ -253,7 +247,7 @@ func TestTickInvariants(t *testing.T) {
 // clamp-to-clamp ping-pong would make the scenario meaningless.
 func TestGradientStaysWithinPriceBounds(t *testing.T) {
 	sc := getScenario(t, "dyn-oscillation")
-	tr := runScenario(t, sc, 0)
+	tr := runScenario(t, sc)
 	if tr.Converged(5, 1e-9) {
 		t.Fatal("dyn-oscillation converged; it exists to exhibit a limit cycle")
 	}
@@ -302,7 +296,7 @@ func TestStepPanicsPastEnd(t *testing.T) {
 // every layer filled.
 func TestTablesAndGridShapes(t *testing.T) {
 	sc := getScenario(t, "dyn-po-entry")
-	tr := runScenario(t, sc, 0)
+	tr := runScenario(t, sc)
 	tables := tr.Tables()
 	if want := len(sc.Sweep.Metrics) + 1; len(tables) != want {
 		t.Fatalf("Tables: %d tables, want %d (metrics + controls)", len(tables), want)

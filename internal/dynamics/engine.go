@@ -83,12 +83,9 @@ type TickRecord struct {
 	Solver obs.SolveStats `json:"solver"`
 }
 
-// Options controls execution, not meaning (mirrors scenario.RunOptions).
+// Options controls execution, not meaning. Ticks are sequential by
+// construction, so a run has no parallelism to tune.
 type Options struct {
-	// Workers is accepted for symmetry with the static runners and ignored:
-	// ticks are sequential by construction, so any worker count produces
-	// the identical trajectory.
-	Workers int
 	// Stats, when non-nil, receives the run's total solver telemetry once
 	// at the end of the run.
 	Stats *obs.Counters
@@ -406,8 +403,7 @@ func (e *Engine) Step() TickRecord {
 	return rec
 }
 
-// Run executes the scenario's full trajectory. The Options worker knob is
-// documentation-grade only (see Options.Workers); Stats receives the run's
+// Run executes the scenario's full trajectory; Stats receives the run's
 // solver telemetry once at the end.
 func Run(sc *scenario.Scenario, opt Options) (*Trajectory, error) {
 	e, err := New(sc)

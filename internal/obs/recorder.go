@@ -17,10 +17,11 @@ type Event struct {
 	// Trace is the request's trace ID ("" for non-HTTP callers).
 	Trace string `json:"trace,omitempty"`
 	// Kind classifies the span: "run" (a /v1/runs or batch-list solve),
-	// "experiment", "cell" (one grid cell), or "grid" (a whole grid solve).
+	// "cell" (one grid cell), "grid" (a whole grid solve), "query" (a
+	// refinement surrogate), "sim" (a whole simulation) or "tick" (one
+	// simulation tick).
 	Kind string `json:"kind"`
-	// Name is the scenario name, experiment ID, or grid name; for cells it
-	// is "name[row,col]".
+	// Name is the scenario or grid name; for cells it is "name[row,col]".
 	Name string `json:"name"`
 	// Key is a prefix of the content-address cache key, when the span went
 	// through the equilibrium cache.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/netecon-sim/publicoption/internal/demand"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
@@ -171,8 +172,31 @@ func equalFloats(a, b []float64) bool {
 // ensemble must reproduce the "paper" population exactly, under BOTH φ
 // settings. The independent setting is the regression case — its φ redraw
 // must come from a separate stream (PaperPopulation's convention), not
-// shift the characteristic draws.
+// shift the characteristic draws. The same holds off the default: a
+// re-seeded, re-sized ensemble keeps α, θ̂, v and β across φ settings, so
+// the appendix figures keep Ψ (TestAppendixFiguresKeepPsi).
 func TestDefaultEnsembleEqualsPaperPopulation(t *testing.T) {
+	corr, err := (&PopulationSpec{Kind: "ensemble", Seed: 7, N: 120}).Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	indep, err := (&PopulationSpec{Kind: "ensemble", Phi: "independent", Seed: 7, N: 120}).Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	phiMoved := false
+	for i := range corr {
+		a, b := corr[i], indep[i]
+		if a.Alpha != b.Alpha || a.ThetaHat != b.ThetaHat || a.V != b.V ||
+			a.Curve.(demand.Exponential).Beta != b.Curve.(demand.Exponential).Beta {
+			t.Fatalf("seed 7, n 120: CP %d characteristics differ across φ settings: %+v vs %+v", i, a, b)
+		}
+		phiMoved = phiMoved || a.Phi != b.Phi
+	}
+	if !phiMoved {
+		t.Fatal("seed 7, n 120: the independent setting did not redraw φ")
+	}
+
 	for _, phi := range []string{"", "independent"} {
 		paper := PopulationSpec{Kind: "paper", Phi: phi}
 		ens := PopulationSpec{Kind: "ensemble", Phi: phi}

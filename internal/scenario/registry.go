@@ -6,12 +6,13 @@ import (
 	"sort"
 )
 
-// The built-in registry: one named scenario per figure regime of
-// internal/experiment plus market structures from the related literature —
-// public-option entry under consumer rebates, asymmetric duopoly, a
-// large-N oligopoly over a batched 10⁵-CP ensemble, and 2-D grid scenarios
-// (γ×ν sizing, σ×ν rebates, c×κ strategy maps) for the region-shaped
-// questions the welfare literature studies.
+// The built-in registry: the paper's market figures (paperFigures), the
+// headline regime comparison, and one named scenario per figure regime,
+// plus market structures from the related literature — public-option entry
+// under consumer rebates, asymmetric duopoly, a large-N oligopoly over a
+// batched 10⁵-CP ensemble, and 2-D grid scenarios (γ×ν sizing, σ×ν
+// rebates, c×κ strategy maps) for the region-shaped questions the welfare
+// literature studies.
 //
 // Built-ins declare capacity as fractions of the population's saturation
 // Σ α_i·θ̂_i (OfSaturation) wherever the population is random, so editing the
@@ -280,6 +281,25 @@ var builtins = []*Scenario{
 		},
 	},
 	{
+		Name:  "ablation-pubopt-capacity",
+		Title: "Public Option capacity vs a share-maximizing incumbent",
+		Description: "At every Public Option share γ the incumbent best-responds for market " +
+			"share, at a capacity (0.7 of saturation) where an unregulated monopolist would " +
+			"under-utilize it. Even γ ≈ 0.1 disciplines the incumbent: Φ starts near its " +
+			"ceiling and stays roughly flat as the Public Option grows — sizing barely " +
+			"matters, the §VI claim.",
+		Reference:  "Ma & Misra §VI",
+		Population: PopulationSpec{Kind: "paper"},
+		Providers: []ProviderSpec{
+			{Name: "incumbent", Gamma: 0.5, Kappa: 1, C: 0.5, BestResponse: true},
+			{Name: "public-option", Gamma: 0.5, PublicOption: true},
+		},
+		Sweep: SweepSpec{
+			Axis: AxisPOShare, Values: []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5}, Nu: 0.7, OfSaturation: true,
+			Metrics: []string{MetricPhi, MetricShare},
+		},
+	},
+	{
 		Name:  "dyn-convergence",
 		Title: "Dynamics: inert consumers converge to the Theorem-1 duopoly equilibrium",
 		Description: "The public-option-duopoly market run through the reconcile loop with " +
@@ -374,7 +394,101 @@ var builtins = []*Scenario{
 	},
 }
 
+// figureNus are the capacities ν ∈ {20, 50, 100, 150, 200} of Figures 4
+// and 7 as fractions of the paper ensemble's saturation point ≈ 250.
+var figureNus = []float64{0.08, 0.2, 0.4, 0.6, 0.8}
+
+// paperFigures declares the paper's market figures as grids. Figures 4
+// and 7 sweep the premium price c at each capacity of figureNus. Figures 5
+// and 8 plot nine strategies (κ, c) against ν on [2, 500]/250 of
+// saturation; each is three ν×κ grids, one per price c, named fig5-c02 for
+// c = 0.2 and so on. The appendix Figures 9–12 repeat them with φ drawn
+// independently of β, which leaves every CP decision, and so Ψ and the
+// shares, unchanged.
+func paperFigures() []*Scenario {
+	kappas := []float64{0.2, 0.5, 0.9}
+	duopoly := func(c float64) []ProviderSpec {
+		return []ProviderSpec{
+			{Name: "incumbent", Gamma: 0.5, Kappa: 1, C: c},
+			{Name: "public-option", Gamma: 0.5, PublicOption: true},
+		}
+	}
+	var out []*Scenario
+	for _, set := range []struct {
+		phi, note string
+		figs      [4]int // the numbers of Figures 4, 5, 7 and 8 in this set
+	}{
+		{"", "", [4]int{4, 5, 7, 8}},
+		{"independent", ", φ independent of β (appendix)", [4]int{9, 10, 11, 12}},
+	} {
+		pop := PopulationSpec{Kind: "paper", Phi: set.phi}
+		out = append(out, &Scenario{
+			Name:  fmt.Sprintf("fig%d", set.figs[0]),
+			Title: "Monopoly (κ=1): revenue Ψ and consumer surplus Φ vs price c" + set.note,
+			Description: "Three regimes: Ψ = c·ν while the premium class is congested, a " +
+				"revenue peak, then collapse as CPs are priced out. At abundant ν the " +
+				"revenue-optimal price under-utilizes capacity and hurts Φ.",
+			Reference:  fmt.Sprintf("Ma & Misra §III-E, Figure %d", set.figs[0]),
+			Population: pop,
+			Providers:  []ProviderSpec{{Name: "monopolist", Gamma: 1, Kappa: 1}},
+			Sweep: SweepSpec{
+				Axis: AxisPrice, Lo: 0, Hi: 1, Points: 101, OfSaturation: true,
+				Metrics: []string{MetricPsi, MetricPhi},
+				Grid:    &GridSpec{Axis: AxisNu, Values: figureNus},
+			},
+		}, &Scenario{
+			Name:  fmt.Sprintf("fig%d", set.figs[2]),
+			Title: "Incumbent (κ=1) vs Public Option: share m_I, revenue Ψ_I and Φ vs price c" + set.note,
+			Description: "m_I rises slightly above 1/2 while the premium class stays congested, " +
+				"then collapses; Ψ_I drops to zero much more steeply than the monopoly's; " +
+				"Φ never falls to zero (the Public Option backstop).",
+			Reference:  fmt.Sprintf("Ma & Misra §IV-A, Figure %d", set.figs[2]),
+			Population: pop,
+			Providers:  duopoly(0),
+			Sweep: SweepSpec{
+				Axis: AxisPrice, Lo: 0, Hi: 1, Points: 51, OfSaturation: true,
+				Metrics: []string{MetricShare, MetricPsi, MetricPhi},
+				Grid:    &GridSpec{Axis: AxisNu, Values: figureNus},
+			},
+		})
+		for _, c := range []float64{0.2, 0.5, 0.8} {
+			tag := fmt.Sprintf("-c%02.0f", c*10)
+			out = append(out, &Scenario{
+				Name:  fmt.Sprintf("fig%d%s", set.figs[1], tag),
+				Title: fmt.Sprintf("Monopoly at c=%g: Ψ and Φ vs capacity ν for κ ∈ {0.2, 0.5, 0.9}%s", c, set.note),
+				Description: "Ψ rises while the premium class is congested, then decays to zero " +
+					"as capacity becomes abundant (for small κ); a larger κ holds more revenue " +
+					"at the cost of Φ, which grows with ν up to small glitches.",
+				Reference:  fmt.Sprintf("Ma & Misra §III-E, Figure %d", set.figs[1]),
+				Population: pop,
+				Providers:  []ProviderSpec{{Name: "monopolist", Gamma: 1, Kappa: 1, C: c}},
+				Sweep: SweepSpec{
+					Axis: AxisNu, Lo: 0.008, Hi: 2, Points: 101, OfSaturation: true,
+					Metrics: []string{MetricPsi, MetricPhi},
+					Grid:    &GridSpec{Axis: AxisKappa, Values: kappas},
+				},
+			}, &Scenario{
+				Name:  fmt.Sprintf("fig%d%s", set.figs[3], tag),
+				Title: fmt.Sprintf("Incumbent at c=%g vs Public Option: Ψ_I, Φ and m_I vs ν for κ ∈ {0.2, 0.5, 0.9}%s", c, set.note),
+				Description: "Ψ_I collapses sharply past its peak; Φ barely depends on the " +
+					"incumbent's strategy; m_I slightly exceeds 1/2 under scarcity and stays " +
+					"at or below 1/2 when capacity is abundant.",
+				Reference:  fmt.Sprintf("Ma & Misra §IV-A, Figure %d", set.figs[3]),
+				Population: pop,
+				Providers:  duopoly(c),
+				Sweep: SweepSpec{
+					Axis: AxisNu, Lo: 0.008, Hi: 2, Points: 51, OfSaturation: true,
+					Metrics: []string{MetricPsi, MetricPhi, MetricShare},
+					Grid:    &GridSpec{Axis: AxisKappa, Values: kappas},
+				},
+			})
+		}
+	}
+	return out
+}
+
 func init() {
+	builtins = append(builtins, paperFigures()...)
 	seen := make(map[string]bool, len(builtins))
 	for _, s := range builtins {
 		if seen[s.Name] {

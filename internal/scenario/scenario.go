@@ -6,13 +6,20 @@
 // demand family from internal/demand), which regulatory regimes apply
 // (internal/core/regulate.go), and which axis is swept.
 //
-// Scenarios decouple "what market to study" from "how to solve it": the
-// registry ships the regimes of every figure in internal/experiment plus
-// market structures from the related literature (asymmetric duopolies,
-// large-N oligopolies, revenue-rebating incumbents), and Run compiles any
-// scenario — built-in or loaded from JSON — into warm-started solver sweeps
-// parallelized with sweep.RunParallel. Large CP populations (10⁵–10⁶) are
-// generated and evaluated in fixed-size batches so memory stays bounded.
+// Scenarios decouple "what market to study" from "how to solve it". The
+// registry is the repository's one description of the paper: its market
+// figures (fig4 to fig12 as grids), the regime comparison and the Public
+// Option capacity study, plus market structures from the related
+// literature (asymmetric duopolies, large-N oligopolies, revenue-rebating
+// incumbents). Run compiles any 1-D scenario — built-in or loaded from
+// JSON — into warm-started solver sweeps parallelized with
+// sweep.RunParallel, and RunGrid any 2-D one into rows on sweep.RunRows.
+// Large CP populations (10⁵–10⁶) are generated and evaluated in fixed-size
+// batches so memory stays bounded. The paper's studies that are not market
+// sweeps live as examples in the packages that own them: Figure 2 in
+// internal/demand, Figure 3 and the allocation ablation in internal/alloc,
+// the M/M/1 ablation in internal/mm1 and the Nash ablation in
+// internal/core.
 package scenario
 
 import (
@@ -752,8 +759,8 @@ func (s *Scenario) CanonicalJSON() ([]byte, error) {
 }
 
 // ApplyEnsembleOverrides re-seeds (seed != 0) or re-sizes (n != 0) the
-// scenario's random CP population in place — the scenario-level counterpart
-// of the -seed/-cps experiment flags. The "paper" population is the default
+// scenario's random CP population in place — what the CLI's -seed and -cps
+// flags do. The "paper" population is the default
 // ensemble by another name, so overriding it switches the kind to
 // "ensemble"; populations with no random draw (archetypes, explicit) reject
 // overrides.

@@ -119,7 +119,7 @@ type gridDoneFrame struct {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
-	if err := decodeJSONBody(w, r, &req, false); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}

@@ -12,7 +12,7 @@ import (
 
 // solveBuckets are the request-latency histogram bounds in seconds. The
 // low end resolves warm cache hits (tens of microseconds); the high end
-// cold full-grid experiment solves.
+// cold full-size figure solves.
 var solveBuckets = []float64{1e-5, 1e-4, 0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10}
 
 // frameBuckets are the batch NDJSON frame write+flush latency bounds in

@@ -20,11 +20,10 @@ import (
 // Cache key namespaces, one per kind of cached value. Every content address
 // the server computes is cache.Key(namespace, content).
 const (
-	nsRun        = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
-	nsExperiment = "run/experiment/v1"   // *RunResult of an experiment; content: id plus result-changing config
-	nsCell       = "batch/cell/v1"       // scenario.Cell; content: GridJob.CellSpec/CellSpecAt
-	nsSurrogate  = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
-	nsTick       = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
+	nsRun       = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
+	nsCell      = "batch/cell/v1"       // scenario.Cell; content: GridJob.CellSpec/CellSpecAt
+	nsSurrogate = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
+	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
 )
 
 // scenarioKind is what a scenario declares and what an endpoint solves.

@@ -72,7 +72,7 @@ type QueryResponse struct {
 
 func (s *Server) handleQueryPost(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := decodeJSONBody(w, r, &req, false); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}

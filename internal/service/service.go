@@ -1,6 +1,6 @@
 // Package service is the long-running serving layer over the model: a
-// stdlib-only HTTP JSON API exposing the scenario registry, the experiment
-// registry, and endpoints that solve equilibria on demand.
+// stdlib-only HTTP JSON API exposing the scenario registry — the paper's
+// figures included — and endpoints that solve equilibria on demand.
 //
 // Every solving endpoint is a thin view over one request pipeline
 // (pipeline.go). The resolver maps the request's scenario — a registered
@@ -31,8 +31,6 @@
 //	                                too, for inline grids)
 //	POST /v1/simulate               stream a dynamics scenario tick by tick
 //	                                as NDJSON, ticks cached per tick
-//	GET  /v1/experiments            list the registered figure experiments
-//	POST /v1/experiments/{id}/run   run a figure experiment
 //	GET  /healthz                   liveness probe
 //	GET  /metrics                   Prometheus text-format metrics
 //	GET  /debug/events              flight recorder: the last N solve events
@@ -56,7 +54,6 @@ import (
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
-	"github.com/netecon-sim/publicoption/internal/experiment"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 	"github.com/netecon-sim/publicoption/internal/sweep"
@@ -126,14 +123,12 @@ type Server struct {
 	// Registry data precomputed at startup so the hot paths never re-derive
 	// it: the registries are immutable and scenario.All/Get deep-copy
 	// through JSON on every call.
-	scenarioInfos   []ScenarioInfo
-	experimentInfos []ExperimentInfo
-	named           map[string]*resolved // every registered scenario, resolved
+	scenarioInfos []ScenarioInfo
+	named         map[string]*resolved // every registered scenario, resolved
 
 	// Runner indirection, overridable in tests to count or stub solves.
 	// stats receives the run's solver telemetry (nil-safe).
-	runScenario   func(s *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error)
-	runExperiment func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error)
+	runScenario func(s *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error)
 }
 
 // New builds a Server with its cache, worker pool and routes.
@@ -173,9 +168,6 @@ func New(opts Options) *Server {
 		runScenario: func(sc *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error) {
 			return sc.Run(scenario.RunOptions{Workers: workers, Stats: stats})
 		},
-		runExperiment: func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error) {
-			return e.Run(cfg), nil
-		},
 		named: make(map[string]*resolved),
 	}
 	for _, sc := range scenario.All() {
@@ -186,9 +178,6 @@ func New(opts Options) *Server {
 		}
 		s.named[sc.Name] = res
 	}
-	for _, e := range experiment.All() {
-		s.experimentInfos = append(s.experimentInfos, ExperimentInfo{ID: e.ID, Title: e.Title, Expect: e.Expect})
-	}
 	s.handle("GET /v1/scenarios", s.handleListScenarios)
 	s.handle("GET /v1/scenarios/{name}", s.handleGetScenario)
 	s.handle("POST /v1/runs", s.handleRun)
@@ -196,8 +185,6 @@ func New(opts Options) *Server {
 	s.handle("GET /v1/query", s.handleQueryGet)
 	s.handle("POST /v1/query", s.handleQueryPost)
 	s.handle("POST /v1/simulate", s.handleSimulate)
-	s.handle("GET /v1/experiments", s.handleListExperiments)
-	s.handle("POST /v1/experiments/{id}/run", s.handleExperimentRun)
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /debug/events", s.handleEvents)
@@ -287,13 +274,6 @@ type ScenarioInfo struct {
 	Dynamic bool `json:"dynamic,omitempty"`
 }
 
-// ExperimentInfo is one row of GET /v1/experiments.
-type ExperimentInfo struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	Expect string `json:"expect,omitempty"`
-}
-
 // Series is one curve of a result table.
 type Series struct {
 	Name string    `json:"name"`
@@ -311,7 +291,7 @@ type Table struct {
 
 // RunResult is the cacheable outcome of one solve.
 type RunResult struct {
-	Kind   string  `json:"kind"` // "scenario" or "experiment"
+	Kind   string  `json:"kind"` // always "scenario"
 	Name   string  `json:"name"`
 	Title  string  `json:"title"`
 	Tables []Table `json:"tables"`
@@ -361,10 +341,6 @@ func (s *Server) handleGetScenario(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res.sc)
 }
 
-func (s *Server) handleListExperiments(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.experimentInfos)
-}
-
 // runRequest is the body of POST /v1/runs.
 type runRequest struct {
 	// Scenario names a registered scenario; ScenarioJSON inlines a full
@@ -379,7 +355,7 @@ type runRequest struct {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req runRequest
-	if err := decodeJSONBody(w, r, &req, false); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}
@@ -396,12 +372,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runScenarioCached solves a resolved 1-D scenario through the cache. Its
-// content address is the canonical scenario, so a named scenario and an
-// identical inline copy share one entry. A registered scenario is only
-// materialized — a deep copy of the shared registry entry — on a miss.
+// runScenarioCached solves a resolved 1-D scenario through the cache and
+// answers in the run envelope: the result, how the cache satisfied it, and
+// the wall time. Its content address is the canonical scenario, so a named
+// scenario and an identical inline copy share one entry. A registered
+// scenario is only materialized — a deep copy of the shared registry
+// entry — on a miss.
 func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers int) (RunResponse, error) {
-	return s.respondRun(ctx, "run", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
+	val, status, elapsed, err := s.cached(ctx, "run", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
 		sc := res.sc
 		if res.named {
 			sc, _ = scenario.Get(sc.Name) // always found: the registry is immutable
@@ -412,68 +390,6 @@ func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers i
 		}
 		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
 	})
-}
-
-// experimentRunRequest is the optional body of POST /v1/experiments/{id}/run.
-type experimentRunRequest struct {
-	Fast bool   `json:"fast,omitempty"`
-	Seed uint64 `json:"seed,omitempty"`
-	CPs  int    `json:"cps,omitempty"`
-	// Workers is execution-only and excluded from the cache key.
-	Workers int `json:"workers,omitempty"`
-}
-
-func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := experiment.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown experiment %q", id)
-		return
-	}
-	var req experimentRunRequest
-	if err := decodeJSONBody(w, r, &req, true); err != nil {
-		writeError(w, bodyErrorStatus(err), "%v", err)
-		return
-	}
-	if req.CPs < 0 {
-		writeError(w, http.StatusBadRequest, "cps must be non-negative, got %d", req.CPs)
-		return
-	}
-
-	// The key covers exactly the result-changing config; Workers changes
-	// only how fast the answer arrives.
-	type experimentKey struct {
-		ID   string `json:"id"`
-		Fast bool   `json:"fast"`
-		Seed uint64 `json:"seed"`
-		CPs  int    `json:"cps"`
-	}
-	key, err := cache.Key(nsExperiment, experimentKey{ID: id, Fast: req.Fast, Seed: req.Seed, CPs: req.CPs})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	cfg := experiment.Config{Fast: req.Fast, Seed: req.Seed, CPs: req.CPs, Workers: s.workers(req.Workers)}
-	// Experiments drive their own runner internals (experiment.Config has no
-	// stats plumbing), so their events carry zero solver telemetry.
-	resp, err := s.respondRun(r.Context(), "experiment", e.ID, key, func(*obs.Counters) (any, error) {
-		tables, err := s.runExperiment(e, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &RunResult{Kind: "experiment", Name: e.ID, Title: e.Title, Tables: tablesToWire(tables)}, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// respondRun answers a run through the cache in the shared response
-// envelope: the result, how the cache satisfied it, and the wall time.
-func (s *Server) respondRun(ctx context.Context, kind, name, key string, solve func(stats *obs.Counters) (any, error)) (RunResponse, error) {
-	val, status, elapsed, err := s.cached(ctx, kind, name, key, solve)
 	if err != nil {
 		return RunResponse{}, err
 	}
@@ -497,7 +413,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents serves the flight recorder: the last N solve spans (runs,
-// experiments, grids and solved cells) with trace IDs, cache outcomes and
+// grids, simulations and solved units) with trace IDs, cache outcomes and
 // solver-telemetry deltas, oldest first. With the recorder disabled
 // (Options.FlightEvents < 0) capacity is 0 and events null.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -515,11 +431,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handlers map it to 413 instead of the generic 400.
 var errBodyTooLarge = fmt.Errorf("request body exceeds the %d-byte limit", maxRequestBody)
 
-// decodeJSONBody parses the request body into v, rejecting unknown fields,
-// trailing garbage, and bodies over maxRequestBody (errBodyTooLarge). An
-// empty body is an error unless allowEmpty (the experiment run endpoint
-// treats it as "all defaults").
-func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) error {
+// decodeJSONBody parses the request body into v, rejecting empty bodies,
+// unknown fields, trailing garbage, and bodies over maxRequestBody
+// (errBodyTooLarge).
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -528,9 +443,6 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any, allowEmpty bo
 			return errBodyTooLarge
 		}
 		if errors.Is(err, io.EOF) {
-			if allowEmpty {
-				return nil
-			}
 			return fmt.Errorf("empty request body")
 		}
 		return fmt.Errorf("parsing request body: %w", err)

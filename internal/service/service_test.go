@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/netecon-sim/publicoption/internal/experiment"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 	"github.com/netecon-sim/publicoption/internal/sweep"
@@ -100,16 +99,21 @@ func TestGetScenario(t *testing.T) {
 	}
 }
 
-func TestListExperiments(t *testing.T) {
+// TestFigureBuiltinsServed: the paper's market figures are registered grid
+// scenarios, solved through /v1/batch like any other grid.
+func TestFigureBuiltinsServed(t *testing.T) {
 	s := New(Options{})
-	w := do(t, s, "GET", "/v1/experiments", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d", w.Code)
+	grids := make(map[string]bool)
+	for _, in := range decode[[]ScenarioInfo](t, do(t, s, "GET", "/v1/scenarios", "")) {
+		grids[in.Name] = in.Grid
 	}
-	infos := decode[[]ExperimentInfo](t, w)
-	want := len(experiment.All())
-	if len(infos) != want {
-		t.Fatalf("listed %d experiments, registry has %d", len(infos), want)
+	for _, name := range []string{"fig4", "fig5-c02", "fig7", "fig8-c08", "fig9", "fig10-c05", "fig11", "fig12-c02"} {
+		if !grids[name] {
+			t.Errorf("%s is not listed as a grid scenario", name)
+		}
+	}
+	if _, ok := grids["ablation-pubopt-capacity"]; !ok {
+		t.Error("ablation-pubopt-capacity is not listed")
 	}
 }
 
@@ -291,52 +295,6 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 	if w := do(t, s, "POST", "/healthz", ""); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /healthz: status %d, want 405", w.Code)
-	}
-}
-
-func TestExperimentRun(t *testing.T) {
-	s := New(Options{})
-	var calls atomic.Int64
-	var gotCfg experiment.Config
-	s.runExperiment = func(e *experiment.Experiment, cfg experiment.Config) ([]*sweep.Table, error) {
-		calls.Add(1)
-		gotCfg = cfg
-		return stubTables(), nil
-	}
-
-	// Empty body = defaults.
-	w := do(t, s, "POST", "/v1/experiments/fig4/run", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body)
-	}
-	resp := decode[RunResponse](t, w)
-	if resp.Kind != "experiment" || resp.Name != "fig4" || resp.Cache != "miss" {
-		t.Fatalf("unexpected response: %+v", resp)
-	}
-
-	// Same config again: cache hit, no second solve.
-	w = do(t, s, "POST", "/v1/experiments/fig4/run", "{}")
-	if resp := decode[RunResponse](t, w); resp.Cache != "hit" {
-		t.Fatalf("repeat run cache = %q, want hit", resp.Cache)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("solver ran %d times, want 1", calls.Load())
-	}
-
-	// A different result-changing config is a different key.
-	w = do(t, s, "POST", "/v1/experiments/fig4/run", `{"fast": true, "cps": 50}`)
-	if resp := decode[RunResponse](t, w); resp.Cache != "miss" {
-		t.Fatalf("distinct config cache = %q, want miss", resp.Cache)
-	}
-	if !gotCfg.Fast || gotCfg.CPs != 50 {
-		t.Fatalf("config not forwarded: %+v", gotCfg)
-	}
-
-	if w := do(t, s, "POST", "/v1/experiments/no-such/run", ""); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown experiment: status %d, want 404", w.Code)
-	}
-	if w := do(t, s, "POST", "/v1/experiments/fig4/run", `{"cps": -1}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("negative cps: status %d, want 400", w.Code)
 	}
 }
 

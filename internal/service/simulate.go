@@ -31,9 +31,8 @@ import (
 type simulateRequest struct {
 	Scenario     string          `json:"scenario,omitempty"`
 	ScenarioJSON json.RawMessage `json:"scenario_json,omitempty"`
-	// Workers is accepted for symmetry with /v1/runs and /v1/batch and is
-	// execution-only; ticks are sequential by construction, so it never
-	// changes the trajectory (see dynamics.Options).
+	// Workers is accepted for symmetry with /v1/runs and /v1/batch and
+	// ignored: ticks are sequential by construction.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -78,7 +77,7 @@ type simTickAddress struct {
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
-	if err := decodeJSONBody(w, r, &req, false); err != nil {
+	if err := decodeJSONBody(w, r, &req); err != nil {
 		writeError(w, bodyErrorStatus(err), "%v", err)
 		return
 	}

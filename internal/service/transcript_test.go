@@ -136,14 +136,6 @@ func routeTranscripts() map[string][]transcriptStep {
 			postStep("static inline", "/v1/simulate", fmt.Sprintf(`{"scenario_json": %s}`, tinyRunJSON)),
 			postStep("unknown field", "/v1/simulate", `{"scenario": "dyn-convergence", "bogus": 1}`),
 		},
-		"experiments.txt": {
-			postStep("fast cold", "/v1/experiments/fig2/run", `{"fast": true}`),
-			postStep("fast warm", "/v1/experiments/fig2/run", `{"fast": true, "workers": 1}`),
-			postStep("unknown experiment", "/v1/experiments/no-such/run", ""),
-			postStep("negative cps", "/v1/experiments/fig2/run", `{"cps": -1}`),
-			postStep("unknown field", "/v1/experiments/fig2/run", `{"bogus": 1}`),
-			postStep("trailing garbage", "/v1/experiments/fig2/run", `{} {}`),
-		},
 	}
 }
 

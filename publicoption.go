@@ -17,9 +17,9 @@
 // economics literature for comparison.
 //
 // This root package is the stable public surface: it re-exports the model
-// types and entry points from the internal packages. The cmd/pubopt tool
-// regenerates every figure of the paper's evaluation; see DESIGN.md for the
-// experiment inventory and EXPERIMENTS.md for paper-vs-measured results.
+// types and entry points from the internal packages. The paper's market
+// figures are built-in scenarios (fig4 to fig12) that the cmd/pubopt tool
+// regenerates; README.md maps every figure to its scenario or example.
 //
 // # Quick start
 //

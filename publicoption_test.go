@@ -130,24 +130,30 @@ func TestFacadeTCP(t *testing.T) {
 	}
 }
 
-func TestFacadeExperimentRegistry(t *testing.T) {
-	exps := publicoption.Experiments()
-	if len(exps) < 16 {
-		t.Fatalf("registry has only %d experiments", len(exps))
+func TestFacadeFigureBuiltins(t *testing.T) {
+	grids := make(map[string]bool)
+	for _, name := range publicoption.GridScenarioNames() {
+		grids[name] = true
 	}
-	if _, ok := publicoption.Experiment("fig4"); !ok {
-		t.Fatal("fig4 missing")
+	for _, name := range []string{"fig4", "fig5-c05", "fig7", "fig8-c05", "fig9", "fig10-c05", "fig11", "fig12-c05"} {
+		if !grids[name] {
+			t.Errorf("figure built-in %s is not a grid scenario", name)
+		}
 	}
-	tables := publicoption.RunExperiment("fig2", publicoption.ExperimentConfig{Fast: true})
-	if len(tables) != 1 {
-		t.Fatalf("fig2 tables = %d", len(tables))
+	s, ok := publicoption.ScenarioByName("archetypes-capacity")
+	if !ok {
+		t.Fatal("archetypes-capacity missing")
+	}
+	tables, err := s.Run(publicoption.ScenarioRunOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
 	chart := publicoption.RenderChart(tables[0], 60, 12)
-	if !strings.Contains(chart, "beta=5") {
+	if !strings.Contains(chart, "phi") {
 		t.Error("chart missing legend")
 	}
 	text := publicoption.RenderText(tables[0], 10)
-	if !strings.Contains(text, "omega") {
+	if !strings.Contains(text, "nu") {
 		t.Error("text missing header")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/netecon-sim/publicoption/internal/plot"
 	"github.com/netecon-sim/publicoption/internal/scenario"
+	"github.com/netecon-sim/publicoption/internal/sweep"
 )
 
 // Scenario is a declarative market experiment: providers, CP population,
@@ -30,9 +31,10 @@ type (
 )
 
 // Scenarios returns deep copies of every built-in named scenario, sorted by
-// name. The registry covers each figure regime of the paper plus market
-// structures from the related literature (asymmetric duopoly, revenue
-// rebates, batched large-N oligopoly).
+// name. The registry covers the paper's market figures (fig4 to fig12 as
+// grids), its regime comparison, and market structures from the related
+// literature (asymmetric duopoly, revenue rebates, batched large-N
+// oligopoly).
 func Scenarios() []*Scenario { return scenario.All() }
 
 // ScenarioNames lists the built-in scenario names, sorted.
@@ -40,6 +42,19 @@ func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioByName returns a deep copy of the named built-in scenario.
 func ScenarioByName(name string) (*Scenario, bool) { return scenario.Get(name) }
+
+// ResultTable is a solved 1-D sweep: named series over a common axis.
+type ResultTable = sweep.Table
+
+// ResultSeries is one curve of a ResultTable.
+type ResultSeries = sweep.Series
+
+// RenderChart draws a table as an ASCII line chart (stdlib-only plotting).
+func RenderChart(t *ResultTable, width, height int) string { return plot.Chart(t, width, height) }
+
+// RenderText renders a table as aligned columns, subsampled to maxRows
+// (0 = all rows).
+func RenderText(t *ResultTable, maxRows int) string { return plot.Text(t, maxRows) }
 
 // LoadScenario parses a scenario from JSON and validates it.
 func LoadScenario(r io.Reader) (*Scenario, error) { return scenario.Load(r) }

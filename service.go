@@ -6,9 +6,9 @@ import (
 )
 
 // Service is the long-running HTTP query layer over the model: the scenario
-// and experiment registries behind a stdlib-only JSON API with a
-// content-addressed equilibrium cache (singleflight-deduplicated, LRU
-// bounded, solve-pool limited). It implements http.Handler; mount it on any
+// registry behind a stdlib-only JSON API with a content-addressed
+// equilibrium cache (singleflight-deduplicated, LRU bounded, solve-pool
+// limited). It implements http.Handler; mount it on any
 // server or run it via `pubopt serve`. See docs/SERVICE.md.
 type Service = service.Server
 
@@ -29,8 +29,6 @@ type (
 	ServiceSeries = service.Series
 	// ServiceScenarioInfo is one row of GET /v1/scenarios.
 	ServiceScenarioInfo = service.ScenarioInfo
-	// ServiceExperimentInfo is one row of GET /v1/experiments.
-	ServiceExperimentInfo = service.ExperimentInfo
 	// ServiceCacheStats snapshots the equilibrium cache's counters.
 	ServiceCacheStats = cache.Stats
 )
