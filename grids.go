@@ -26,8 +26,9 @@ type (
 	ResultGrid = sweep.Grid
 	// ResultGridLayer is one scalar field of a ResultGrid.
 	ResultGridLayer = sweep.GridLayer
-	// GridJob is a compiled grid scenario: resolved cells plus a per-worker
-	// cell solver — the unit the serving layer caches cell-by-cell.
+	// GridJob is a compiled grid scenario: resolved cells plus the one cell
+	// executor (SolveRows, a fresh solver per row) — the unit the serving
+	// layer caches cell-by-cell.
 	GridJob = scenario.GridJob
 	// GridCell is one solved grid cell: position, resolved coordinates, and
 	// one value per layer.

@@ -11,7 +11,7 @@
 //     requests triggers exactly one solve while the rest wait for it;
 //   - a bounded worker pool around the solve itself, so concurrent
 //     *distinct* requests cannot oversubscribe the CPU (each solve already
-//     parallelizes internally via sweep.RunParallel).
+//     parallelizes internally via sweep.RunRows).
 //
 // Results are treated as immutable once stored: the model is deterministic,
 // so a key never goes stale and there is no TTL. Failed solves are not

@@ -112,6 +112,28 @@ func (mk *Market) phiAtShare(isp ISP, m float64) (float64, *ClassEquilibrium) {
 // less surplus than b provides to everyone, a's share is 0 (the paper's
 // c_I = 1 corner where "all consumers move to ISP J").
 func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
+	m := mk.migrate(a, b, mk.phiAtShare)
+	return &MarketOutcome{
+		ISPs:   []ISP{a, b},
+		NuBar:  mk.NuBar,
+		Shares: m.shares,
+		Eqs:    []*ClassEquilibrium{m.eqA, m.eqB},
+		Phi:    m.level,
+	}
+}
+
+// migration is the outcome of the two-ISP migration search.
+type migration struct {
+	shares   []float64
+	level    float64 // the equalized per-ISP value
+	eqA, eqB *ClassEquilibrium
+}
+
+// migrate is the one two-ISP migration search: it finds the share m of ISP
+// a at which the per-ISP values value(a, m) and value(b, 1−m) equalize
+// (Assumption 5 on the value consumers weigh — Φ, or Φ + σ·Ψ under
+// rebates). The value gap is non-increasing in m, so a bisection finds it.
+func (mk *Market) migrate(a, b ISP, value func(isp ISP, m float64) (float64, *ClassEquilibrium)) migration {
 	for _, isp := range []ISP{a, b} {
 		if err := isp.Validate(); err != nil {
 			panic(err)
@@ -124,45 +146,39 @@ func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
 		panic(fmt.Sprintf("core: duopoly capacity shares must sum to 1, got %g", a.Gamma+b.Gamma))
 	}
 	gap := func(m float64) float64 {
-		phiA, _ := mk.phiAtShare(a, m)
-		phiB, _ := mk.phiAtShare(b, 1-m)
-		return phiA - phiB
+		va, _ := value(a, m)
+		vb, _ := value(b, 1-m)
+		return va - vb
 	}
 	tol := mk.MigrationTol
 	if tol <= 0 {
 		tol = 1e-8
 	}
 	// Equilibrium selection on indifference plateaus: when both ISPs
-	// already deliver equal surplus at the capacity-proportional split
+	// already deliver equal value at the capacity-proportional split
 	// (typically because capacity is abundant and both saturate), every
 	// split is an equilibrium of Assumption 5 — there is no migration
 	// pressure at all. Select the capacity-proportional point, consistent
 	// with Lemma 4's homogeneous-strategy equilibrium; otherwise bisect.
 	var m float64
-	phiAtGammaA, _ := mk.phiAtShare(a, a.Gamma)
-	phiAtGammaB, _ := mk.phiAtShare(b, b.Gamma)
-	if math.Abs(phiAtGammaA-phiAtGammaB) <= 1e-9*math.Max(math.Max(phiAtGammaA, phiAtGammaB), 1) {
+	vGA, _ := value(a, a.Gamma)
+	vGB, _ := value(b, b.Gamma)
+	if math.Abs(vGA-vGB) <= 1e-9*math.Max(math.Max(vGA, vGB), 1) {
 		m = a.Gamma
 	} else {
 		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, tol)
 	}
-	phiA, eqA := mk.phiAtShare(a, m)
-	phiB, eqB := mk.phiAtShare(b, 1-m)
-	out := &MarketOutcome{
-		ISPs:   []ISP{a, b},
-		NuBar:  mk.NuBar,
-		Shares: []float64{m, 1 - m},
-		Eqs:    []*ClassEquilibrium{eqA, eqB},
-		// The equalized level; at a clamped boundary the market level is
-		// the surplus of the ISP serving (essentially) everyone.
-		Phi: math.Max(phiA, phiB),
-	}
+	va, eqA := value(a, m)
+	vb, eqB := value(b, 1-m)
+	// The equalized level; at a clamped boundary the market level is the
+	// value of the ISP serving (essentially) everyone.
+	out := migration{shares: []float64{m, 1 - m}, level: math.Max(va, vb), eqA: eqA, eqB: eqB}
 	if m <= 2*minShare {
-		out.Shares = []float64{0, 1}
-		out.Phi = phiB
+		out.shares = []float64{0, 1}
+		out.level = vb
 	} else if m >= 1-2*minShare {
-		out.Shares = []float64{1, 0}
-		out.Phi = phiA
+		out.shares = []float64{1, 0}
+		out.level = va
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
@@ -63,9 +62,13 @@ type RegimeOutcome struct {
 	Psi      float64  // per-capita incumbent revenue (market-wide)
 	Share    float64  // incumbent market share (1 except under the Public Option)
 	Detail   string   // regime-specific annotation
+	// Market is the solved market structure the regime implies: the
+	// monopolist alone (named after the regime, share 1), or the incumbent
+	// and the Public Option.
+	Market *MarketOutcome
 }
 
-// RegimeConfig parameterizes CompareRegimes.
+// RegimeConfig parameterizes CompareRegimes and SolveRegime.
 type RegimeConfig struct {
 	KappaCap float64 // κ ceiling for RegimeKappaCap (default 0.5)
 	PriceCap float64 // c ceiling for RegimePriceCap (default 0.3)
@@ -106,66 +109,69 @@ func (c *RegimeConfig) setDefaults() {
 // regime order above's reverse — unregulated first — so tables read in
 // increasing intervention.
 func CompareRegimes(solver *Solver, nu float64, pop traffic.Population, cfg RegimeConfig) []RegimeOutcome {
-	cfg.setDefaults()
-	if solver == nil {
-		solver = NewSolver(nil)
-	}
-	out := make([]RegimeOutcome, 0, 5)
-
-	// Unregulated monopoly: revenue-optimal (κ, c).
 	mono := NewMonopoly(solver)
-	sU, eqU := mono.OptimalStrategy(cfg.CHi, nu, pop, 10, cfg.GridN)
-	out = append(out, RegimeOutcome{
-		Regime: RegimeUnregulated, Strategy: sU,
-		Phi: eqU.Phi(), Psi: eqU.Psi(), Share: 1,
-		Detail: fmt.Sprintf("utilization %.0f%%", 100*eqU.Utilization()),
-	})
-
-	// κ-capped monopoly: optimize c at the cap (revenue is monotone in κ,
-	// Theorem 4, so the cap binds).
-	cK, eqK := mono.OptimalPrice(cfg.KappaCap, cfg.CHi, nu, pop, cfg.GridN)
-	out = append(out, RegimeOutcome{
-		Regime: RegimeKappaCap, Strategy: Strategy{Kappa: cfg.KappaCap, C: cK},
-		Phi: eqK.Phi(), Psi: eqK.Psi(), Share: 1,
-		Detail: fmt.Sprintf("κ ≤ %.2g", cfg.KappaCap),
-	})
-
-	// Price-capped monopoly: κ = 1 (dominant), c at most the cap; revenue
-	// is increasing in c on the capped range or peaks inside it.
-	cP, eqP := mono.OptimalPrice(1, cfg.PriceCap, nu, pop, cfg.GridN)
-	out = append(out, RegimeOutcome{
-		Regime: RegimePriceCap, Strategy: Strategy{Kappa: 1, C: cP},
-		Phi: eqP.Phi(), Psi: eqP.Psi(), Share: 1,
-		Detail: fmt.Sprintf("c ≤ %.2g", cfg.PriceCap),
-	})
-
-	// Full neutrality: single free class.
-	eqN := solver.Competitive(PublicOption, nu, pop)
-	out = append(out, RegimeOutcome{
-		Regime: RegimeNeutral, Strategy: PublicOption,
-		Phi: eqN.Phi(), Psi: 0, Share: 1,
-	})
-
-	// Public Option: the incumbent holds 1−POShare of capacity and
-	// best-responds for market share.
-	grid := DefaultStrategyGrid()
-	if cfg.POGrid != nil {
-		grid = *cfg.POGrid
+	out := make([]RegimeOutcome, 0, 5)
+	for r := RegimeUnregulated; r <= RegimePublicOption; r++ {
+		out = append(out, SolveRegime(mono, r, nu, pop, cfg))
 	}
-	mk := NewMarket(solver, pop, nu)
-	mk.MigrationTol = 1e-6
-	isps := []ISP{
-		{Name: "incumbent", Gamma: 1 - cfg.POShare, Strategy: Strategy{Kappa: 1, C: 0.5}},
-		{Name: "public-option", Gamma: cfg.POShare, Strategy: PublicOption},
-	}
-	sPO, outPO, _ := mk.BestResponse(isps, 0, grid)
-	out = append(out, RegimeOutcome{
-		Regime: RegimePublicOption, Strategy: sPO,
-		Phi: outPO.Phi, Psi: outPO.Eqs[0].Psi() * outPO.Shares[0],
-		Share:  outPO.Shares[0],
-		Detail: fmt.Sprintf("PO holds γ=%.2g", cfg.POShare),
-	})
 	return out
+}
+
+// SolveRegime solves one regime at per-capita capacity ν on the caller's
+// monopoly analyzer, whose Solver also solves the neutral class game and the
+// Public Option market. A caller that sweeps one regime across capacities
+// on one analyzer keeps its warm starts from point to point.
+func SolveRegime(mono *Monopoly, r Regime, nu float64, pop traffic.Population, cfg RegimeConfig) RegimeOutcome {
+	cfg.setDefaults()
+	monopolist := func(s Strategy, eq *ClassEquilibrium, psi float64, detail string) RegimeOutcome {
+		return RegimeOutcome{
+			Regime: r, Strategy: s, Phi: eq.Phi(), Psi: psi, Share: 1, Detail: detail,
+			Market: &MarketOutcome{
+				ISPs:  []ISP{{Name: r.String(), Gamma: 1, Strategy: s}},
+				NuBar: nu, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: eq.Phi(),
+			},
+		}
+	}
+	switch r {
+	case RegimeUnregulated:
+		// Revenue-optimal (κ, c).
+		s, eq := mono.OptimalStrategy(cfg.CHi, nu, pop, 10, cfg.GridN)
+		return monopolist(s, eq, eq.Psi(), fmt.Sprintf("utilization %.0f%%", 100*eq.Utilization()))
+	case RegimeKappaCap:
+		// Optimize c at the cap (revenue is monotone in κ, Theorem 4, so
+		// the cap binds).
+		c, eq := mono.OptimalPrice(cfg.KappaCap, cfg.CHi, nu, pop, cfg.GridN)
+		return monopolist(Strategy{Kappa: cfg.KappaCap, C: c}, eq, eq.Psi(), fmt.Sprintf("κ ≤ %.2g", cfg.KappaCap))
+	case RegimePriceCap:
+		// κ = 1 (dominant), c at most the cap; revenue is increasing in c
+		// on the capped range or peaks inside it.
+		c, eq := mono.OptimalPrice(1, cfg.PriceCap, nu, pop, cfg.GridN)
+		return monopolist(Strategy{Kappa: 1, C: c}, eq, eq.Psi(), fmt.Sprintf("c ≤ %.2g", cfg.PriceCap))
+	case RegimeNeutral:
+		// Full neutrality: single free class.
+		return monopolist(PublicOption, mono.Solver.Competitive(PublicOption, nu, pop), 0, "")
+	case RegimePublicOption:
+		// The incumbent holds 1−POShare of capacity and best-responds for
+		// market share.
+		grid := DefaultStrategyGrid()
+		if cfg.POGrid != nil {
+			grid = *cfg.POGrid
+		}
+		mk := NewMarket(mono.Solver, pop, nu)
+		mk.MigrationTol = 1e-6
+		isps := []ISP{
+			{Name: "incumbent", Gamma: 1 - cfg.POShare, Strategy: Strategy{Kappa: 1, C: 0.5}},
+			{Name: "public-option", Gamma: cfg.POShare, Strategy: PublicOption},
+		}
+		s, o, _ := mk.BestResponse(isps, 0, grid)
+		return RegimeOutcome{
+			Regime: r, Strategy: s,
+			Phi: o.Phi, Psi: o.Eqs[0].Psi() * o.Shares[0], Share: o.Shares[0],
+			Detail: fmt.Sprintf("PO holds γ=%.2g", cfg.POShare),
+			Market: o,
+		}
+	}
+	panic(fmt.Sprintf("core: unknown %v", r))
 }
 
 // RegimeRanking extracts the regimes ordered by descending consumer
@@ -214,19 +220,3 @@ func CheckHeadlineRanking(order []Regime) error {
 	}
 	return nil
 }
-
-// RegimeSweep evaluates CompareRegimes across capacities, returning one
-// Φ series per regime.
-func RegimeSweep(solver *Solver, nus []float64, pop traffic.Population, cfg RegimeConfig) map[Regime][]float64 {
-	out := make(map[Regime][]float64)
-	for _, nu := range nus {
-		for _, oc := range CompareRegimes(solver, nu, pop, cfg) {
-			out[oc.Regime] = append(out[oc.Regime], oc.Phi)
-		}
-	}
-	return out
-}
-
-// Ensure numeric is linked for the package's solvers even when only
-// regulate.go is exercised (grid search uses it indirectly).
-var _ = numeric.DefaultTol

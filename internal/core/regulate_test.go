@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -83,34 +82,5 @@ func TestRegimeStringAndRanking(t *testing.T) {
 	// Missing regimes must be detected.
 	if err := CheckHeadlineRanking([]Regime{RegimeNeutral}); err == nil {
 		t.Fatal("incomplete ranking accepted")
-	}
-}
-
-func TestRegimeSweepSeriesAligned(t *testing.T) {
-	pop := ensemble(73, 60)
-	sat := pop.TotalUnconstrainedPerCapita()
-	cfg := RegimeConfig{GridN: 8,
-		POGrid: &StrategyGrid{Kappas: []float64{0, 1}, Cs: []float64{0, 0.4, 0.8}}}
-	nus := []float64{0.4 * sat, 0.8 * sat}
-	series := RegimeSweep(nil, nus, pop, cfg)
-	if len(series) != 5 {
-		t.Fatalf("got %d regimes, want 5", len(series))
-	}
-	for r, ys := range series {
-		if len(ys) != len(nus) {
-			t.Errorf("%v series has %d points, want %d", r, len(ys), len(nus))
-		}
-		for _, y := range ys {
-			if math.IsNaN(y) || y < 0 {
-				t.Errorf("%v produced invalid Φ %v", r, y)
-			}
-		}
-	}
-	// Theorem 2 within each regime: more capacity, no less surplus (allow
-	// tiny optimizer noise for the strategic regimes).
-	for r, ys := range series {
-		if ys[1] < ys[0]*(1-0.05) {
-			t.Errorf("%v: Φ fell substantially with more capacity (%v -> %v)", r, ys[0], ys[1])
-		}
 	}
 }

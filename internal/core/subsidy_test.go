@@ -1,23 +1,27 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestSubsidyZeroMatchesBaseline(t *testing.T) {
+	// With σ = 0 the rebate game is the baseline migration game: the same
+	// search on the same values, so on equally fresh markets the shares and
+	// the equalized level agree bit for bit.
 	pop := ensemble(81, 80)
 	sat := pop.TotalUnconstrainedPerCapita()
-	mk := NewMarket(nil, pop, 0.4*sat)
 	a := ISP{Name: "i", Gamma: 0.5, Strategy: Strategy{Kappa: 1, C: 0.3}}
 	b := ISP{Name: "po", Gamma: 0.5, Strategy: PublicOption}
-	base := mk.SolveDuopoly(a, b)
-	sub := mk.SolveSubsidizedDuopoly(
+	base := NewMarket(nil, pop, 0.4*sat).SolveDuopoly(a, b)
+	sub := NewMarket(nil, pop, 0.4*sat).SolveSubsidizedDuopoly(
 		SubsidizedISP{ISP: a, Sigma: 0},
 		SubsidizedISP{ISP: b, Sigma: 0},
 	)
-	if math.Abs(base.Shares[0]-sub.Shares[0]) > 1e-6 {
-		t.Fatalf("σ=0 shares differ: %v vs %v", base.Shares[0], sub.Shares[0])
+	for k := range base.Shares {
+		if base.Shares[k] != sub.Shares[k] {
+			t.Fatalf("σ=0 share %d: %v baseline, %v rebate game", k, base.Shares[k], sub.Shares[k])
+		}
+	}
+	if base.Phi != sub.Value {
+		t.Fatalf("σ=0 equalized level: Φ=%v baseline, Φ+σΨ=%v rebate game", base.Phi, sub.Value)
 	}
 }
 

@@ -44,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"github.com/netecon-sim/publicoption/internal/numeric"
@@ -233,6 +234,9 @@ func Run(ctx context.Context, prob Problem, spec Spec, opt Options) (*Result, er
 		return nil, err
 	}
 	spec = spec.withDefaults()
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
 	indicator := -1
 	if spec.IndicatorLayer != "" {
 		for i, name := range prob.Layers {
@@ -433,34 +437,32 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 		g := groups[len(groups)-1]
 		g.ixs = append(g.ixs, p.ix)
 	}
-	tasks := make([]func(), len(groups))
-	for gi := range groups {
-		g := groups[gi]
+	for _, g := range groups {
 		g.vals = make([][]float64, len(g.ixs))
 		g.reused = make([]bool, len(g.ixs))
-		tasks[gi] = func() {
-			var solver PointSolver
-			y := r.coordY(g.iy)
-			for k, ix := range g.ixs {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				x := r.coordX(ix)
-				if e.opt.Lookup != nil {
-					if v, ok := e.opt.Lookup(x, y); ok {
-						g.vals[k] = v
-						g.reused[k] = true
-						continue
-					}
-				}
-				if solver == nil {
-					solver = r.prob.NewSolver()
-				}
-				g.vals[k] = solver.Solve(x, y)
-			}
-		}
 	}
-	sweep.RunParallel(e.opt.Workers, tasks)
+	sweep.RunRows(e.opt.Workers, len(groups), func(_, gi int) {
+		g := groups[gi]
+		var solver PointSolver
+		y := r.coordY(g.iy)
+		for k, ix := range g.ixs {
+			if ctx != nil && ctx.Err() != nil {
+				return
+			}
+			x := r.coordX(ix)
+			if e.opt.Lookup != nil {
+				if v, ok := e.opt.Lookup(x, y); ok {
+					g.vals[k] = v
+					g.reused[k] = true
+					continue
+				}
+			}
+			if solver == nil {
+				solver = r.prob.NewSolver()
+			}
+			g.vals[k] = solver.Solve(x, y)
+		}
+	})
 	if ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}

@@ -108,21 +108,16 @@ func (p *PopulationSpec) materializeBatched() (traffic.Population, error) {
 func (bp *batchedPop) aggregates(tau float64, workers int) (rate, phi float64) {
 	rates := make([]float64, len(bp.batches))
 	phis := make([]float64, len(bp.batches))
-	tasks := make([]func(), len(bp.batches))
-	for b := range bp.batches {
-		b := b
-		tasks[b] = func() {
-			batch := &bp.batches[b]
-			var r, p float64
-			for i := range batch.alpha {
-				ar := batch.alpha[i] * batch.rho(i, tau)
-				r += ar
-				p += batch.phi[i] * ar
-			}
-			rates[b], phis[b] = r, p
+	sweep.RunRows(workers, len(bp.batches), func(_, b int) {
+		batch := &bp.batches[b]
+		var r, p float64
+		for i := range batch.alpha {
+			ar := batch.alpha[i] * batch.rho(i, tau)
+			r += ar
+			p += batch.phi[i] * ar
 		}
-	}
-	sweep.RunParallel(workers, tasks)
+		rates[b], phis[b] = r, p
+	})
 	return numeric.Sum(rates), numeric.Sum(phis)
 }
 

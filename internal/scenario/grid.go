@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/netecon-sim/publicoption/internal/core"
@@ -9,22 +10,21 @@ import (
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
-// GridJob is a compiled 2-D grid scenario: the materialized CP population,
-// both axes resolved to absolute model units, the output layer names, and a
-// per-worker cell solver. The runner (RunGrid) and the serving layer's
-// per-cell-cached batch endpoint both execute cells through a GridJob, so
-// a cell solved locally and a cell solved behind the HTTP cache are the
-// same computation.
-//
-// Cells are independent across rows; within a row they share warm-start
-// state (each cell seeds the next along the column axis). The intended
-// execution shape is therefore: one GridWorker per OS worker, rows
-// distributed by work stealing (sweep.RunRows), columns sequential.
+// GridJob is a compiled provider-market sweep: the materialized CP
+// population, both axes resolved to absolute model units, the output layer
+// names, and a cell solver. A 2-D grid compiles to one row per row-axis
+// value; a 1-D sweep compiles to a single row with no row axis. Every
+// static market solve — Run's 1-D sweeps, RunGrid and the serving layer's
+// per-cell-cached batch endpoint — executes through SolveRows, so a cell
+// solved locally and a cell solved behind the HTTP cache are the same
+// computation.
 type GridJob struct {
 	// Xs are the resolved column-axis values (absolute ν for a "nu" axis,
-	// never fractions of saturation), Ys the resolved row-axis values.
+	// never fractions of saturation), Ys the resolved row-axis values ({0}
+	// for a 1-D sweep).
 	Xs, Ys []float64
-	// XAxis and YAxis are the Axis* constants of the column and row axes.
+	// XAxis and YAxis are the Axis* constants of the column and row axes;
+	// YAxis is empty for a 1-D sweep.
 	XAxis, YAxis string
 	// Layers names the scalar fields each cell produces, in output order:
 	// "phi" for the market-level consumer surplus Φ, metric/provider (e.g.
@@ -81,6 +81,13 @@ func (s *Scenario) CompileGrid() (*GridJob, error) {
 	if !s.IsGrid() {
 		return nil, fmt.Errorf("scenario %q: declares a 1-D sweep (axis %q); solve it with Run", s.Name, s.Sweep.Axis)
 	}
+	return s.compile()
+}
+
+// compile materializes the population and resolves the sweep of a
+// validated scenario into a job: every ν made absolute, a 1-D sweep as one
+// row with no row axis.
+func (s *Scenario) compile() (*GridJob, error) {
 	pop, err := s.Population.Materialize()
 	if err != nil {
 		return nil, err
@@ -88,11 +95,14 @@ func (s *Scenario) CompileGrid() (*GridJob, error) {
 	sat := pop.TotalUnconstrainedPerCapita()
 	j := &GridJob{
 		XAxis:    s.Sweep.Axis,
-		YAxis:    s.Sweep.Grid.Axis,
 		Xs:       s.Sweep.XValues(),
-		Ys:       s.Sweep.Grid.RowValues(),
+		Ys:       []float64{0},
+		Layers:   s.layers(),
 		scenario: s,
 		pop:      pop,
+	}
+	if s.IsGrid() {
+		j.YAxis, j.Ys = s.Sweep.Grid.Axis, s.Sweep.Grid.RowValues()
 	}
 	if j.XAxis == AxisNu {
 		j.Xs = s.resolveNu(j.Xs, sat)
@@ -100,22 +110,30 @@ func (s *Scenario) CompileGrid() (*GridJob, error) {
 	if j.YAxis == AxisNu {
 		j.Ys = s.resolveNu(j.Ys, sat)
 	}
-	if j.XAxis != AxisNu && j.YAxis != AxisNu {
+	if !s.sweepsAxis(AxisNu) {
 		j.fixedNu = s.Sweep.Nu
 		if s.Sweep.OfSaturation {
 			j.fixedNu *= sat
 		}
 	}
+	return j, nil
+}
+
+// layers lists the output layers of the scenario's market sweep, in output
+// order: "phi" for the market-level metric, metric/provider for the
+// per-provider ones.
+func (s *Scenario) layers() []string {
+	var layers []string
 	for _, m := range s.Sweep.metrics() {
 		if m == MetricPhi {
-			j.Layers = append(j.Layers, MetricPhi)
+			layers = append(layers, MetricPhi)
 			continue
 		}
 		for _, p := range s.Providers {
-			j.Layers = append(j.Layers, m+"/"+p.Name)
+			layers = append(layers, m+"/"+p.Name)
 		}
 	}
-	return j, nil
+	return layers
 }
 
 // Cells returns the total cell count (rows × columns).
@@ -151,8 +169,9 @@ func (j *GridJob) NewGrid() *sweep.Grid {
 
 // GridWorker owns one warm-started solver (and, through it, the reusable
 // allocation-free equilibrium workspaces). Workers are not safe for
-// concurrent use; create one per goroutine with NewWorker and feed it cells
-// in column order within a row to get the warm-start benefit.
+// concurrent use, and each solve seeds the next: SolveRows gives every row
+// a fresh worker and feeds it the row's cells in column order, so a cell's
+// value depends on its row alone.
 type GridWorker struct {
 	job *GridJob
 	mk  *core.Market
@@ -185,18 +204,24 @@ func (w *GridWorker) SolveCell(row, col int) Cell {
 // verification probes land between the seed knots. Axis domains are convex,
 // so any point between validated grid bounds is itself valid.
 func (w *GridWorker) SolveAt(x, y float64) map[string]float64 {
+	pt, _ := w.solve(x, y)
+	return w.job.cellValues(pt)
+}
+
+// solve is SolveAt returning the metric point and the solved per-provider
+// class equilibria.
+func (w *GridWorker) solve(x, y float64) (point, []providerEq) {
 	j := w.job
 	nu := j.fixedNu
 	var axes []axisValue
-	if j.XAxis == AxisNu {
-		nu = x
-	} else {
-		axes = append(axes, axisValue{j.XAxis, x})
-	}
-	if j.YAxis == AxisNu {
-		nu = y
-	} else {
-		axes = append(axes, axisValue{j.YAxis, y})
+	for _, av := range []axisValue{{j.XAxis, x}, {j.YAxis, y}} {
+		switch av.axis {
+		case AxisNu:
+			nu = av.value
+		case "": // a 1-D sweep has no row axis
+		default:
+			axes = append(axes, av)
+		}
 	}
 	if w.mk == nil {
 		w.mk = core.NewMarket(core.NewSolver(nil), j.pop, nu)
@@ -204,8 +229,7 @@ func (w *GridWorker) SolveAt(x, y float64) map[string]float64 {
 	} else {
 		w.mk.NuBar = nu // keeps the per-ISP warm partitions
 	}
-	pt := j.scenario.solveAt(w.mk, axes)
-	return j.cellValues(pt)
+	return j.scenario.solveAt(w.mk, axes)
 }
 
 // cellValues flattens a solved point into the job's layer map.
@@ -232,40 +256,80 @@ func (j *GridJob) cellValues(pt point) map[string]float64 {
 	return vals
 }
 
-// RunGrid validates and solves a 2-D grid scenario: rows are distributed
-// across workers by work stealing (sweep.RunRows), each worker reuses one
-// warm-started solver for every row it claims, and cells within a row
-// warm-start each other along the column axis. The result is one grid with
-// one layer per recorded metric (per metric and provider for per-provider
-// metrics).
+// SolveRows is the one executor of static market solves. It solves the
+// columns cols(row) of each listed row, hands every solved cell to emit —
+// concurrently, from up to workers goroutines — and returns the summed
+// solver telemetry.
+//
+// The unit of work is one row, solved in column order on a fresh
+// GridWorker, so a cell's value depends only on its row's column list,
+// never on the worker count or on which rows a worker claimed before. The
+// one exception is a job with no row axis (a 1-D sweep): its single row is
+// cut into chunkRanges(len(cols), workers) contiguous chunks, each on a
+// fresh worker, so one curve keeps its column parallelism. Once ctx is done
+// no cell is started; a nil ctx never cancels.
+func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, cols func(row int) []int, emit func(Cell)) obs.SolveStats {
+	type unit struct {
+		row  int
+		cols []int
+	}
+	var units []unit
+	for _, row := range rows {
+		cs := cols(row)
+		if j.YAxis != "" {
+			units = append(units, unit{row, cs})
+			continue
+		}
+		for _, r := range chunkRanges(len(cs), workers) {
+			units = append(units, unit{row, cs[r[0]:r[1]]})
+		}
+	}
+	stats := make([]obs.SolveStats, len(units))
+	sweep.RunRowsContext(ctx, workers, len(units), func(_, u int) {
+		w := j.NewWorker()
+		for _, col := range units[u].cols {
+			if ctx != nil && ctx.Err() != nil {
+				break
+			}
+			emit(w.SolveCell(units[u].row, col))
+		}
+		stats[u] = w.Stats()
+	})
+	var total obs.SolveStats
+	for _, st := range stats {
+		total.Accumulate(st)
+	}
+	return total
+}
+
+// solveAll solves every cell of the job into a fresh result grid.
+func (j *GridJob) solveAll(opt RunOptions) *sweep.Grid {
+	g := j.NewGrid()
+	rows := make([]int, len(j.Ys))
+	for i := range rows {
+		rows[i] = i
+	}
+	cols := make([]int, len(j.Xs))
+	for i := range cols {
+		cols[i] = i
+	}
+	opt.Stats.Add(j.SolveRows(nil, opt.workers(), rows, func(int) []int { return cols }, func(c Cell) {
+		for li, name := range j.Layers {
+			g.Layers[li].Z[c.Row][c.Col] = c.Values[name]
+		}
+	}))
+	return g
+}
+
+// RunGrid validates and solves a 2-D grid scenario through SolveRows: rows
+// are distributed across workers by work stealing, each on a fresh
+// warm-started solver, and cells within a row warm-start each other along
+// the column axis. The result is one grid with one layer per recorded
+// metric (per metric and provider for per-provider metrics).
 func (s *Scenario) RunGrid(opt RunOptions) (*sweep.Grid, error) {
 	job, err := s.CompileGrid()
 	if err != nil {
 		return nil, err
 	}
-	g := job.NewGrid()
-	workers := opt.workers()
-	if workers > len(job.Ys) {
-		workers = len(job.Ys)
-	}
-	state := make([]*GridWorker, workers)
-	sweep.RunRows(workers, len(job.Ys), func(worker, row int) {
-		if state[worker] == nil {
-			state[worker] = job.NewWorker()
-		}
-		for col := range job.Xs {
-			cell := state[worker].SolveCell(row, col)
-			for li, name := range job.Layers {
-				g.Layers[li].Z[row][col] = cell.Values[name]
-			}
-		}
-	})
-	if opt.Stats != nil {
-		for _, w := range state {
-			if w != nil {
-				opt.Stats.Add(w.Stats())
-			}
-		}
-	}
-	return g, nil
+	return job.solveAll(opt), nil
 }

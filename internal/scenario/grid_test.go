@@ -194,9 +194,9 @@ func TestCompileGridLayersAndCells(t *testing.T) {
 }
 
 func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
-	// A grid row at fixed ν must reproduce the 1-D sweep at that ν: same
-	// cells, same physics, different execution path (work-stealing row
-	// runner + shared warm solver vs chunked 1-D sweep).
+	// A grid row at fixed ν must reproduce the 1-D sweep at that ν bit for
+	// bit: both run through GridJob.SolveRows, and a grid row on its fresh
+	// solver is the one chunk of a single-worker 1-D sweep.
 	s := tinyGridScenario(t)
 	g, err := s.RunGrid(RunOptions{Workers: 2})
 	if err != nil {
@@ -218,7 +218,7 @@ func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 		}
 		for i := range phiRow.X {
 			want := tables[0].Series[0].Y[i]
-			if diff := math.Abs(phiRow.Y[i] - want); diff > 1e-6*(1+math.Abs(want)) {
+			if math.Float64bits(phiRow.Y[i]) != math.Float64bits(want) {
 				t.Errorf("phi(γ=%g, ν=%g) = %g via grid, %g via 1-D sweep",
 					phiRow.X[i], nu, phiRow.Y[i], want)
 			}
@@ -229,7 +229,7 @@ func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 		}
 		for i := range shareRow.X {
 			want := tables[1].Series[1].Y[i]
-			if diff := math.Abs(shareRow.Y[i] - want); diff > 1e-6*(1+math.Abs(want)) {
+			if math.Float64bits(shareRow.Y[i]) != math.Float64bits(want) {
 				t.Errorf("share_po(γ=%g, ν=%g) = %g via grid, %g via 1-D sweep",
 					shareRow.X[i], nu, shareRow.Y[i], want)
 			}
@@ -237,26 +237,52 @@ func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 	}
 }
 
+// Every grid row runs on a fresh warm-started solver, so a grid's cells are
+// bit-identical at any worker count. duopoly-price-kappa on a 60-CP
+// ensemble used to move by 2.5e-5 at (c=0, κ=0.75) when a worker carried
+// its warm solver from one claimed row into the next.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
-	s := tinyGridScenario(t)
-	g1, err := s.RunGrid(RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	duopoly := func(t *testing.T) *Scenario {
+		s, ok := Get("duopoly-price-kappa")
+		if !ok {
+			t.Fatal("duopoly-price-kappa not registered")
+		}
+		if err := s.ApplyEnsembleOverrides(7, 60); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	g4, err := tinyGridScenario(t).RunGrid(RunOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li := range g1.Layers {
-		for r := range g1.Ys {
-			for c := range g1.Xs {
-				a, b := g1.Layers[li].Z[r][c], g4.Layers[li].Z[r][c]
-				if diff := math.Abs(a - b); diff > 1e-6*(1+math.Abs(a)) {
-					t.Errorf("layer %s cell (%d,%d): %g with 1 worker, %g with 4",
-						g1.Layers[li].Name, r, c, a, b)
+	for _, tc := range []struct {
+		name    string
+		build   func(*testing.T) *Scenario
+		workers []int
+	}{
+		{"tiny-grid", tinyGridScenario, []int{1, 4}},
+		{"duopoly-price-kappa", duopoly, []int{1, 2, 4, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.build(t).RunGrid(RunOptions{Workers: tc.workers[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range tc.workers[1:] {
+				got, err := tc.build(t).RunGrid(RunOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for li := range want.Layers {
+					for r := range want.Ys {
+						for c := range want.Xs {
+							a, b := want.Layers[li].Z[r][c], got.Layers[li].Z[r][c]
+							if math.Float64bits(a) != math.Float64bits(b) {
+								t.Errorf("layer %s cell (%d,%d): %v with %d workers, %v with %d",
+									want.Layers[li].Name, r, c, a, tc.workers[0], b, w)
+							}
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -76,23 +76,6 @@ func (r *RefineSpec) spec() refine.Spec {
 	}
 }
 
-// gridLayerNames lists the output layers a grid run of this scenario
-// produces, mirroring CompileGrid's layer construction without needing a
-// materialized population.
-func (s *Scenario) gridLayerNames() []string {
-	var layers []string
-	for _, m := range s.Sweep.metrics() {
-		if m == MetricPhi {
-			layers = append(layers, MetricPhi)
-			continue
-		}
-		for _, p := range s.Providers {
-			layers = append(layers, m+"/"+p.Name)
-		}
-	}
-	return layers
-}
-
 // RefineSpec returns the job's refinement policy (zero value when the
 // scenario declares no refine block — Run applies the defaults).
 func (j *GridJob) RefineSpec() refine.Spec {

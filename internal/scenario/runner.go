@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"github.com/netecon-sim/publicoption/internal/core"
 	"github.com/netecon-sim/publicoption/internal/numeric"
@@ -14,13 +15,15 @@ import (
 // RunOptions controls scenario execution, not its meaning: everything that
 // changes the modeled outcome lives in the Scenario itself.
 type RunOptions struct {
-	// Workers bounds parallelism (independent curves, grid chunks, or
-	// population batches depending on the scenario). 0 means GOMAXPROCS.
+	// Workers bounds parallelism: grid rows, the chunks of a 1-D market
+	// sweep, regime curves, or population batches depending on the
+	// scenario. 0 means GOMAXPROCS. Grid cells do not depend on it; a 1-D
+	// market sweep's chunk boundaries do.
 	Workers int
-	// Stats, when non-nil, receives each task solver's telemetry as tasks
-	// finish (one atomic publish per chunk/curve/row-worker, never per
-	// solve). Batched large-N scenarios run the water-fill instead of the
-	// equilibrium kernels and publish nothing.
+	// Stats, when non-nil, receives the run's solver telemetry (one atomic
+	// publish per run or regime curve, never per solve). Batched large-N
+	// scenarios run the water-fill instead of the equilibrium kernels and
+	// publish nothing.
 	Stats *obs.Counters
 }
 
@@ -42,10 +45,11 @@ func bestResponseGrid() core.StrategyGrid {
 	}
 }
 
-// Run validates the scenario, compiles it into warm-started solver tasks,
-// executes them via sweep.RunParallel, and returns one table per metric.
-// Tables carry the scenario title and serialize with sweep.Table.WriteCSV.
-// Grid scenarios (Sweep.Grid set) are 2-D and solve with RunGrid instead.
+// Run validates the scenario, solves its 1-D sweep, and returns one table
+// per metric. A provider-market sweep compiles to a one-row GridJob solved
+// by SolveRows. Tables carry the scenario title and serialize with
+// sweep.Table.WriteCSV. Grid scenarios (Sweep.Grid set) are 2-D and solve
+// with RunGrid instead.
 func (s *Scenario) Run(opt RunOptions) ([]*sweep.Table, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -62,11 +66,15 @@ func (s *Scenario) Run(opt RunOptions) ([]*sweep.Table, error) {
 	if s.Population.Kind == "ensemble" && s.Population.Batch > 0 {
 		return s.runBatched(opt)
 	}
-	return s.runMarket(opt)
+	job, err := s.compile()
+	if err != nil {
+		return nil, err
+	}
+	return s.layerTables(job.solveAll(opt)), nil
 }
 
-// nuGrid resolves the sweep's capacity values: the grid itself for the "nu"
-// axis, scaled by the population's saturation when requested.
+// resolveNu resolves capacity-axis values to absolute model units: scaled
+// by the population's saturation when the sweep asks for it.
 func (s *Scenario) resolveNu(values []float64, saturation float64) []float64 {
 	if !s.Sweep.OfSaturation {
 		return values
@@ -78,8 +86,8 @@ func (s *Scenario) resolveNu(values []float64, saturation float64) []float64 {
 	return out
 }
 
-// point is the full outcome of one sweep position: market-level surplus
-// plus per-provider metrics (for regime scenarios, "providers" are regimes).
+// point is the full outcome of one market solve: market-level surplus plus
+// per-provider metrics.
 type point struct {
 	phi   float64
 	psi   []float64
@@ -87,10 +95,11 @@ type point struct {
 	util  []float64
 }
 
-// metricTables assembles one table per requested metric from the per-point
-// results. The phi metric is market-level (one series); the others carry
-// one series per curve name.
-func (s *Scenario) metricTables(grid []float64, pts []point, curves []string) []*sweep.Table {
+// layerTables turns a one-row result grid into one table per metric: the
+// layer named after the metric becomes the table's one series of that name
+// (the market-level "phi"), and each layer metric/curve becomes the series
+// curve of the metric's table.
+func (s *Scenario) layerTables(g *sweep.Grid) []*sweep.Table {
 	var tables []*sweep.Table
 	for _, m := range s.Sweep.metrics() {
 		t := &sweep.Table{
@@ -98,28 +107,13 @@ func (s *Scenario) metricTables(grid []float64, pts []point, curves []string) []
 			XLabel: s.Sweep.Axis,
 			YLabel: m,
 		}
-		if m == MetricPhi {
-			series := sweep.Series{Name: "phi"}
-			for i, p := range pts {
-				series.Append(grid[i], p.phi)
+		for _, l := range g.Layers {
+			name, ok := strings.CutPrefix(l.Name, m+"/")
+			if l.Name == m {
+				name, ok = m, true
 			}
-			t.Add(series)
-		} else {
-			for k, name := range curves {
-				series := sweep.Series{Name: name}
-				for i, p := range pts {
-					var y float64
-					switch m {
-					case MetricPsi:
-						y = p.psi[k]
-					case MetricShare:
-						y = p.share[k]
-					case MetricUtilization:
-						y = p.util[k]
-					}
-					series.Append(grid[i], y)
-				}
-				t.Add(series)
+			if ok {
+				t.Add(sweep.Series{Name: name, X: append([]float64(nil), g.Xs...), Y: l.Z[0]})
 			}
 		}
 		tables = append(tables, t)
@@ -127,9 +121,9 @@ func (s *Scenario) metricTables(grid []float64, pts []point, curves []string) []
 	return tables
 }
 
-// chunkRanges splits n grid points into at most workers contiguous chunks.
-// Each chunk becomes one task with its own solver, so warm starts stay
-// within a monotone sub-sweep while chunks run in parallel.
+// chunkRanges splits n sweep points into at most workers contiguous chunks.
+// Each chunk is solved on its own fresh solver, so warm starts stay within
+// a monotone sub-sweep while chunks run in parallel.
 func chunkRanges(n, workers int) [][2]int {
 	if workers > n {
 		workers = n
@@ -151,73 +145,10 @@ func chunkRanges(n, workers int) [][2]int {
 // ---------------------------------------------------------------------------
 // Provider-market scenarios (monopoly, duopoly, oligopoly, subsidies).
 
-func (s *Scenario) runMarket(opt RunOptions) ([]*sweep.Table, error) {
-	pop, err := s.Population.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	grid := s.Sweep.XValues()
-	fixedNu := s.Sweep.Nu
-	if s.Sweep.Axis == AxisNu {
-		grid = s.resolveNu(grid, pop.TotalUnconstrainedPerCapita())
-	} else if s.Sweep.OfSaturation {
-		fixedNu *= pop.TotalUnconstrainedPerCapita()
-	}
-
-	pts := make([]point, len(grid))
-	curves := make([]string, len(s.Providers))
-	for i, p := range s.Providers {
-		curves[i] = p.Name
-	}
-
-	var tasks []func()
-	for _, r := range chunkRanges(len(grid), opt.workers()) {
-		lo, hi := r[0], r[1]
-		tasks = append(tasks, func() {
-			// One warm-started solver per chunk: points within a chunk are
-			// adjacent on the axis, so each solve seeds the next.
-			solver := core.NewSolver(nil)
-			var mk *core.Market
-			for i := lo; i < hi; i++ {
-				nu := fixedNu
-				if s.Sweep.Axis == AxisNu {
-					nu = grid[i]
-				}
-				if mk == nil {
-					mk = core.NewMarket(solver, pop, nu)
-					mk.MigrationTol = 1e-7
-				} else {
-					mk.NuBar = nu // keeps the per-ISP warm partitions
-				}
-				pts[i] = s.solvePoint(mk, grid[i])
-			}
-			// The solver is chunk-local, so its lifetime stats are this
-			// chunk's exact contribution.
-			opt.Stats.Add(solver.Stats())
-		})
-	}
-	sweep.RunParallel(opt.workers(), tasks)
-	return s.metricTables(grid, pts, curves), nil
-}
-
 // axisValue is one swept-axis assignment of a sweep point or grid cell.
 type axisValue struct {
 	axis  string
 	value float64
-}
-
-// solvePoint solves the declared market at one axis position x.
-func (s *Scenario) solvePoint(mk *core.Market, x float64) point {
-	return s.solveAt(mk, []axisValue{{s.Sweep.Axis, x}})
-}
-
-// solveAt solves the declared market with every listed axis assignment
-// applied. The "nu" axis is positional, not strategic — callers encode it
-// in mk.NuBar before the call, so it is skipped here. 1-D sweeps pass one
-// assignment; grid cells pass both of theirs.
-func (s *Scenario) solveAt(mk *core.Market, axes []axisValue) point {
-	pt, _ := s.solveAtEx(mk, axes)
-	return pt
 }
 
 // providerEq pairs one solved provider with its consumer market share and
@@ -229,10 +160,12 @@ type providerEq struct {
 	eq    *core.ClassEquilibrium
 }
 
-// solveAtEx is solveAt returning, alongside the metric point, the solved
+// solveAt solves the declared market with every listed strategic axis
+// assignment applied; the "nu" axis is positional, and callers encode it in
+// mk.NuBar before the call. It returns the metric point and the solved
 // per-provider class equilibria (safe to retain: the market solvers clone
 // equilibria out of their workspaces before publishing them).
-func (s *Scenario) solveAtEx(mk *core.Market, axes []axisValue) (point, []providerEq) {
+func (s *Scenario) solveAt(mk *core.Market, axes []axisValue) (point, []providerEq) {
 	isps := make([]core.ISP, len(s.Providers))
 	for i, p := range s.Providers {
 		st := core.Strategy{Kappa: p.Kappa, C: p.C}
@@ -258,12 +191,11 @@ func (s *Scenario) solveAtEx(mk *core.Market, axes []axisValue) (point, []provid
 		}
 	}
 	if subsidized {
-		out := solveSubsidized(mk, isps, s.Providers, sigma0)
-		eqs := make([]providerEq, len(out.ISPs))
-		for k := range out.ISPs {
-			eqs[k] = providerEq{out.ISPs[k].Name, out.Shares[k], out.Eqs[k]}
-		}
-		return subsidizedPoint(out), eqs
+		out := mk.SolveSubsidizedDuopoly(
+			core.SubsidizedISP{ISP: isps[0], Sigma: sigma0},
+			core.SubsidizedISP{ISP: isps[1], Sigma: s.Providers[1].Sigma},
+		)
+		return marketPoint(out.GrossPhi, isps, out.Shares, out.Eqs)
 	}
 
 	var out *core.MarketOutcome
@@ -272,18 +204,12 @@ func (s *Scenario) solveAtEx(mk *core.Market, axes []axisValue) (point, []provid
 		mk.MigrationTol = 1e-6
 		_, out, _ = mk.BestResponse(isps, who, bestResponseGrid())
 		mk.MigrationTol = prev
-	} else if len(isps) == 1 {
-		out = mk.SolveMarket(isps)
 	} else if len(isps) == 2 {
 		out = mk.SolveDuopoly(isps[0], isps[1])
 	} else {
 		out = mk.SolveMarket(isps)
 	}
-	eqs := make([]providerEq, len(out.ISPs))
-	for k := range out.ISPs {
-		eqs[k] = providerEq{out.ISPs[k].Name, out.Shares[k], out.Eqs[k]}
-	}
-	return outcomePoint(out), eqs
+	return marketPoint(out.Phi, out.ISPs, out.Shares, out.Eqs)
 }
 
 func bestResponder(providers []ProviderSpec) int {
@@ -295,45 +221,24 @@ func bestResponder(providers []ProviderSpec) int {
 	return -1
 }
 
-func outcomePoint(out *core.MarketOutcome) point {
+// marketPoint flattens a solved market into its metric point and its
+// per-provider equilibria.
+func marketPoint(phi float64, isps []core.ISP, shares []float64, eqs []*core.ClassEquilibrium) (point, []providerEq) {
 	p := point{
-		phi:   out.Phi,
-		psi:   make([]float64, len(out.ISPs)),
-		share: append([]float64(nil), out.Shares...),
-		util:  make([]float64, len(out.ISPs)),
+		phi:   phi,
+		psi:   make([]float64, len(isps)),
+		share: append([]float64(nil), shares...),
+		util:  make([]float64, len(isps)),
 	}
-	for k := range out.ISPs {
-		if out.Eqs[k] != nil {
-			p.psi[k] = out.Eqs[k].Psi() * out.Shares[k]
-			p.util[k] = out.Eqs[k].Utilization()
+	peqs := make([]providerEq, len(isps))
+	for k := range isps {
+		peqs[k] = providerEq{isps[k].Name, shares[k], eqs[k]}
+		if eqs[k] != nil {
+			p.psi[k] = eqs[k].Psi() * shares[k]
+			p.util[k] = eqs[k].Utilization()
 		}
 	}
-	return p
-}
-
-// solveSubsidized solves the two-ISP rebate game (§VI extension) with the
-// first provider rebating fraction sigma of premium revenue.
-func solveSubsidized(mk *core.Market, isps []core.ISP, providers []ProviderSpec, sigma0 float64) *core.SubsidizedOutcome {
-	a := core.SubsidizedISP{ISP: isps[0], Sigma: sigma0}
-	b := core.SubsidizedISP{ISP: isps[1], Sigma: providers[1].Sigma}
-	return mk.SolveSubsidizedDuopoly(a, b)
-}
-
-// subsidizedPoint flattens a rebate-game outcome into a metric point.
-func subsidizedPoint(out *core.SubsidizedOutcome) point {
-	p := point{
-		phi:   out.GrossPhi,
-		psi:   make([]float64, len(out.ISPs)),
-		share: append([]float64(nil), out.Shares...),
-		util:  make([]float64, len(out.ISPs)),
-	}
-	for k := range out.ISPs {
-		if out.Eqs[k] != nil {
-			p.psi[k] = out.Eqs[k].Psi() * out.Shares[k]
-			p.util[k] = out.Eqs[k].Utilization()
-		}
-	}
-	return p
+	return p, peqs
 }
 
 // ---------------------------------------------------------------------------
@@ -342,66 +247,46 @@ func subsidizedPoint(out *core.SubsidizedOutcome) point {
 var allRegimes = []string{"unregulated", "kappa-cap", "price-cap", "neutral", "public-option"}
 
 func (s *Scenario) runRegimes(opt RunOptions) ([]*sweep.Table, error) {
-	pop, err := s.Population.Materialize()
+	job, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	grid := s.resolveNu(s.Sweep.XValues(), pop.TotalUnconstrainedPerCapita())
-	regimes := s.Regulation.Regimes
-	if len(regimes) == 0 {
-		regimes = allRegimes
-	}
 	rc := s.Regulation.withDefaults()
-
-	// One task per regime: each curve owns its solver and sweeps capacity
+	regimes := rc.Regimes
+	metrics := s.Sweep.metrics()
+	var layers []string
+	for _, m := range metrics {
+		for _, r := range regimes {
+			layers = append(layers, m+"/"+r)
+		}
+	}
+	g := sweep.NewGrid(s.Title, s.Sweep.Axis, "", job.Xs, job.Ys, layers)
+	// One regime curve per unit: each owns its solver and sweeps capacity
 	// sequentially, warm-starting point to point.
-	results := make([][]point, len(regimes))
-	tasks := make([]func(), len(regimes))
-	for r := range regimes {
-		r := r
-		tasks[r] = func() {
-			results[r] = regimeCurve(regimes[r], grid, pop, rc, opt.Stats)
-		}
-	}
-	sweep.RunParallel(opt.workers(), tasks)
-
-	// Reassemble: curve k of the combined tables is regime k.
-	pts := make([]point, len(grid))
-	for i := range pts {
-		pts[i] = point{
-			psi:   make([]float64, len(regimes)),
-			share: make([]float64, len(regimes)),
-			util:  make([]float64, len(regimes)),
-		}
-		for r := range regimes {
-			pts[i].psi[r] = results[r][i].psi[0]
-			pts[i].share[r] = results[r][i].share[0]
-			pts[i].util[r] = results[r][i].util[0]
-		}
-	}
-	tables := s.metricTables(grid, pts, regimes)
-	// The market-level phi differs per regime, so rebuild that table with
-	// one series per regime.
-	for ti, m := range s.Sweep.metrics() {
-		if m != MetricPhi {
-			continue
-		}
-		t := &sweep.Table{Title: tables[ti].Title, XLabel: s.Sweep.Axis, YLabel: m}
-		for r, name := range regimes {
-			series := sweep.Series{Name: name}
-			for i := range grid {
-				series.Append(grid[i], results[r][i].phi)
+	sweep.RunRows(opt.workers(), len(regimes), func(_, r int) {
+		mono := core.NewMonopoly(nil)
+		for i, nu := range job.Xs {
+			o := rc.solve(mono, regimes[r], nu, job.pop)
+			vals := map[string]float64{
+				MetricPhi: o.Phi, MetricPsi: o.Psi, MetricShare: o.Share,
+				MetricUtilization: o.Market.Eqs[0].Utilization(),
 			}
-			t.Add(series)
+			for mi, m := range metrics {
+				g.Layers[mi*len(regimes)+r].Z[0][i] = vals[m]
+			}
 		}
-		tables[ti] = t
-	}
-	return tables, nil
+		opt.Stats.Add(mono.Solver.Stats())
+	})
+	return s.layerTables(g), nil
 }
 
-// withDefaults fills unset regulation knobs with the registry defaults, so
-// the runner and the equilibrium sampler resolve regimes identically.
+// withDefaults fills unset regulation knobs with the registry defaults (no
+// listed regimes means all of them), so the runner and the equilibrium
+// sampler resolve regimes identically.
 func (r RegulationSpec) withDefaults() RegulationSpec {
+	if len(r.Regimes) == 0 {
+		r.Regimes = allRegimes
+	}
 	if r.KappaCap <= 0 || r.KappaCap > 1 {
 		r.KappaCap = 0.5
 	}
@@ -417,77 +302,19 @@ func (r RegulationSpec) withDefaults() RegulationSpec {
 	return r
 }
 
-// regimeSolver owns the warm-started solvers one regime curve reuses across
-// capacities (mirroring core.CompareRegimes one regime at a time).
-type regimeSolver struct {
-	solver *core.Solver
-	mono   *core.Monopoly
-	pop    traffic.Population
-	rc     RegulationSpec
-}
-
-func newRegimeSolver(pop traffic.Population, rc RegulationSpec) *regimeSolver {
-	solver := core.NewSolver(nil)
-	return &regimeSolver{solver: solver, mono: core.NewMonopoly(solver), pop: pop, rc: rc}
-}
-
-// solveAt solves one regulatory regime at capacity nu, returning the metric
-// point and the class equilibria of the regime's implied market structure
-// (the regulated monopolist, or the incumbent/Public Option pair).
-func (rs *regimeSolver) solveAt(regime string, nu float64) (point, []providerEq) {
-	var phi, psi, share, util float64
-	share = 1
-	var eqs []providerEq
-	switch regime {
-	case "unregulated":
-		_, eq := rs.mono.OptimalStrategy(1, nu, rs.pop, 10, rs.rc.GridN)
-		phi, psi, util = eq.Phi(), eq.Psi(), eq.Utilization()
-		eqs = []providerEq{{regime, 1, eq}}
-	case "kappa-cap":
-		_, eq := rs.mono.OptimalPrice(rs.rc.KappaCap, 1, nu, rs.pop, rs.rc.GridN)
-		phi, psi, util = eq.Phi(), eq.Psi(), eq.Utilization()
-		eqs = []providerEq{{regime, 1, eq}}
-	case "price-cap":
-		_, eq := rs.mono.OptimalPrice(1, rs.rc.PriceCap, nu, rs.pop, rs.rc.GridN)
-		phi, psi, util = eq.Phi(), eq.Psi(), eq.Utilization()
-		eqs = []providerEq{{regime, 1, eq}}
-	case "neutral":
-		eq := rs.solver.Competitive(core.PublicOption, nu, rs.pop)
-		phi, psi, util = eq.Phi(), 0, eq.Utilization()
-		eqs = []providerEq{{regime, 1, eq}}
-	case "public-option":
-		mk := core.NewMarket(rs.solver, rs.pop, nu)
-		mk.MigrationTol = 1e-6
-		isps := []core.ISP{
-			{Name: "incumbent", Gamma: 1 - rs.rc.POShare, Strategy: core.Strategy{Kappa: 1, C: 0.5}},
-			{Name: "public-option", Gamma: rs.rc.POShare, Strategy: core.PublicOption},
+// solve solves one regulatory regime at capacity nu on the caller's monopoly
+// analyzer, which a regime curve reuses across capacities for its warm
+// starts.
+func (r RegulationSpec) solve(mono *core.Monopoly, regime string, nu float64, pop traffic.Population) core.RegimeOutcome {
+	grid := bestResponseGrid()
+	for reg := core.RegimeUnregulated; reg <= core.RegimePublicOption; reg++ {
+		if reg.String() == regime {
+			return core.SolveRegime(mono, reg, nu, pop, core.RegimeConfig{
+				KappaCap: r.KappaCap, PriceCap: r.PriceCap, POShare: r.POShare, GridN: r.GridN, POGrid: &grid,
+			})
 		}
-		_, o, _ := mk.BestResponse(isps, 0, bestResponseGrid())
-		phi = o.Phi
-		psi = o.Eqs[0].Psi() * o.Shares[0]
-		share = o.Shares[0]
-		util = o.Eqs[0].Utilization()
-		eqs = []providerEq{
-			{regime + ":" + o.ISPs[0].Name, o.Shares[0], o.Eqs[0]},
-			{regime + ":" + o.ISPs[1].Name, o.Shares[1], o.Eqs[1]},
-		}
-	default:
-		panic("scenario: unknown regime " + regime) // Validate rejects these
 	}
-	return point{phi: phi, psi: []float64{psi}, share: []float64{share}, util: []float64{util}}, eqs
-}
-
-// regimeCurve sweeps one regulatory regime across capacities with its own
-// warm-started solver, publishing the curve's solver telemetry to stats
-// (nil-safe) when done.
-func regimeCurve(regime string, nus []float64, pop traffic.Population, rc RegulationSpec, stats *obs.Counters) []point {
-	rs := newRegimeSolver(pop, rc)
-	out := make([]point, len(nus))
-	for i, nu := range nus {
-		out[i], _ = rs.solveAt(regime, nu)
-	}
-	stats.Add(rs.solver.Stats())
-	return out
+	panic("scenario: unknown regime " + regime) // Validate rejects these
 }
 
 // ---------------------------------------------------------------------------
@@ -503,29 +330,32 @@ func (s *Scenario) runBatched(opt RunOptions) ([]*sweep.Table, error) {
 	// pooled rate equilibrium. The curve is sequential (each water level
 	// warm-starts the next — Axiom 3); parallelism is across population
 	// batches inside each point.
-	pts := make([]point, len(grid))
-	order := ascendingOrder(grid)
+	g := sweep.NewGrid(s.Title, s.Sweep.Axis, "", grid, []float64{0}, s.layers())
 	tau := 0.0
-	for _, i := range order {
+	for _, i := range ascendingOrder(grid) {
 		var phi, util float64
 		tau, phi, util = bp.neutralPoint(grid[i], tau, opt.workers())
-		p := point{
-			phi:   phi,
-			psi:   make([]float64, len(s.Providers)),
-			share: make([]float64, len(s.Providers)),
-			util:  make([]float64, len(s.Providers)),
+		// Layers run metric by metric, provider by provider (see layers);
+		// Ψ stays 0 for neutral providers.
+		li := 0
+		for _, m := range s.Sweep.metrics() {
+			if m == MetricPhi {
+				g.Layers[li].Z[0][i] = phi
+				li++
+				continue
+			}
+			for _, p := range s.Providers {
+				switch m {
+				case MetricShare:
+					g.Layers[li].Z[0][i] = p.Gamma
+				case MetricUtilization:
+					g.Layers[li].Z[0][i] = util
+				}
+				li++
+			}
 		}
-		for k, prov := range s.Providers {
-			p.share[k] = prov.Gamma
-			p.util[k] = util
-		}
-		pts[i] = p
 	}
-	curves := make([]string, len(s.Providers))
-	for i, p := range s.Providers {
-		curves[i] = p.Name
-	}
-	return s.metricTables(grid, pts, curves), nil
+	return s.layerTables(g), nil
 }
 
 // ascendingOrder returns grid indices sorted by value so the water-fill

@@ -43,14 +43,6 @@ type LinkEquilibrium struct {
 // Link renders the provider/class label used in reports.
 func (l *LinkEquilibrium) Link() string { return l.Provider + "/" + l.Class }
 
-// sampleCell is one solvable sweep position: the absolute per-capita
-// capacity plus the strategic axis assignments of the cell.
-type sampleCell struct {
-	nu    float64
-	axes  []axisValue
-	label string
-}
-
 // SampleEquilibria solves a deterministic subsample of the scenario's sweep
 // cells and returns every non-empty class equilibrium found there — the
 // equilibrium sampling hook behind internal/validate and `pubopt validate`.
@@ -78,15 +70,21 @@ func (s *Scenario) SampleEquilibria(opt SampleOptions) ([]LinkEquilibrium, error
 	if seed == 0 {
 		seed = 1
 	}
-	pop, err := s.Population.Materialize()
+	job, err := s.compile()
 	if err != nil {
 		return nil, err
 	}
-	cells := s.sampleCells(pop.TotalUnconstrainedPerCapita())
-	picked := sweep.SampleIndices(len(cells), maxCells, seed)
+	picked := sweep.SampleIndices(job.Cells(), maxCells, seed)
+	label := func(row, col int) string {
+		l := fmt.Sprintf("%s=%.6g", job.XAxis, job.Xs[col])
+		if job.YAxis != "" {
+			l += fmt.Sprintf(",%s=%.6g", job.YAxis, job.Ys[row])
+		}
+		return l
+	}
 
 	var out []LinkEquilibrium
-	emit := func(c sampleCell, name string, share float64, eq *core.ClassEquilibrium) {
+	emit := func(cell, name string, share float64, eq *core.ClassEquilibrium) {
 		if eq == nil {
 			return
 		}
@@ -98,97 +96,41 @@ func (s *Scenario) SampleEquilibria(opt SampleOptions) ([]LinkEquilibrium, error
 				continue // empty class, or a zero-capacity class (κ = 0 or 1)
 			}
 			out = append(out, LinkEquilibrium{
-				Scenario: s.Name, Cell: c.label, Provider: name,
+				Scenario: s.Name, Cell: cell, Provider: name,
 				Class: cl.name, Share: share, Eq: cl.res.Clone(),
 			})
 		}
 	}
 
 	if s.Regulation != nil {
+		// One warm analyzer per regime, capacities in ascending order — the
+		// same traversal shape as runRegimes. Regime sweeps are 1-D, so the
+		// picked cell index is the column.
 		rc := s.Regulation.withDefaults()
-		regimes := rc.Regimes
-		if len(regimes) == 0 {
-			regimes = allRegimes
-		}
-		// One warm solver per regime, capacities in ascending order — the
-		// same traversal shape as runRegimes.
-		for _, regime := range regimes {
-			rs := newRegimeSolver(pop, rc)
-			for _, ci := range picked {
-				c := cells[ci]
-				_, eqs := rs.solveAt(regime, c.nu)
-				for _, pe := range eqs {
-					emit(c, pe.name, pe.share, pe.eq)
+		for _, regime := range rc.Regimes {
+			mono := core.NewMonopoly(nil)
+			for _, col := range picked {
+				m := rc.solve(mono, regime, job.Xs[col], job.pop).Market
+				for k, isp := range m.ISPs {
+					name := regime
+					if len(m.ISPs) > 1 {
+						name += ":" + isp.Name
+					}
+					emit(label(0, col), name, m.Shares[k], m.Eqs[k])
 				}
 			}
 		}
 		return out, nil
 	}
 
-	solver := core.NewSolver(nil)
-	var mk *core.Market
+	// One warm worker across the picked cells, in row-major order.
+	w := job.NewWorker()
 	for _, ci := range picked {
-		c := cells[ci]
-		if mk == nil {
-			mk = core.NewMarket(solver, pop, c.nu)
-			mk.MigrationTol = 1e-7
-		} else {
-			mk.NuBar = c.nu // keeps the per-ISP warm partitions
-		}
-		_, eqs := s.solveAtEx(mk, c.axes)
+		row, col := ci/len(job.Xs), ci%len(job.Xs)
+		_, eqs := w.solve(job.Xs[col], job.Ys[row])
 		for _, pe := range eqs {
-			emit(c, pe.name, pe.share, pe.eq)
+			emit(label(row, col), pe.name, pe.share, pe.eq)
 		}
 	}
 	return out, nil
-}
-
-// sampleCells enumerates the scenario's sweep positions — one per 1-D sweep
-// point, one per 2-D grid cell in row-major order — with every ν resolved
-// to absolute model units (mirroring runMarket and CompileGrid).
-func (s *Scenario) sampleCells(sat float64) []sampleCell {
-	label := func(axis string, v float64) string { return fmt.Sprintf("%s=%.6g", axis, v) }
-	fixedNu := s.Sweep.Nu
-	if s.Sweep.OfSaturation && !s.sweepsAxis(AxisNu) {
-		fixedNu *= sat
-	}
-	xs := s.Sweep.XValues()
-	if s.Sweep.Axis == AxisNu {
-		xs = s.resolveNu(xs, sat)
-	}
-	if !s.IsGrid() {
-		cells := make([]sampleCell, len(xs))
-		for i, x := range xs {
-			c := sampleCell{nu: fixedNu, label: label(s.Sweep.Axis, x)}
-			if s.Sweep.Axis == AxisNu {
-				c.nu = x
-			} else {
-				c.axes = []axisValue{{s.Sweep.Axis, x}}
-			}
-			cells[i] = c
-		}
-		return cells
-	}
-	ys := s.Sweep.Grid.RowValues()
-	if s.Sweep.Grid.Axis == AxisNu {
-		ys = s.resolveNu(ys, sat)
-	}
-	cells := make([]sampleCell, 0, len(xs)*len(ys))
-	for _, y := range ys {
-		for _, x := range xs {
-			c := sampleCell{nu: fixedNu, label: label(s.Sweep.Axis, x) + "," + label(s.Sweep.Grid.Axis, y)}
-			if s.Sweep.Axis == AxisNu {
-				c.nu = x
-			} else {
-				c.axes = append(c.axes, axisValue{s.Sweep.Axis, x})
-			}
-			if s.Sweep.Grid.Axis == AxisNu {
-				c.nu = y
-			} else {
-				c.axes = append(c.axes, axisValue{s.Sweep.Grid.Axis, y})
-			}
-			cells = append(cells, c)
-		}
-	}
-	return cells
 }

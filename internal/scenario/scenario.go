@@ -11,9 +11,10 @@
 // figures (fig4 to fig12 as grids), the regime comparison and the Public
 // Option capacity study, plus market structures from the related
 // literature (asymmetric duopolies, large-N oligopolies, revenue-rebating
-// incumbents). Run compiles any 1-D scenario — built-in or loaded from
-// JSON — into warm-started solver sweeps parallelized with
-// sweep.RunParallel, and RunGrid any 2-D one into rows on sweep.RunRows.
+// incumbents). Run and RunGrid compile a provider-market scenario — built-in
+// or loaded from JSON — into a GridJob (a 1-D sweep is one row with no row
+// axis) and solve it with the one executor, GridJob.SolveRows: every row on
+// a fresh warm-started solver, rows spread over workers by sweep.RunRows.
 // Large CP populations (10⁵–10⁶) are generated and evaluated in fixed-size
 // batches so memory stays bounded. The paper's studies that are not market
 // sweeps live as examples in the packages that own them: Figure 2 in
@@ -489,7 +490,7 @@ func (s *Scenario) validateSweep() error {
 			if len(sw.XValues()) < 2 || len(sw.Grid.RowValues()) < 2 {
 				return fmt.Errorf("refine needs at least 2 points per axis to seed the grid")
 			}
-			if err := sw.Grid.Refine.validate(s.gridLayerNames()); err != nil {
+			if err := sw.Grid.Refine.validate(s.layers()); err != nil {
 				return err
 			}
 		}

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
-	"github.com/netecon-sim/publicoption/internal/sweep"
 )
 
 // POST /v1/batch — the streaming batch runner. One request solves either a
@@ -220,18 +218,11 @@ func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage,
 // ---------------------------------------------------------------------------
 // Grid mode.
 
-// solvedCell pairs a solved cell with its cache key so the streaming loop
-// can insert it as it emits the frame.
-type solvedCell struct {
-	cell scenario.Cell
-	key  string
-}
-
 // batchGrid streams a grid scenario cell by cell: cached cells first (they
 // cost one map probe each), then solved cells in completion order. Solving
-// distributes rows across workers by work stealing with one warm-started
-// solver per worker, and only rows with at least one missing cell are
-// visited.
+// distributes rows across workers by work stealing with one fresh
+// warm-started solver per row, and only rows with at least one missing cell
+// are visited.
 func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
 	// Content-address every cell up front; the key layout is row-major.
 	keys := make([]string, job.Cells())
@@ -291,18 +282,20 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.
 	})
 }
 
-// solveGridRows solves the missing cells, warm-started along each row, and
-// streams each as it completes. Solving runs on its own goroutine so frames
-// keep flowing while rows are in flight. When the client disconnects the
-// workers stop within one cell each; cells solved meanwhile are still
-// cached — the work is not wasted.
+// solveGridRows solves the missing cells through the job's executor (each
+// row on a fresh warm-started solver, so a cell's bytes never depend on the
+// worker count) and streams each as it completes. Solving runs on its own
+// goroutine so frames keep flowing while rows are in flight. When the
+// client disconnects the workers stop within one cell each; cells solved
+// meanwhile are still cached — the work is not wasted.
 func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []int, missing map[int][]int, workers int) error {
 	cols := len(job.Xs)
-	var stopped atomic.Bool
+	ctx, stop := context.WithCancel(st.ctx)
+	defer stop()
 	var solveErr error
 	// A row's worth of buffer lets a worker run ahead of a frame write that
 	// is waiting on a slow client.
-	cells := make(chan solvedCell, cols)
+	cells := make(chan scenario.Cell, cols)
 	go func() {
 		// Writes to solveErr and st.delta happen before close(cells), which
 		// happens before the stream loop below ends, so reading them after
@@ -313,38 +306,23 @@ func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []
 				solveErr = fmt.Errorf("grid solve panicked: %v", p)
 			}
 		}()
-		state := make([]*scenario.GridWorker, min(workers, len(missRows)))
-		sweep.RunRowsContext(st.ctx, len(state), len(missRows), func(worker, ri int) {
-			if state[worker] == nil {
-				state[worker] = job.NewWorker()
-			}
-			row := missRows[ri]
-			for _, col := range missing[row] {
-				if stopped.Load() || st.ctx.Err() != nil {
-					return
-				}
-				cells <- solvedCell{cell: state[worker].SolveCell(row, col), key: keys[row*cols+col]}
-			}
-		})
-		for _, gw := range state {
-			if gw != nil {
-				st.delta.Accumulate(gw.Stats())
-			}
-		}
+		st.delta.Accumulate(job.SolveRows(ctx, workers, missRows, func(row int) []int { return missing[row] }, func(c scenario.Cell) {
+			cells <- c
+		}))
 	}()
 	for c := range cells {
-		st.bank("cell", c.key, c.cell, obs.SolveStats{})
-		if stopped.Load() {
+		st.bank("cell", keys[c.Row*cols+c.Col], c, obs.SolveStats{})
+		if ctx.Err() != nil {
 			continue
 		}
-		if st.ctx.Err() != nil || st.frame(&cellFrame{Cell: c.cell, Cache: cache.Miss.String(), Trace: st.echo}) != nil {
-			stopped.Store(true)
+		if st.frame(&cellFrame{Cell: c, Cache: cache.Miss.String(), Trace: st.echo}) != nil {
+			stop()
 		}
 	}
 	if solveErr != nil {
 		return solveErr
 	}
-	if stopped.Load() {
+	if ctx.Err() != nil {
 		return errClientGone
 	}
 	return nil

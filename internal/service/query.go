@@ -182,17 +182,19 @@ func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *o
 }
 
 // solvePoint solves one off-lattice point of grid name through the per-cell
-// equilibrium cache — the unverified-surrogate fallback of /v1/query.
+// equilibrium cache — the unverified-surrogate fallback of /v1/query. The
+// point is solved cold on the refinement adapter's point solver, as a
+// refinement probe is.
 func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (scenario.Cell, cache.Status, error) {
 	key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
 	if err != nil {
 		return scenario.Cell{}, 0, err
 	}
 	val, status, _, err := s.cached(ctx, "cell", name, key, func(stats *obs.Counters) (any, error) {
-		worker := job.NewWorker()
-		cell := scenario.Cell{Row: -1, Col: -1, X: x, Y: y, Values: worker.SolveAt(x, y)}
-		stats.Add(worker.Stats())
-		return cell, nil
+		prob, flush := job.RefineProblem(stats)
+		vals := prob.NewSolver().Solve(x, y)
+		flush()
+		return scenario.Cell{Row: -1, Col: -1, X: x, Y: y, Values: job.ValuesMap(vals)}, nil
 	})
 	if err != nil {
 		return scenario.Cell{}, status, err

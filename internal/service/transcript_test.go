@@ -75,9 +75,9 @@ func routeTranscripts() map[string][]transcriptStep {
 		"batch.txt": {
 			postStep("list cold", "/v1/batch", list),
 			postStep("list warm", "/v1/batch", list),
-			// One row worker: with several, a worker's warm-started solver
-			// carries over between the rows it happens to claim, which moves
-			// solved values in the last bits.
+			// One row worker: cells stream in completion order, so with
+			// several workers the frame order would vary (the values would
+			// not — every row solves on a fresh solver).
 			postStep("grid cold", "/v1/batch", fmt.Sprintf(`{"grid_json": %s, "workers": 1}`, tinyGrid)),
 			postStep("grid warm", "/v1/batch", fmt.Sprintf(`{"grid_json": %s}`, tinyGrid)),
 			postStep("grid resized", "/v1/batch", fmt.Sprintf(`{"grid_json": %s, "workers": 1}`, tinyGridJSON("tiny-grid-grown", "1, 1.5, 2"))),

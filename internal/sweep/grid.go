@@ -123,14 +123,16 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 // RunRows executes rows 0..rows-1 across up to workers goroutines with work
 // stealing: every worker repeatedly claims the next unclaimed row from a
 // shared counter, so a worker that lands on cheap rows takes more of them
-// and no worker idles while rows remain. This is the grid counterpart of
-// RunParallel's task list — rows are independent (only cells *within* a row
-// share warm-start state), so the unit of distribution is the row.
+// and no worker idles while rows remain. A "row" is any independent unit:
+// a grid row, a chunk of a 1-D sweep, a regime curve, a population batch.
+// workers <= 0 (or above rows) means one goroutine per row; callers with a
+// "0 = GOMAXPROCS" option resolve it first.
 //
 // run(worker, row) is called with the claiming worker's index in
-// [0,workers), letting callers keep one warm solver per worker across all
-// the rows that worker claims. Workers run sequentially within themselves;
-// panics propagate to the caller after all workers drain.
+// [0,workers). Which rows a worker claims depends on timing, so state kept
+// per worker across rows makes results depend on scheduling. Workers run
+// sequentially within themselves; panics propagate to the caller after all
+// workers drain.
 //
 //pubopt:hotpath
 func RunRows(workers, rows int, run func(worker, row int)) {
@@ -138,9 +140,9 @@ func RunRows(workers, rows int, run func(worker, row int)) {
 }
 
 // RunRowsContext is RunRows with cooperative cancellation: once ctx is done
-// no worker claims another row (rows already claimed run to completion, so
-// per-worker solver state is never abandoned mid-cell). A nil ctx never
-// cancels and behaves exactly like RunRows.
+// no worker claims another row (a row already claimed runs to completion
+// unless run itself watches ctx). A nil ctx never cancels and behaves
+// exactly like RunRows.
 //
 //pubopt:hotpath
 func RunRowsContext(ctx context.Context, workers, rows int, run func(worker, row int)) {

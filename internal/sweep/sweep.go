@@ -1,24 +1,21 @@
 // Package sweep provides the parameter-sweep machinery behind the figure
 // reproductions: named series, figure tables, 2-D grids, long-form CSV
-// export, and two small parallel runners.
+// export, and one work-stealing parallel runner, RunRows.
 //
 // Concurrency note: the game solvers in internal/core keep warm-start state
 // (partition warm starts plus their alloc.Workspace equilibrium kernels)
-// and are not safe for concurrent use. Sweeps along a single curve are
-// sequential by design (each point warm-starts the next); parallelism is
-// applied across independent curves via RunParallel, with one solver per
-// task. 2-D grids parallelize across rows via the work-stealing RunRows,
-// with one solver — and therefore one set of workspaces — per worker and
-// warm starts along each row.
+// and are not safe for concurrent use. RunRows distributes independent
+// units — grid rows, sweep chunks, regime curves, population batches —
+// across goroutines; whether a unit owns a fresh solver is the caller's
+// choice (internal/scenario's executor gives every unit a fresh one, so
+// answers do not depend on scheduling).
 package sweep
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
-	"sync"
 )
 
 // Series is one named curve of a figure: parallel X/Y slices in model
@@ -100,58 +97,6 @@ func writeLongCSV(w io.Writer, what string, header []string, emit func(write fun
 		return fmt.Errorf("sweep: flushing %s: %w", what, err)
 	}
 	return nil
-}
-
-// RunParallel executes the tasks concurrently on up to workers goroutines
-// (0 means GOMAXPROCS) and blocks until all complete. Each task must be
-// self-contained (own solver instances); panics propagate to the caller.
-func RunParallel(workers int, tasks []func()) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, task := range tasks {
-			task()
-		}
-		return
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first any
-	)
-	ch := make(chan func())
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for task := range ch {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if first == nil {
-								first = r
-							}
-							mu.Unlock()
-						}
-					}()
-					task()
-				}()
-			}
-		}()
-	}
-	for _, task := range tasks {
-		ch <- task
-	}
-	close(ch)
-	wg.Wait()
-	if first != nil {
-		panic(first)
-	}
 }
 
 // Map evaluates f over xs sequentially (warm-start friendly) and returns

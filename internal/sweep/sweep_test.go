@@ -3,7 +3,6 @@ package sweep
 import (
 	"bytes"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -46,44 +45,4 @@ func TestWriteCSVMismatchedSeries(t *testing.T) {
 	if err := tbl.WriteCSV(&bytes.Buffer{}); err == nil {
 		t.Fatal("expected error for mismatched series")
 	}
-}
-
-func TestRunParallelRunsAll(t *testing.T) {
-	var count atomic.Int64
-	tasks := make([]func(), 100)
-	for i := range tasks {
-		tasks[i] = func() { count.Add(1) }
-	}
-	RunParallel(8, tasks)
-	if count.Load() != 100 {
-		t.Fatalf("ran %d tasks, want 100", count.Load())
-	}
-}
-
-func TestRunParallelSequentialFallback(t *testing.T) {
-	order := make([]int, 0, 3)
-	tasks := []func(){
-		func() { order = append(order, 0) },
-		func() { order = append(order, 1) },
-		func() { order = append(order, 2) },
-	}
-	RunParallel(1, tasks)
-	if len(order) != 3 || order[0] != 0 || order[2] != 2 {
-		t.Fatalf("sequential order broken: %v", order)
-	}
-}
-
-func TestRunParallelPropagatesPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate")
-		}
-	}()
-	RunParallel(4, []func(){
-		func() {},
-		func() { panic("boom") },
-		func() {},
-		func() {},
-		func() {},
-	})
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/netecon-sim/publicoption/internal/alloc"
 	"github.com/netecon-sim/publicoption/internal/netsim"
@@ -102,6 +103,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Measure <= 0 {
 		o.Measure = 15
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -302,26 +306,21 @@ func Scenario(s *scenario.Scenario, opt Options) (*Report, error) {
 	}
 	rep := &Report{Scenario: s.Name, Samples: make([]LinkResult, len(links))}
 	errs := make([]error, len(links))
-	tasks := make([]func(), len(links))
-	for i := range links {
-		i := i
-		tasks[i] = func() {
-			l := &links[i]
-			// Decorrelate per-link simulator seeds deterministically.
-			lr, err := ReplayEquilibrium(l.Eq, alloc.MaxMin{}, opt.Seed+uint64(i)*0x9e3779b97f4a7c15, opt)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s %s %s: %w", l.Scenario, l.Cell, l.Link(), err)
-				return
-			}
-			lr.Scenario, lr.Cell, lr.Link = l.Scenario, l.Cell, l.Link()
-			for vi := range lr.Verdicts {
-				v := &lr.Verdicts[vi]
-				v.Scenario, v.Cell, v.Link = lr.Scenario, lr.Cell, lr.Link
-			}
-			rep.Samples[i] = *lr
+	sweep.RunRows(opt.Workers, len(links), func(_, i int) {
+		l := &links[i]
+		// Decorrelate per-link simulator seeds deterministically.
+		lr, err := ReplayEquilibrium(l.Eq, alloc.MaxMin{}, opt.Seed+uint64(i)*0x9e3779b97f4a7c15, opt)
+		if err != nil {
+			errs[i] = fmt.Errorf("%s %s %s: %w", l.Scenario, l.Cell, l.Link(), err)
+			return
 		}
-	}
-	sweep.RunParallel(opt.Workers, tasks)
+		lr.Scenario, lr.Cell, lr.Link = l.Scenario, l.Cell, l.Link()
+		for vi := range lr.Verdicts {
+			v := &lr.Verdicts[vi]
+			v.Scenario, v.Cell, v.Link = lr.Scenario, lr.Cell, lr.Link
+		}
+		rep.Samples[i] = *lr
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
