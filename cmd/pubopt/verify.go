@@ -64,8 +64,9 @@ func verifyCmd(args []string) error {
 
 	// Theorem 1: work conservation pins the equilibrium.
 	err := func() error {
+		ws := alloc.NewWorkspace(alloc.MaxMin{})
 		for _, frac := range []float64{0.1, 0.5, 0.9} {
-			res := alloc.Solve(alloc.MaxMin{}, frac*sat, pop)
+			res := ws.Solve(frac*sat, pop)
 			if math.Abs(res.Aggregate()-frac*sat) > 1e-6*sat {
 				return fmt.Errorf("aggregate %g != ν %g", res.Aggregate(), frac*sat)
 			}

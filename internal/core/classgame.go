@@ -367,13 +367,8 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 		Theta:     make([]float64, len(pop)),
 		Converged: true,
 	}
-	if len(pop) == 0 {
-		eq.Ordinary = alloc.Solve(s.Alloc, (1-strategy.Kappa)*nu, nil)
-		eq.Premium = alloc.Solve(s.Alloc, strategy.Kappa*nu, nil)
-		return eq
-	}
-	// κ = 0: no premium class exists; the trivial profile (N, ∅).
-	if strategy.NoPremium() {
+	// κ = 0 or no CPs: no premium class forms; the trivial profile (N, ∅).
+	if len(pop) == 0 || strategy.NoPremium() {
 		s.finalize(eq)
 		return eq
 	}

@@ -194,8 +194,8 @@ const shareCurvePoints = 96
 // still delivers Φ*. ISPs whose best achievable surplus is below Φ* hold no
 // consumers. Shares are finally renormalized to absorb interpolation error.
 //
-// Capacity shares must sum to 1 (within tolerance). For two ISPs,
-// SolveDuopoly is exact and faster.
+// Capacity shares must sum to 1 (within tolerance). The outcome keeps its
+// own copy of isps. For two ISPs, SolveDuopoly is exact and faster.
 func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	if len(isps) == 0 {
 		panic("core: SolveMarket needs at least one ISP")
@@ -217,7 +217,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	}
 	if len(isps) == 1 {
 		phi, eq := mk.phiAtShare(isps[0], 1)
-		return &MarketOutcome{ISPs: isps, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: phi}
+		return &MarketOutcome{ISPs: []ISP{isps[0]}, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: phi}
 	}
 
 	// Precompute Φ_k over a share grid, dense near zero where the curve
@@ -282,7 +282,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	// Σ m_k(Φ*) is non-increasing in Φ*; find Σ = 1.
 	phiStar := numeric.BisectDecreasing(func(p float64) float64 { return total(p) - 1 }, 0, phiMax, 1e-12*math.Max(phiMax, 1))
 
-	out := &MarketOutcome{ISPs: isps, NuBar: mk.NuBar, Phi: phiStar}
+	out := &MarketOutcome{ISPs: append([]ISP(nil), isps...), NuBar: mk.NuBar, Phi: phiStar}
 	out.Shares = make([]float64, len(isps))
 	var sum float64
 	for k := range isps {

@@ -47,7 +47,7 @@ func (mk *Market) BestResponse(isps []ISP, who int, grid StrategyGrid) (Strategy
 	cand := append([]ISP(nil), isps...)
 	for _, s := range grid.Strategies() {
 		cand[who].Strategy = s
-		out := mk.solveAny(cand)
+		out := mk.Solve(cand)
 		if m := out.Shares[who]; m > bestM+1e-12 {
 			bestS, bestOut, bestM = s, out, m
 		}
@@ -66,7 +66,7 @@ func (mk *Market) BestResponseForSurplus(isps []ISP, who int, grid StrategyGrid)
 	cand := append([]ISP(nil), isps...)
 	for _, s := range grid.Strategies() {
 		cand[who].Strategy = s
-		out := mk.solveAny(cand)
+		out := mk.Solve(cand)
 		if p := out.Phi; p > bestPhi+1e-12 {
 			bestS, bestOut, bestPhi = s, out, p
 		}
@@ -74,8 +74,9 @@ func (mk *Market) BestResponseForSurplus(isps []ISP, who int, grid StrategyGrid)
 	return bestS, bestOut, bestPhi
 }
 
-// solveAny picks the duopoly fast path when applicable.
-func (mk *Market) solveAny(isps []ISP) *MarketOutcome {
+// Solve computes the migration equilibrium of any number of ISPs: two go
+// to SolveDuopoly's exact bisection, any other count to SolveMarket.
+func (mk *Market) Solve(isps []ISP) *MarketOutcome {
 	if len(isps) == 2 {
 		return mk.SolveDuopoly(isps[0], isps[1])
 	}
@@ -117,7 +118,7 @@ func (mk *Market) MarketShareNash(isps []ISP, grid StrategyGrid, maxRounds int) 
 		}
 	}
 	res.ISPs = cur
-	res.Outcome = mk.solveAny(cur)
+	res.Outcome = mk.Solve(cur)
 	return res
 }
 
@@ -135,7 +136,7 @@ func (mk *Market) DeltaGap(isps []ISP, who int, grid StrategyGrid) float64 {
 	var pts []point
 	for _, s := range grid.Strategies() {
 		cand[who].Strategy = s
-		out := mk.solveAny(cand)
+		out := mk.Solve(cand)
 		pts = append(pts, point{m: out.Shares[who], phi: out.Phi})
 	}
 	var delta float64

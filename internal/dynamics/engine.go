@@ -284,29 +284,26 @@ func (e *Engine) buildISPs(nuBar float64) []core.ISP {
 func (e *Engine) solveMarket() *core.MarketOutcome {
 	nuBar := e.nuBar()
 	e.market.NuBar = nuBar
-	isps := e.buildISPs(nuBar)
-	if len(isps) == 2 {
-		return e.market.SolveDuopoly(isps[0], isps[1])
+	return e.market.Solve(e.buildISPs(nuBar))
+}
+
+// perCapita is provider k's per-capita capacity at its current share,
+// floored at shareFloor. It carries the same saturation cap as
+// core.Market.phiAtShare: far past saturation the equilibrium is flat, and
+// an uncapped ν → ∞ would stall the class solver on a vanishing provider.
+func (e *Engine) perCapita(k int) float64 {
+	nu := e.caps[k] / math.Max(e.shares[k], shareFloor)
+	if sat := e.workPop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
+		nu = 1e4 * sat
 	}
-	return e.market.SolveMarket(append([]core.ISP(nil), isps...))
+	return nu
 }
 
 // observe solves provider k's realized class equilibrium at its adjusted
 // share, warm-started from the previous tick's observation of the same
 // provider.
 func (e *Engine) observe(k int) *core.ClassEquilibrium {
-	m := e.shares[k]
-	if m < shareFloor {
-		m = shareFloor
-	}
-	nu := e.caps[k] / m
-	// Same saturation cap as core.Market.phiAtShare: far past saturation
-	// the equilibrium is flat, and an uncapped ν → ∞ would stall the class
-	// solver on a vanishing provider.
-	if sat := e.workPop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
-		nu = 1e4 * sat
-	}
-	eq := e.solver.CompetitiveFrom(e.strats[k], nu, e.workPop, e.obsWarm[k])
+	eq := e.solver.CompetitiveFrom(e.strats[k], e.perCapita(k), e.workPop, e.obsWarm[k])
 	e.obsWarm[k] = append(e.obsWarm[k][:0], eq.InPremium...)
 	return eq
 }

@@ -91,30 +91,16 @@ func (e *Engine) objective(k int, p scenario.PolicySpec, c float64) float64 {
 		e.market.NuBar = nuBar
 		isps := e.buildISPs(nuBar)
 		isps[k].Strategy = cand
-		var out *core.MarketOutcome
-		if len(isps) == 2 {
-			out = e.market.SolveDuopoly(isps[0], isps[1])
-		} else {
-			out = e.market.SolveMarket(append([]core.ISP(nil), isps...))
-		}
-		return out.Shares[k]
+		return e.market.Solve(isps).Shares[k]
 	default: // scenario.ObjectiveRevenue
 		// Per-subscriber premium revenue Ψ at the provider's current share:
 		// the myopic "what do my existing subscribers pay" view. The share
 		// factor is common to every candidate, so it cannot move the argmax
 		// and is left out.
-		m := e.shares[k]
-		if m < shareFloor {
-			m = shareFloor
-		}
-		nu := e.caps[k] / m
-		if sat := e.workPop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
-			nu = 1e4 * sat
-		}
 		if e.polWarm == nil {
 			e.polWarm = make([][]bool, len(e.names))
 		}
-		eq := e.solver.CompetitiveFrom(cand, nu, e.workPop, e.polWarm[k])
+		eq := e.solver.CompetitiveFrom(cand, e.perCapita(k), e.workPop, e.polWarm[k])
 		e.polWarm[k] = append(e.polWarm[k][:0], eq.InPremium...)
 		return eq.Psi()
 	}

@@ -35,7 +35,7 @@ func Phi(res *alloc.Result) float64 {
 // returns its per-capita consumer surplus. It is the function Φ(ν, N) whose
 // monotonicity is Theorem 2.
 func PhiAt(a alloc.Allocator, nu float64, pop traffic.Population) float64 {
-	return Phi(alloc.Solve(a, nu, pop))
+	return Phi(alloc.NewWorkspace(a).Solve(nu, pop))
 }
 
 // MaxPhi returns the saturation value Σ_i φ_i·α_i·θ̂_i that Φ reaches once

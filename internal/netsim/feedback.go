@@ -26,7 +26,7 @@ type DemandConfig struct {
 type DemandResult struct {
 	Theta      []float64 // per-CP per-user throughput from the simulator loop
 	FlowCounts []int     // final active flows per CP
-	Analytic   []float64 // alloc.Solve (max-min, Theorem 1) reference θ
+	Analytic   []float64 // the analytic max-min (Theorem 1) reference θ
 	// Compared[i] is false when CP i's analytic equilibrium demand rounds
 	// to fewer than two flows at this M: the analytic model is a continuum,
 	// and a CP that cannot field even a couple of discrete flows has no
@@ -104,7 +104,7 @@ func SolveDemandEquilibrium(cfg DemandConfig) (*DemandResult, error) {
 		}
 	}
 
-	analytic := alloc.Solve(alloc.MaxMin{}, cfg.Capacity/float64(cfg.M), cfg.Pop)
+	analytic := alloc.NewWorkspace(alloc.MaxMin{}).Solve(cfg.Capacity/float64(cfg.M), cfg.Pop)
 	out := &DemandResult{
 		Theta:      theta,
 		FlowCounts: counts,

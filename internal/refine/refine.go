@@ -211,9 +211,8 @@ type Result struct {
 	indicator int       // indicator layer index, -1 if unset
 
 	stats     obs.RefineStats
-	centerErr float64   // worst accepted center-test error (normalized)
-	probeErr  float64   // worst probe error (normalized)
-	layerErr  []float64 // worst probe error per layer
+	centerErr float64 // worst accepted center-test error (normalized)
+	probeErr  float64 // worst probe error (normalized)
 	verified  bool
 }
 
@@ -258,7 +257,6 @@ func Run(ctx context.Context, prob Problem, spec Spec, opt Options) (*Result, er
 		nSeedX:    len(prob.Xs) - 1,
 		points:    make(map[int64][]float64),
 		indicator: indicator,
-		layerErr:  make([]float64, len(prob.Layers)),
 	}
 	e := &engine{
 		r:    r,

@@ -13,24 +13,11 @@ import (
 // Stats returns the run's telemetry (work done, leaf-depth histogram).
 func (r *Result) Stats() obs.RefineStats { return r.stats }
 
-// ResolvedSpec returns the spec with defaults applied.
-func (r *Result) ResolvedSpec() Spec { return r.spec }
-
 // Tolerance returns the resolved relative tolerance.
 func (r *Result) Tolerance() float64 { return r.spec.Tol }
 
 // Layers returns the metric layer names, in solver order.
 func (r *Result) Layers() []string { return r.prob.Layers }
-
-// LayerIndex returns the index of the named layer, or -1.
-func (r *Result) LayerIndex(name string) int {
-	for i, n := range r.prob.Layers {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
 
 // Bounds returns the surrogate's domain.
 func (r *Result) Bounds() (x0, x1, y0, y1 float64) {
@@ -53,12 +40,6 @@ func (r *Result) MaxError() float64 {
 		return r.probeErr
 	}
 	return r.centerErr
-}
-
-// LayerErrors returns the worst observed probe error per layer (normalized).
-// All zeros when verification was disabled.
-func (r *Result) LayerErrors() []float64 {
-	return append([]float64(nil), r.layerErr...)
 }
 
 // Verified reports whether probe verification ran and every observed error
@@ -234,13 +215,10 @@ func (r *Result) Leaves() []Leaf {
 // points (deterministically drawn from spec.Seed) and compare each against
 // the surrogate. Probes flow through the Lookup/Store hooks like lattice
 // points, so a warm re-verification solves nothing. Resets and recomputes
-// probeErr/layerErr/verified — the falsifiability tests rely on a doctored
+// probeErr/verified — the falsifiability tests rely on a doctored
 // surrogate failing here.
 func (r *Result) reverify(ctx context.Context, opt Options) error {
 	r.probeErr = 0
-	for i := range r.layerErr {
-		r.layerErr[i] = 0
-	}
 	r.verified = false
 	if r.spec.Probes <= 0 {
 		return nil
@@ -289,9 +267,6 @@ func (r *Result) reverify(ctx context.Context, opt Options) error {
 			d := (truth[li] - r.eval(p.x, p.y, li)) / r.scale[li]
 			if d < 0 {
 				d = -d
-			}
-			if d > r.layerErr[li] {
-				r.layerErr[li] = d
 			}
 			if d > r.probeErr {
 				r.probeErr = d

@@ -262,12 +262,11 @@ func (j *GridJob) cellValues(pt point) map[string]float64 {
 // solver telemetry.
 //
 // The unit of work is one row, solved in column order on a fresh
-// GridWorker, so a cell's value depends only on its row's column list,
-// never on the worker count or on which rows a worker claimed before. The
+// GridWorker, so a cell's value depends only on its row's column list. The
 // one exception is a job with no row axis (a 1-D sweep): its single row is
-// cut into chunkRanges(len(cols), workers) contiguous chunks, each on a
-// fresh worker, so one curve keeps its column parallelism. Once ctx is done
-// no cell is started; a nil ctx never cancels.
+// cut into chunkRanges(len(cols)) contiguous chunks, each on a fresh
+// worker, so one curve keeps its column parallelism. Once ctx is done no
+// cell is started; a nil ctx never cancels.
 func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, cols func(row int) []int, emit func(Cell)) obs.SolveStats {
 	type unit struct {
 		row  int
@@ -280,7 +279,7 @@ func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, cols f
 			units = append(units, unit{row, cs})
 			continue
 		}
-		for _, r := range chunkRanges(len(cs), workers) {
+		for _, r := range chunkRanges(len(cs)) {
 			units = append(units, unit{row, cs[r[0]:r[1]]})
 		}
 	}

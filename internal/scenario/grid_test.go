@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -237,20 +238,25 @@ func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 	}
 }
 
-// Every grid row runs on a fresh warm-started solver, so a grid's cells are
-// bit-identical at any worker count. duopoly-price-kappa on a 60-CP
-// ensemble used to move by 2.5e-5 at (c=0, κ=0.75) when a worker carried
-// its warm solver from one claimed row into the next.
+// Every grid row runs on a fresh warm-started solver and a 1-D sweep is cut
+// into chunks by its length alone, so a run's values are bit-identical at
+// any worker count. duopoly-price-kappa on a 60-CP ensemble used to move by
+// 2.5e-5 at (c=0, κ=0.75) when a worker carried its warm solver from one
+// claimed row into the next, and monopoly-capacity and neutral-baseline
+// moved in their last bits when a 1-D sweep's chunks followed the worker
+// count.
 func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
-	duopoly := func(t *testing.T) *Scenario {
-		s, ok := Get("duopoly-price-kappa")
-		if !ok {
-			t.Fatal("duopoly-price-kappa not registered")
+	builtin := func(name string) func(*testing.T) *Scenario {
+		return func(t *testing.T) *Scenario {
+			s, ok := Get(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			if err := s.ApplyEnsembleOverrides(7, 60); err != nil {
+				t.Fatal(err)
+			}
+			return s
 		}
-		if err := s.ApplyEnsembleOverrides(7, 60); err != nil {
-			t.Fatal(err)
-		}
-		return s
 	}
 	for _, tc := range []struct {
 		name    string
@@ -258,32 +264,58 @@ func TestGridDeterministicAcrossWorkerCounts(t *testing.T) {
 		workers []int
 	}{
 		{"tiny-grid", tinyGridScenario, []int{1, 4}},
-		{"duopoly-price-kappa", duopoly, []int{1, 2, 4, 8}},
+		{"duopoly-price-kappa", builtin("duopoly-price-kappa"), []int{1, 2, 4, 8}},
+		{"monopoly-price-sweep", builtin("monopoly-price-sweep"), []int{1, 2, 8}},
+		{"public-option-sizing", builtin("public-option-sizing"), []int{1, 2, 8}},
+		{"monopoly-capacity", builtin("monopoly-capacity"), []int{1, 2, 8}},
+		{"neutral-baseline", builtin("neutral-baseline"), []int{1, 2, 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := tc.build(t).RunGrid(RunOptions{Workers: tc.workers[0]})
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := runValues(t, tc.build(t), tc.workers[0])
 			for _, w := range tc.workers[1:] {
-				got, err := tc.build(t).RunGrid(RunOptions{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for li := range want.Layers {
-					for r := range want.Ys {
-						for c := range want.Xs {
-							a, b := want.Layers[li].Z[r][c], got.Layers[li].Z[r][c]
-							if math.Float64bits(a) != math.Float64bits(b) {
-								t.Errorf("layer %s cell (%d,%d): %v with %d workers, %v with %d",
-									want.Layers[li].Name, r, c, a, tc.workers[0], b, w)
-							}
-						}
+				got := runValues(t, tc.build(t), w)
+				for k, a := range want {
+					if b := got[k]; math.Float64bits(a) != math.Float64bits(b) {
+						t.Errorf("%s: %v with %d workers, %v with %d", k, a, tc.workers[0], b, w)
 					}
 				}
 			}
 		})
 	}
+}
+
+// runValues solves s at the given worker count — RunGrid for a grid, Run
+// for a 1-D sweep — and returns every value keyed by layer or series and
+// position.
+func runValues(t *testing.T, s *Scenario, workers int) map[string]float64 {
+	t.Helper()
+	vals := make(map[string]float64)
+	if s.IsGrid() {
+		g, err := s.RunGrid(RunOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range g.Layers {
+			for r, row := range l.Z {
+				for c, v := range row {
+					vals[fmt.Sprintf("layer %s cell (%d,%d)", l.Name, r, c)] = v
+				}
+			}
+		}
+		return vals
+	}
+	tables, err := s.Run(RunOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tbl := range tables {
+		for _, sr := range tbl.Series {
+			for i, v := range sr.Y {
+				vals[fmt.Sprintf("%s series %s point %d", tbl.YLabel, sr.Name, i)] = v
+			}
+		}
+	}
+	return vals
 }
 
 func TestCellSpecStableUnderGridResize(t *testing.T) {

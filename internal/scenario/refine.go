@@ -156,19 +156,11 @@ func (j *GridJob) RefineProblem(stats *obs.Counters) (refine.Problem, func()) {
 // Result.Flatten. Scenarios without a refine block run with the package
 // defaults.
 func (s *Scenario) RunGridRefined(opt RunOptions) (*refine.Result, error) {
-	return s.RunGridRefinedContext(context.Background(), opt, refine.Options{})
-}
-
-// RunGridRefinedContext is RunGridRefined with cooperative cancellation and
-// engine hooks (cache Lookup/Store, point/leaf streaming). The hook fields
-// of ropt are honored; its Workers field is overridden from opt.
-func (s *Scenario) RunGridRefinedContext(ctx context.Context, opt RunOptions, ropt refine.Options) (*refine.Result, error) {
 	job, err := s.CompileGrid()
 	if err != nil {
 		return nil, err
 	}
 	prob, flush := job.RefineProblem(opt.Stats)
 	defer flush()
-	ropt.Workers = opt.workers()
-	return refine.Run(ctx, prob, job.RefineSpec(), ropt)
+	return refine.Run(context.Background(), prob, job.RefineSpec(), refine.Options{Workers: opt.workers()})
 }

@@ -17,8 +17,7 @@ import (
 type RunOptions struct {
 	// Workers bounds parallelism: grid rows, the chunks of a 1-D market
 	// sweep, regime curves, or population batches depending on the
-	// scenario. 0 means GOMAXPROCS. Grid cells do not depend on it; a 1-D
-	// market sweep's chunk boundaries do.
+	// scenario. 0 means GOMAXPROCS.
 	Workers int
 	// Stats, when non-nil, receives the run's solver telemetry (one atomic
 	// publish per run or regime curve, never per solve). Batched large-N
@@ -121,23 +120,19 @@ func (s *Scenario) layerTables(g *sweep.Grid) []*sweep.Table {
 	return tables
 }
 
-// chunkRanges splits n sweep points into at most workers contiguous chunks.
-// Each chunk is solved on its own fresh solver, so warm starts stay within
-// a monotone sub-sweep while chunks run in parallel.
-func chunkRanges(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var ranges [][2]int
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		if lo < hi {
-			ranges = append(ranges, [2]int{lo, hi})
-		}
+// chunkPoints is the largest chunk a 1-D sweep is cut into.
+const chunkPoints = 8
+
+// chunkRanges splits n sweep points into ⌈n/chunkPoints⌉ balanced
+// contiguous chunks. Each chunk is solved on its own fresh solver, so warm
+// starts stay within a monotone sub-sweep while chunks run in parallel.
+// The cut reads the sweep's length alone, so a curve's values never depend
+// on how many workers solve it.
+func chunkRanges(n int) [][2]int {
+	k := (n + chunkPoints - 1) / chunkPoints
+	ranges := make([][2]int, k)
+	for c := range ranges {
+		ranges[c] = [2]int{c * n / k, (c + 1) * n / k}
 	}
 	return ranges
 }
@@ -204,10 +199,8 @@ func (s *Scenario) solveAt(mk *core.Market, axes []axisValue) (point, []provider
 		mk.MigrationTol = 1e-6
 		_, out, _ = mk.BestResponse(isps, who, bestResponseGrid())
 		mk.MigrationTol = prev
-	} else if len(isps) == 2 {
-		out = mk.SolveDuopoly(isps[0], isps[1])
 	} else {
-		out = mk.SolveMarket(isps)
+		out = mk.Solve(isps)
 	}
 	return marketPoint(out.Phi, out.ISPs, out.Shares, out.Eqs)
 }
@@ -371,18 +364,4 @@ func ascendingOrder(grid []float64) []int {
 		}
 	}
 	return idx
-}
-
-// Saturation returns the population's saturation capacity Σ α_i·θ̂_i without
-// materializing batched ensembles more than batch-by-batch.
-func (s *Scenario) Saturation() (float64, error) {
-	if s.Population.Kind == "ensemble" && s.Population.Batch > 0 {
-		bp := newBatchedPop(s.Population.ensembleConfig(), s.Population.seed(), s.Population.Batch)
-		return bp.saturation, nil
-	}
-	pop, err := s.Population.Materialize()
-	if err != nil {
-		return 0, err
-	}
-	return pop.TotalUnconstrainedPerCapita(), nil
 }

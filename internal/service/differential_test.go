@@ -1,0 +1,251 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"strings"
+	"testing"
+
+	"github.com/netecon-sim/publicoption/internal/scenario"
+)
+
+// The cross-route differential battery. Theorem 1 and Assumption 5 give
+// every question the model is asked one answer, so every way of asking it
+// must carry the same bytes: the library call at any worker count,
+// POST /v1/runs on a fresh server at any per-solve worker count, a
+// /v1/batch list or grid stream, and a warm replay of each. A refined
+// surrogate solves its lattice on its own warm-start chains, so it only has
+// to agree with the dense grid within its declared tolerance.
+
+// differentialCPs is the ensemble size the built-ins are shrunk to.
+const differentialCPs = 24
+
+// differentialCols caps a built-in grid's column count; a 1-D sweep keeps
+// its full length, so its chunking is exercised as declared.
+const differentialCols = 9
+
+// differentialScenarios returns the battery's inputs: every static
+// provider-market built-in at differentialCPs (regime comparisons and
+// batched populations solve outside the cell executor and are left out),
+// plus the inline tiny scenarios of the route transcripts. The 1-D sweeps
+// and the grids come back separately.
+func differentialScenarios(t *testing.T) (oneD, grids []*scenario.Scenario) {
+	t.Helper()
+	for _, sc := range scenario.All() {
+		if sc.IsDynamic() || sc.Regulation != nil || sc.Population.Batch > 0 {
+			continue
+		}
+		if k := sc.Population.Kind; k == "paper" || k == "ensemble" {
+			if err := sc.ApplyEnsembleOverrides(7, differentialCPs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !sc.IsGrid() {
+			oneD = append(oneD, sc)
+			continue
+		}
+		if sc.Sweep.Points > differentialCols {
+			sc.Sweep.Points = differentialCols
+		}
+		grids = append(grids, sc)
+	}
+	for _, raw := range []string{tinyRunJSON, tinyGridJSON("tiny-grid", "1, 2")} {
+		sc, err := scenario.LoadString(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.IsGrid() {
+			grids = append(grids, sc)
+		} else {
+			oneD = append(oneD, sc)
+		}
+	}
+	return oneD, grids
+}
+
+// mustJSON marshals v or fails the test.
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// post sends one request and fails unless it answers 200.
+func post(t *testing.T, s *Server, path, body string) string {
+	t.Helper()
+	w := do(t, s, "POST", path, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("POST %s: %d %s", path, w.Code, w.Body.String())
+	}
+	return w.Body.String()
+}
+
+// runTables is the tables field of a /v1/runs response or a list-mode
+// frame, re-marshaled, with the cache outcome the route reported.
+func runTables(t *testing.T, raw []byte) (tables []byte, cacheStatus string) {
+	t.Helper()
+	var resp RunResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatalf("decoding %q: %v", raw, err)
+	}
+	return mustJSON(t, resp.Tables), resp.Cache
+}
+
+func TestCrossRouteDifferential(t *testing.T) {
+	oneD, grids := differentialScenarios(t)
+
+	t.Run("1-D", func(t *testing.T) {
+		t.Parallel()
+		want := make([][]byte, len(oneD))
+		var list []string
+		for i, sc := range oneD {
+			for _, w := range []int{1, 2, 8} {
+				tables, err := sc.Run(scenario.RunOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := mustJSON(t, tablesToWire(tables))
+				if want[i] == nil {
+					want[i] = got
+				} else if !bytes.Equal(got, want[i]) {
+					t.Errorf("%s: Run at %d workers differs from 1 worker", sc.Name, w)
+				}
+			}
+			inline := string(mustJSON(t, sc))
+			list = append(list, inline)
+			for _, w := range []int{1, 4} {
+				s := New(Options{Workers: 1})
+				for _, wantCache := range []string{"miss", "hit"} {
+					got, status := runTables(t, []byte(post(t, s, "/v1/runs", fmt.Sprintf(`{"scenario_json": %s, "workers": %d}`, inline, w))))
+					if status != wantCache || !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: /v1/runs at %d per-solve workers (%s) differs from Run", sc.Name, w, status)
+					}
+				}
+			}
+		}
+		s := New(Options{Workers: 1})
+		body := fmt.Sprintf(`{"scenarios": [%s], "workers": 4}`, strings.Join(list, ","))
+		for _, wantCache := range []string{"miss", "hit"} {
+			frames := strings.Split(strings.TrimSpace(post(t, s, "/v1/batch", body)), "\n")
+			if len(frames) != len(oneD)+1 {
+				t.Fatalf("batch list streamed %d frames, want %d", len(frames), len(oneD)+1)
+			}
+			for i, f := range frames[:len(oneD)] {
+				got, status := runTables(t, []byte(f))
+				if status != wantCache || !bytes.Equal(got, want[i]) {
+					t.Errorf("%s: /v1/batch list frame (%s) differs from Run", oneD[i].Name, status)
+				}
+			}
+		}
+	})
+
+	t.Run("grids", func(t *testing.T) {
+		t.Parallel()
+		for _, sc := range grids {
+			var want map[[2]int][]byte
+			for _, w := range []int{1, 4} {
+				g, err := sc.RunGrid(scenario.RunOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make(map[[2]int][]byte)
+				for r, y := range g.Ys {
+					for c, x := range g.Xs {
+						vals := make(map[string]float64, len(g.Layers))
+						for _, l := range g.Layers {
+							vals[l.Name] = l.Z[r][c]
+						}
+						got[[2]int{r, c}] = mustJSON(t, scenario.Cell{Row: r, Col: c, X: x, Y: y, Values: vals})
+					}
+				}
+				if want == nil {
+					want = got
+				}
+				compareCells(t, fmt.Sprintf("%s RunGrid at %d workers", sc.Name, w), got, want)
+			}
+			inline := mustJSON(t, sc)
+			for _, w := range []int{1, 4} {
+				s := New(Options{Workers: 1})
+				body := fmt.Sprintf(`{"grid_json": %s, "workers": %d}`, inline, w)
+				for _, wantCache := range []string{"miss", "hit"} {
+					compareCells(t, fmt.Sprintf("%s /v1/batch grid at %d per-solve workers", sc.Name, w),
+						batchCells(t, post(t, s, "/v1/batch", body), wantCache), want)
+				}
+			}
+		}
+	})
+
+	t.Run("refined vs dense", func(t *testing.T) {
+		t.Parallel()
+		for _, raw := range []string{
+			tinyRefinedGridJSON("tiny-refined", `{"tolerance": 0.02, "max_depth": 3, "probes": 8}`),
+			tinyRefinedGridJSON("tiny-unverified", `{"tolerance": 0.02, "max_depth": 2, "probes": -1}`),
+		} {
+			sc, err := scenario.LoadString(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sc.RunGridRefined(scenario.RunOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dense, err := sc.RunGrid(scenario.RunOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for li, l := range dense.Layers {
+				for r, y := range dense.Ys {
+					for c, x := range dense.Xs {
+						got, err := res.At(x, y, li)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if d := math.Abs(got - l.Z[r][c]); d > res.Tolerance()*res.Scale(li) {
+							t.Errorf("%s %s at (%g, %g): refined %v, dense %v", sc.Name, l.Name, x, y, got, l.Z[r][c])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// batchCells parses a dense /v1/batch grid stream into its cells, keyed by
+// (row, col) and re-marshaled, requiring every cell to report wantCache.
+func batchCells(t *testing.T, body, wantCache string) map[[2]int][]byte {
+	t.Helper()
+	cells := make(map[[2]int][]byte)
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !strings.HasPrefix(line, `{"cell":`) {
+			continue
+		}
+		var f cellFrame
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Cache != wantCache {
+			t.Errorf("cell (%d,%d) cache %q, want %q", f.Cell.Row, f.Cell.Col, f.Cache, wantCache)
+		}
+		cells[[2]int{f.Cell.Row, f.Cell.Col}] = mustJSON(t, f.Cell)
+	}
+	return cells
+}
+
+// compareCells requires got to hold exactly want's cells, byte for byte.
+func compareCells(t *testing.T, what string, got, want map[[2]int][]byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d cells, want %d", what, len(got), len(want))
+	}
+	for at, w := range want {
+		if !bytes.Equal(got[at], w) {
+			t.Errorf("%s: cell %v is %s, want %s", what, at, got[at], w)
+		}
+	}
+}

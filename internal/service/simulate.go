@@ -31,9 +31,6 @@ import (
 type simulateRequest struct {
 	Scenario     string          `json:"scenario,omitempty"`
 	ScenarioJSON json.RawMessage `json:"scenario_json,omitempty"`
-	// Workers is accepted for symmetry with /v1/runs and /v1/batch and
-	// ignored: ticks are sequential by construction.
-	Workers int `json:"workers,omitempty"`
 }
 
 // simHeaderFrame opens the stream with the resolved run geometry, so

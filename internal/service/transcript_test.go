@@ -120,7 +120,7 @@ func routeTranscripts() map[string][]transcriptStep {
 		},
 		"simulate.txt": {
 			postStep("inline cold", "/v1/simulate", fmt.Sprintf(`{"scenario_json": %s}`, tinySimJSON("tiny-sim", 5))),
-			postStep("inline warm", "/v1/simulate", fmt.Sprintf(`{"scenario_json": %s, "workers": 1}`, tinySimJSON("tiny-sim", 5))),
+			postStep("inline warm", "/v1/simulate", fmt.Sprintf(`{"scenario_json": %s}`, tinySimJSON("tiny-sim", 5))),
 			{name: "disconnect after two ticks", method: "POST", path: "/v1/simulate",
 				body: fmt.Sprintf(`{"scenario_json": %s}`, tinySimJSON("tiny-sim-dc", 8)), disconnectAfter: 3},
 			postStep("resumed after disconnect", "/v1/simulate", fmt.Sprintf(`{"scenario_json": %s}`, tinySimJSON("tiny-sim-dc", 8))),
@@ -144,9 +144,6 @@ func TestRouteTranscripts(t *testing.T) {
 		t.Run(file, func(t *testing.T) {
 			t.Parallel()
 			s := New(Options{Trace: true, Workers: 1})
-			// Solved values move in the last bits with the per-solve worker
-			// count, which New derives from the host's CPUs; pin it.
-			s.solveWorkers = 2
 			var got strings.Builder
 			for _, st := range steps {
 				transcribe(t, s, st, &got)

@@ -147,13 +147,14 @@ func GeneratePopulation(phi PhiSetting, n int, seed uint64) Population {
 // per-capita system (ν, pop) under max-min fairness, the paper's default
 // mechanism. Use RateEquilibriumUnder for other mechanisms.
 func RateEquilibrium(nu float64, pop Population) *Equilibrium {
-	return alloc.Solve(alloc.MaxMin{}, nu, pop)
+	return RateEquilibriumUnder(alloc.MaxMin{}, nu, pop)
 }
 
 // RateEquilibriumUnder solves the rate equilibrium under an explicit
-// allocation mechanism.
+// allocation mechanism. It solves on a fresh workspace, so the result is
+// the caller's to keep.
 func RateEquilibriumUnder(a Allocator, nu float64, pop Population) *Equilibrium {
-	return alloc.Solve(a, nu, pop)
+	return alloc.NewWorkspace(a).Solve(nu, pop)
 }
 
 // NewEquilibriumWorkspace returns a reusable warm-started equilibrium
@@ -168,7 +169,7 @@ func NewEquilibriumWorkspace(a Allocator) *EquilibriumWorkspace {
 // SolveSystem is the absolute-scale entry point for a system of M consumers
 // sharing capacity mu (Axiom 4 reduces it to ν = µ/M).
 func SolveSystem(a Allocator, m, mu float64, pop Population) *Equilibrium {
-	return alloc.SolveSystem(a, m, mu, pop)
+	return alloc.NewWorkspace(a).SolveSystem(m, mu, pop)
 }
 
 // ConsumerSurplus returns the per-capita consumer surplus Φ (Eq. 2) of a
