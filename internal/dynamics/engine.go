@@ -26,9 +26,8 @@
 //
 // Determinism: the engine holds no wall-clock, no global RNG, and no map
 // iteration; a trajectory is a pure function of (scenario, tick count).
-// Run's worker knob exists for API symmetry with the static runners — ticks
-// are inherently sequential (each consumes the previous state), so worker
-// count never changes a trajectory, which the determinism tests assert.
+// Ticks are inherently sequential (each consumes the previous state), so
+// Run has no worker knob: Options carries only the telemetry sink.
 package dynamics
 
 import (
@@ -196,9 +195,6 @@ func (e *Engine) Ticks() int { return e.spec.Ticks }
 
 // Tick returns the next tick index Step will run.
 func (e *Engine) Tick() int { return e.tick }
-
-// Providers returns the provider names, in declaration order.
-func (e *Engine) Providers() []string { return e.names }
 
 // Stats returns the engine's cumulative solver telemetry.
 func (e *Engine) Stats() obs.SolveStats { return e.solver.Stats() }

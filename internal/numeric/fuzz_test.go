@@ -5,13 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzRootfind throws arbitrary cubics and brackets at the three root
-// finders. The contract under fuzzing: no input — including NaN, ±Inf, and
-// inverted or degenerate brackets — may panic; whenever the bracket is
-// finite, every returned root lies inside it (Bisect clamps by contract,
-// the strict finders bisect inward from the endpoints); and a reported
-// success from the strict finders implies the bracket really had a sign
-// change or an exact zero to find.
+// FuzzRootfind throws arbitrary cubics and brackets at the root finders.
+// The contract under fuzzing: no input — including NaN, ±Inf, and inverted
+// or degenerate brackets — may panic; and whenever the bracket is finite,
+// every returned root lies inside it (the bisections clamp by contract,
+// Brent bisects inward from the endpoints).
 func FuzzRootfind(f *testing.F) {
 	f.Add(1.0, 0.0, -2.0, 0.0, 2.0, 1e-10)  // x³ = 2
 	f.Add(0.5, -3.0, 1.0, -4.0, 4.0, 1e-8)  // three real roots
@@ -24,7 +22,7 @@ func FuzzRootfind(f *testing.F) {
 
 		// None of these calls may panic, whatever the inputs.
 		x := Bisect(cubic, lo, hi, tol)
-		xs, errS := BisectStrict(cubic, lo, hi, tol)
+		xd := BisectDecreasing(cubic, lo, hi, tol)
 		xb, errB := Brent(cubic, lo, hi, tol)
 
 		finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -37,8 +35,8 @@ func FuzzRootfind(f *testing.F) {
 		if finite(x) && (x < l-slack || x > h+slack) {
 			t.Fatalf("Bisect escaped the bracket: x=%g outside [%g, %g] (a=%g b=%g c=%g tol=%g)", x, l, h, a, b, c, tol)
 		}
-		if errS == nil && (xs < l-slack || xs > h+slack) {
-			t.Fatalf("BisectStrict escaped the bracket: x=%g outside [%g, %g] (a=%g b=%g c=%g tol=%g)", xs, l, h, a, b, c, tol)
+		if finite(xd) && (xd < l-slack || xd > h+slack) {
+			t.Fatalf("BisectDecreasing escaped the bracket: x=%g outside [%g, %g] (a=%g b=%g c=%g tol=%g)", xd, l, h, a, b, c, tol)
 		}
 		if errB == nil && (xb < l-slack || xb > h+slack) {
 			t.Fatalf("Brent escaped the bracket: x=%g outside [%g, %g] (a=%g b=%g c=%g tol=%g)", xb, l, h, a, b, c, tol)

@@ -114,19 +114,3 @@ func (r *RNG) Exp(lambda float64) float64 {
 	// Inverse-CDF sampling; 1-Float64() avoids log(0).
 	return -math.Log(1-r.Float64()) / lambda
 }
-
-// Norm returns a normally distributed value with the given mean and standard
-// deviation, via the Marsaglia polar method. It panics if stddev < 0.
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	if stddev < 0 {
-		panic("numeric: Norm called with stddev < 0")
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}

@@ -156,24 +156,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestNormMoments(t *testing.T) {
-	r := NewRNG(19)
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := r.Norm(3, 2)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	if math.Abs(mean-3) > 0.05 {
-		t.Errorf("Norm mean = %v, want ~3", mean)
-	}
-	if sd := math.Sqrt(sumSq/n - mean*mean); math.Abs(sd-2) > 0.05 {
-		t.Errorf("Norm stddev = %v, want ~2", sd)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := NewRNG(23)
 	hits := 0

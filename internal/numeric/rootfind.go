@@ -61,42 +61,6 @@ func BisectDecreasing(f func(float64) float64, lo, hi, tol float64) float64 {
 	return Bisect(func(x float64) float64 { return -f(x) }, lo, hi, tol)
 }
 
-// BisectStrict finds a root of a continuous (not necessarily monotone) f in
-// [lo, hi]. Unlike Bisect it requires a sign change and returns ErrNoBracket
-// otherwise.
-func BisectStrict(f func(float64) float64, lo, hi, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	flo, fhi := f(lo), f(hi)
-	//pubopt:allow(floatcmp): an exact zero at the bracket endpoint IS the root; tolerance belongs to the interval, not f
-	if flo == 0 {
-		return lo, nil
-	}
-	if fhi == 0 { //pubopt:allow(floatcmp): exact root at the other endpoint
-		return hi, nil
-	}
-	if (flo > 0) == (fhi > 0) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, lo, flo, hi, fhi)
-	}
-	for i := 0; i < maxBisectIter && hi-lo > tol; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 { //pubopt:allow(floatcmp): an exact zero terminates bisection early; near-zero keeps shrinking the bracket
-			return mid, nil
-		}
-		if (fm > 0) == (fhi > 0) {
-			hi, fhi = mid, fm
-		} else {
-			lo = mid
-		}
-	}
-	return lo + (hi-lo)/2, nil
-}
-
 // Brent finds a root of continuous f in [lo, hi] using Brent's method
 // (inverse quadratic interpolation with bisection fallback), which converges
 // superlinearly on smooth functions while retaining bisection's robustness.

@@ -52,24 +52,6 @@ func TestBisectNonlinearMonotone(t *testing.T) {
 	}
 }
 
-func TestBisectStrictNoBracket(t *testing.T) {
-	_, err := BisectStrict(func(x float64) float64 { return x*x + 1 }, -1, 1, 0)
-	if !errors.Is(err, ErrNoBracket) {
-		t.Fatalf("err = %v, want ErrNoBracket", err)
-	}
-}
-
-func TestBisectStrictFindsRootOfNonMonotone(t *testing.T) {
-	// sin has a root at pi inside [2, 4].
-	root, err := BisectStrict(math.Sin, 2, 4, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(root-math.Pi) > 1e-9 {
-		t.Fatalf("root = %v, want pi", root)
-	}
-}
-
 func TestBrentAgainstKnownRoots(t *testing.T) {
 	cases := []struct {
 		name   string

@@ -56,24 +56,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// observations.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var acc float64
-	for _, x := range xs {
-		d := x - m
-		acc += d * d
-	}
-	return acc / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MinMax returns the smallest and largest elements of xs. It panics on an
 // empty slice.
 func MinMax(xs []float64) (lo, hi float64) {

@@ -38,25 +38,16 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestMeanVarianceStd(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
 		t.Fatalf("Mean = %v, want 5", m)
-	}
-	if v := Variance(xs); v != 4 {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	if s := Std(xs); s != 2 {
-		t.Fatalf("Std = %v, want 2", s)
 	}
 }
 
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) should be 0")
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Fatal("Variance of singleton should be 0")
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 
 func demoTable() *sweep.Table {
 	t := &sweep.Table{Title: "demo", XLabel: "x", YLabel: "y"}
-	xs := numeric.Linspace(0, 10, 21)
-	up := sweep.Map("up", xs, func(x float64) float64 { return x })
-	down := sweep.Map("down", xs, func(x float64) float64 { return 10 - x })
+	up, down := sweep.Series{Name: "up"}, sweep.Series{Name: "down"}
+	for _, x := range numeric.Linspace(0, 10, 21) {
+		up.Append(x, x)
+		down.Append(x, 10-x)
+	}
 	t.Add(up)
 	t.Add(down)
 	return t

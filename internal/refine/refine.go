@@ -23,7 +23,9 @@
 // point it needs, dedupes and sorts them by (row, column), and solves one
 // task per lattice row — a fresh solver per task, points in ascending
 // column order so the equilibrium kernel warm-starts along the row exactly
-// like a dense grid sweep. Tasks run on a worker pool, but results are
+// like a dense grid sweep. A task is also the cache unit: Options.Lookup
+// serves it whole or it is solved whole, so a cached value never depends
+// on what the cache held. Tasks run on a worker pool, but results are
 // merged sequentially in sorted order, so the refined tree, the surrogate,
 // and every callback sequence are byte-identical for any worker count.
 //
@@ -88,8 +90,8 @@ type Problem struct {
 	Xs, Ys []float64
 	// Layers names the metric layers every solve produces.
 	Layers []string
-	// NewSolver builds a fresh point solver. The engine calls it lazily —
-	// once per row task that has at least one cache-missing point.
+	// NewSolver builds a fresh point solver. The engine calls it once per
+	// solve unit that Options.Lookup misses.
 	NewSolver func() PointSolver
 }
 
@@ -169,19 +171,32 @@ type Leaf struct {
 type Options struct {
 	// Workers bounds solve parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Lookup, when set, is consulted before every solve — the bridge to the
-	// content-addressed equilibrium cache. The returned slice becomes owned
-	// by the engine. Lookup may be called concurrently from row tasks.
-	Lookup func(x, y float64) ([]float64, bool)
-	// Store, when set, receives every freshly solved point (lattice and
-	// probe), in deterministic order, on the Run goroutine.
-	Store func(x, y float64, values []float64)
+	// Lookup, when set, is consulted once per solve unit before it is
+	// dispatched — the bridge to the content-addressed equilibrium cache.
+	// A unit is the ordered point list (xs[i], ys[i]) one fresh solver
+	// solves: a lattice-row task of a wave, or the probe set. A hit returns
+	// one value slice per point and is served whole; the slices become
+	// owned by the engine. A miss solves the whole unit.
+	Lookup func(xs, ys []float64) ([][]float64, bool)
+	// Store, when set, receives every freshly solved unit (lattice rows and
+	// the probe set), in deterministic order.
+	Store func(xs, ys []float64, vals [][]float64)
 	// OnPoint, when set, streams every materialized lattice point. A
 	// non-nil error aborts the run.
 	OnPoint func(p Point) error
 	// OnLeaf, when set, streams every finalized leaf. A non-nil error
 	// aborts the run.
 	OnLeaf func(l Leaf) error
+}
+
+// lookup consults Lookup for the unit (xs, ys); a hit must hold one value
+// slice per point.
+func (o Options) lookup(xs, ys []float64) ([][]float64, bool) {
+	if o.Lookup == nil {
+		return nil, false
+	}
+	v, ok := o.Lookup(xs, ys)
+	return v, ok && len(v) == len(xs)
 }
 
 // cellNode is one quadtree node over the lattice. Children (when child ≥ 0)
@@ -420,12 +435,14 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 		return nil
 	}
 
-	// Group into one task per lattice row.
+	// Group into one task per lattice row: the solve unit. Units the cache
+	// holds are served whole; the rest solve whole, each on a fresh solver.
 	type rowTask struct {
 		iy     int
 		ixs    []int
+		xs, ys []float64
 		vals   [][]float64
-		reused []bool
+		reused bool
 	}
 	var groups []*rowTask
 	for _, p := range todo {
@@ -434,31 +451,15 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 		}
 		g := groups[len(groups)-1]
 		g.ixs = append(g.ixs, p.ix)
+		g.xs = append(g.xs, r.coordX(p.ix))
+		g.ys = append(g.ys, r.coordY(p.iy))
 	}
 	for _, g := range groups {
-		g.vals = make([][]float64, len(g.ixs))
-		g.reused = make([]bool, len(g.ixs))
+		g.vals, g.reused = e.opt.lookup(g.xs, g.ys)
 	}
 	sweep.RunRows(e.opt.Workers, len(groups), func(_, gi int) {
-		g := groups[gi]
-		var solver PointSolver
-		y := r.coordY(g.iy)
-		for k, ix := range g.ixs {
-			if ctx != nil && ctx.Err() != nil {
-				return
-			}
-			x := r.coordX(ix)
-			if e.opt.Lookup != nil {
-				if v, ok := e.opt.Lookup(x, y); ok {
-					g.vals[k] = v
-					g.reused[k] = true
-					continue
-				}
-			}
-			if solver == nil {
-				solver = r.prob.NewSolver()
-			}
-			g.vals[k] = solver.Solve(x, y)
+		if g := groups[gi]; !g.reused {
+			g.vals = solveUnit(ctx, r.prob.NewSolver(), g.xs, g.ys)
 		}
 	})
 	if ctx != nil && ctx.Err() != nil {
@@ -469,29 +470,51 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 	// indexes, stats, and callbacks are touched, so the run is
 	// worker-count independent.
 	for _, g := range groups {
-		y := r.coordY(g.iy)
+		if err := r.checkUnit(g.vals); err != nil {
+			return err
+		}
+		if g.reused {
+			r.stats.PointsReused += uint64(len(g.ixs))
+		} else {
+			r.stats.PointsSolved += uint64(len(g.ixs))
+			if e.opt.Store != nil {
+				e.opt.Store(g.xs, g.ys, g.vals)
+			}
+		}
 		for k, ix := range g.ixs {
 			v := g.vals[k]
-			if len(v) != len(r.prob.Layers) {
-				return fmt.Errorf("refine: solver returned %d values, want %d layers", len(v), len(r.prob.Layers))
-			}
 			r.points[r.key(ix, g.iy)] = v
 			e.rows[g.iy] = insertSorted(e.rows[g.iy], ix)
 			e.cols[ix] = insertSorted(e.cols[ix], g.iy)
-			x := r.coordX(ix)
-			if g.reused[k] {
-				r.stats.PointsReused++
-			} else {
-				r.stats.PointsSolved++
-				if e.opt.Store != nil {
-					e.opt.Store(x, y, v)
-				}
-			}
 			if e.opt.OnPoint != nil {
-				if err := e.opt.OnPoint(Point{X: x, Y: y, Values: v, Reused: g.reused[k]}); err != nil {
+				if err := e.opt.OnPoint(Point{X: g.xs[k], Y: g.ys[k], Values: v, Reused: g.reused}); err != nil {
 					return err
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// solveUnit solves the points (xs[k], ys[k]) in order on solver, stopping
+// early once ctx is done.
+func solveUnit(ctx context.Context, solver PointSolver, xs, ys []float64) [][]float64 {
+	vals := make([][]float64, len(xs))
+	for k := range xs {
+		if ctx != nil && ctx.Err() != nil {
+			break
+		}
+		vals[k] = solver.Solve(xs[k], ys[k])
+	}
+	return vals
+}
+
+// checkUnit rejects a unit whose solver returned the wrong number of
+// layers.
+func (r *Result) checkUnit(vals [][]float64) error {
+	for _, v := range vals {
+		if len(v) != len(r.prob.Layers) {
+			return fmt.Errorf("refine: solver returned %d values, want %d layers", len(v), len(r.prob.Layers))
 		}
 	}
 	return nil

@@ -232,34 +232,42 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 func TestLookupStoreRoundTrip(t *testing.T) {
 	wavy := func(x, y float64) float64 { return math.Sin(3*x) * math.Cos(2*y) }
 	spec := Spec{Tol: 0.005, MaxDepth: 3, Probes: 16}
-	type xy struct{ x, y float64 }
-	stored := map[xy][]float64{}
+	unit := func(xs, ys []float64) string { return fmt.Sprint(xs, ys) }
+	stored := map[string][][]float64{}
+	points := 0
 	first, err := Run(context.Background(), problemOf(4, 4, wavy), spec, Options{
-		Store: func(x, y float64, vals []float64) {
-			stored[xy{x, y}] = append([]float64(nil), vals...)
+		Store: func(xs, ys []float64, vals [][]float64) {
+			if len(xs) != len(ys) || len(vals) != len(xs) {
+				t.Fatalf("Store got %d xs, %d ys, %d values", len(xs), len(ys), len(vals))
+			}
+			stored[unit(xs, ys)] = vals
+			points += len(xs)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := uint64(len(stored)), first.Stats().PointsSolved+first.Stats().ProbeSolves; got != want {
+	if got, want := uint64(points), first.Stats().PointsSolved+first.Stats().ProbeSolves; got != want {
 		t.Fatalf("Store saw %d points, stats say %d solved", got, want)
 	}
-	// Warm re-run: everything must come from Lookup, nothing re-solves.
+	// Warm re-run: every unit must come whole from Lookup, nothing
+	// re-solves.
+	lookups := 0
 	warm, err := Run(context.Background(), problemOf(4, 4, wavy), spec, Options{
-		Lookup: func(x, y float64) ([]float64, bool) {
-			v, ok := stored[xy{x, y}]
-			if !ok {
-				return nil, false
-			}
-			return append([]float64(nil), v...), true
+		Lookup: func(xs, ys []float64) ([][]float64, bool) {
+			lookups++
+			v, ok := stored[unit(xs, ys)]
+			return v, ok
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := warm.Stats(); st.PointsSolved != 0 || st.ProbeSolves != 0 {
-		t.Fatalf("warm run solved %d points + %d probes, want 0", st.PointsSolved, st.ProbeSolves)
+	if st := warm.Stats(); st.PointsSolved != 0 || st.ProbeSolves != 0 || st.PointsReused != uint64(points) {
+		t.Fatalf("warm run solved %d points + %d probes and reused %d, want 0 + 0 and %d", st.PointsSolved, st.ProbeSolves, st.PointsReused, points)
+	}
+	if lookups != len(stored) {
+		t.Fatalf("warm run made %d lookups for %d stored units", lookups, len(stored))
 	}
 	if warm.MaxError() != first.MaxError() || warm.Verified() != first.Verified() {
 		t.Fatal("warm run disagrees with cold run")

@@ -213,10 +213,10 @@ func (r *Result) Leaves() []Leaf {
 
 // reverify runs the solver-verified error bound: solve spec.Probes off-knot
 // points (deterministically drawn from spec.Seed) and compare each against
-// the surrogate. Probes flow through the Lookup/Store hooks like lattice
-// points, so a warm re-verification solves nothing. Resets and recomputes
-// probeErr/verified — the falsifiability tests rely on a doctored
-// surrogate failing here.
+// the surrogate. The probe set is one solve unit: it flows through the
+// Lookup/Store hooks whole, like a lattice row, so a warm re-verification
+// solves nothing. Resets and recomputes probeErr/verified — the
+// falsifiability tests rely on a doctored surrogate failing here.
 func (r *Result) reverify(ctx context.Context, opt Options) error {
 	r.probeErr = 0
 	r.verified = false
@@ -238,33 +238,29 @@ func (r *Result) reverify(ctx context.Context, opt Options) error {
 		}
 		return probes[a].x < probes[b].x
 	})
-	var solver PointSolver
-	for _, p := range probes {
+	xs, ys := make([]float64, len(probes)), make([]float64, len(probes))
+	for k, p := range probes {
+		xs[k], ys[k] = p.x, p.y
+	}
+	truths, reused := opt.lookup(xs, ys)
+	if reused {
+		r.stats.PointsReused += uint64(len(probes))
+	} else {
+		truths = solveUnit(ctx, r.prob.NewSolver(), xs, ys)
 		if ctx != nil && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		var truth []float64
-		if opt.Lookup != nil {
-			if v, ok := opt.Lookup(p.x, p.y); ok {
-				truth = v
-				r.stats.PointsReused++
-			}
-		}
-		if truth == nil {
-			if solver == nil {
-				solver = r.prob.NewSolver()
-			}
-			truth = solver.Solve(p.x, p.y)
-			if len(truth) != len(r.prob.Layers) {
-				return fmt.Errorf("refine: solver returned %d values, want %d layers", len(truth), len(r.prob.Layers))
-			}
-			r.stats.ProbeSolves++
-			if opt.Store != nil {
-				opt.Store(p.x, p.y, truth)
-			}
-		}
+		r.stats.ProbeSolves += uint64(len(probes))
+	}
+	if err := r.checkUnit(truths); err != nil {
+		return err
+	}
+	if !reused && opt.Store != nil {
+		opt.Store(xs, ys, truths)
+	}
+	for k, truth := range truths {
 		for li := range r.prob.Layers {
-			d := (truth[li] - r.eval(p.x, p.y, li)) / r.scale[li]
+			d := (truth[li] - r.eval(xs[k], ys[k], li)) / r.scale[li]
 			if d < 0 {
 				d = -d
 			}

@@ -15,8 +15,8 @@ import (
 // names, and a cell solver. A 2-D grid compiles to one row per row-axis
 // value; a 1-D sweep compiles to a single row with no row axis. Every
 // static market solve — Run's 1-D sweeps, RunGrid and the serving layer's
-// per-cell-cached batch endpoint — executes through SolveRows, so a cell
-// solved locally and a cell solved behind the HTTP cache are the same
+// row-cached batch endpoint — executes through SolveRows, so a cell solved
+// locally and a cell solved behind the HTTP cache are the same
 // computation.
 type GridJob struct {
 	// Xs are the resolved column-axis values (absolute ν for a "nu" axis,
@@ -51,23 +51,25 @@ type Cell struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// CellSpec is the content-addressable specification of one grid cell: the
-// parts of the scenario that change the solved numbers (population,
-// providers, metrics) plus the cell's resolved absolute coordinates —
-// and nothing else. Cosmetic fields (name, title, description, reference)
-// and the grid's own bounds are deliberately excluded, so re-running an
-// edited grid re-solves only cells whose physics actually changed: growing
-// a 10×10 grid to 20×20 re-uses every coincident cell, and renaming the
-// scenario re-uses all of them.
-type CellSpec struct {
+// UnitSpec is the content address of one solve unit: the ordered points
+// (Xs[i], Ys[i]) one fresh GridWorker solves in turn, plus the parts of the
+// scenario that change the solved numbers (population, providers, metrics)
+// — and nothing else. A unit is a dense grid row, a refinement lattice-row
+// task, the refinement probe set or one point. Each solve in a unit
+// warm-starts the next, so a value depends on the whole point list: caching
+// whole units keeps every cached value exactly what a fresh solve of its
+// key returns. Cosmetic fields (name, title, description, reference) and
+// the grid's other rows are excluded, so renaming a scenario or adding rows
+// re-uses every row it shares.
+type UnitSpec struct {
 	Population PopulationSpec `json:"population"`
 	Providers  []ProviderSpec `json:"providers"`
 	XAxis      string         `json:"x_axis"`
-	X          float64        `json:"x"`
+	Xs         []float64      `json:"xs"`
 	YAxis      string         `json:"y_axis"`
-	Y          float64        `json:"y"`
+	Ys         []float64      `json:"ys"`
 	// Nu is the fixed absolute per-capita capacity ν; 0 when one of the
-	// axes is "nu" (the coordinate supplies it).
+	// axes is "nu" (the coordinates supply it).
 	Nu      float64  `json:"nu,omitempty"`
 	Metrics []string `json:"metrics"`
 }
@@ -139,24 +141,18 @@ func (s *Scenario) layers() []string {
 // Cells returns the total cell count (rows × columns).
 func (j *GridJob) Cells() int { return len(j.Xs) * len(j.Ys) }
 
-// CellSpec returns the content address of cell (row, col) — what the batch
-// endpoint hashes into the equilibrium cache key.
-func (j *GridJob) CellSpec(row, col int) CellSpec {
-	return j.CellSpecAt(j.Xs[col], j.Ys[row])
-}
-
-// CellSpecAt returns the content address of the point at resolved
-// coordinates (x, y). It is coordinate-based, not index-based, so adaptive
-// refinement shares cache entries with any dense grid whose lattice lands
-// on the same coordinates.
-func (j *GridJob) CellSpecAt(x, y float64) CellSpec {
-	return CellSpec{
+// UnitSpec returns the content address of the unit that solves the points
+// (xs[i], ys[i]) in order on one fresh worker. It is coordinate-based, not
+// index-based, so a refinement lattice row shares its cache entry with the
+// dense grid row it coincides with.
+func (j *GridJob) UnitSpec(xs, ys []float64) UnitSpec {
+	return UnitSpec{
 		Population: j.scenario.Population,
 		Providers:  j.scenario.Providers,
 		XAxis:      j.XAxis,
-		X:          x,
+		Xs:         xs,
 		YAxis:      j.YAxis,
-		Y:          y,
+		Ys:         ys,
 		Nu:         j.fixedNu,
 		Metrics:    j.scenario.Sweep.metrics(),
 	}
@@ -256,37 +252,33 @@ func (j *GridJob) cellValues(pt point) map[string]float64 {
 	return vals
 }
 
-// SolveRows is the one executor of static market solves. It solves the
-// columns cols(row) of each listed row, hands every solved cell to emit —
+// SolveRows is the one executor of static market solves. It solves every
+// column of each listed row, hands every solved cell to emit —
 // concurrently, from up to workers goroutines — and returns the summed
 // solver telemetry.
 //
-// The unit of work is one row, solved in column order on a fresh
-// GridWorker, so a cell's value depends only on its row's column list. The
-// one exception is a job with no row axis (a 1-D sweep): its single row is
-// cut into chunkRanges(len(cols)) contiguous chunks, each on a fresh
-// worker, so one curve keeps its column parallelism. Once ctx is done no
-// cell is started; a nil ctx never cancels.
-func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, cols func(row int) []int, emit func(Cell)) obs.SolveStats {
-	type unit struct {
-		row  int
-		cols []int
-	}
+// The unit of work is one whole row, solved in column order on a fresh
+// GridWorker, so a cell's value depends only on its row's UnitSpec. The one
+// exception is a job with no row axis (a 1-D sweep): its single row is cut
+// into chunkRanges(len(Xs)) contiguous chunks, each on a fresh worker, so
+// one curve keeps its column parallelism. Once ctx is done no cell is
+// started; a nil ctx never cancels.
+func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, emit func(Cell)) obs.SolveStats {
+	type unit struct{ row, lo, hi int }
 	var units []unit
 	for _, row := range rows {
-		cs := cols(row)
 		if j.YAxis != "" {
-			units = append(units, unit{row, cs})
+			units = append(units, unit{row, 0, len(j.Xs)})
 			continue
 		}
-		for _, r := range chunkRanges(len(cs)) {
-			units = append(units, unit{row, cs[r[0]:r[1]]})
+		for _, r := range chunkRanges(len(j.Xs)) {
+			units = append(units, unit{row, r[0], r[1]})
 		}
 	}
 	stats := make([]obs.SolveStats, len(units))
 	sweep.RunRowsContext(ctx, workers, len(units), func(_, u int) {
 		w := j.NewWorker()
-		for _, col := range units[u].cols {
+		for col := units[u].lo; col < units[u].hi; col++ {
 			if ctx != nil && ctx.Err() != nil {
 				break
 			}
@@ -308,11 +300,7 @@ func (j *GridJob) solveAll(opt RunOptions) *sweep.Grid {
 	for i := range rows {
 		rows[i] = i
 	}
-	cols := make([]int, len(j.Xs))
-	for i := range cols {
-		cols[i] = i
-	}
-	opt.Stats.Add(j.SolveRows(nil, opt.workers(), rows, func(int) []int { return cols }, func(c Cell) {
+	opt.Stats.Add(j.SolveRows(nil, opt.workers(), rows, func(c Cell) {
 		for li, name := range j.Layers {
 			g.Layers[li].Z[c.Row][c.Col] = c.Values[name]
 		}

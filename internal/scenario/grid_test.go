@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -318,41 +319,55 @@ func runValues(t *testing.T, s *Scenario, workers int) map[string]float64 {
 	return vals
 }
 
-func TestCellSpecStableUnderGridResize(t *testing.T) {
-	// Growing the grid must keep coincident cells' content addresses:
-	// CellSpec ignores the grid bounds and cosmetic fields.
-	a := tinyGridScenario(t)
-	jobA, err := a.CompileGrid()
+// rowSpec is the unit address of grid row row: its columns in order at
+// the row's coordinate.
+func rowSpec(j *GridJob, row int) string {
+	ys := make([]float64, len(j.Xs))
+	for i := range ys {
+		ys[i] = j.Ys[row]
+	}
+	b, err := json.Marshal(j.UnitSpec(j.Xs, ys))
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	b := tinyGridScenario(t)
-	b.Name = "renamed"
-	b.Title = "another title"
-	b.Sweep.Grid.Values = []float64{1, 1.5, 2} // one new row, two old
-	jobB, err := b.CompileGrid()
-	if err != nil {
-		t.Fatal(err)
+	return string(b)
+}
+
+func TestUnitSpecStableUnderGridResize(t *testing.T) {
+	// Renaming, retitling and adding rows must keep the shared rows' unit
+	// addresses: UnitSpec ignores cosmetic fields and the other rows.
+	compile := func(edit func(s *Scenario)) *GridJob {
+		s := tinyGridScenario(t)
+		edit(s)
+		j, err := s.CompileGrid()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	// (row 0, col 0) of A is (ν=1, γ=0.2); in B that cell is still row 0.
-	sa, sb := jobA.CellSpec(0, 0), jobB.CellSpec(0, 0)
-	if sa.X != sb.X || sa.Y != sb.Y || sa.XAxis != sb.XAxis || sa.YAxis != sb.YAxis {
-		t.Fatalf("coincident cells differ: %+v vs %+v", sa, sb)
+	a := compile(func(*Scenario) {})
+	b := compile(func(s *Scenario) {
+		s.Name = "renamed"
+		s.Title = "another title"
+		s.Sweep.Grid.Values = []float64{1, 1.5, 2} // one new row, two old
+	})
+	// ν=1 is row 0 in both; ν=2 moved from row 1 to row 2.
+	if rowSpec(a, 0) != rowSpec(b, 0) || rowSpec(a, 1) != rowSpec(b, 2) {
+		t.Fatal("a renamed grid with an added row changed a shared row's unit spec")
 	}
-	// ν=2 moved from row 1 to row 2 but addresses the same cell.
-	sa, sb = jobA.CellSpec(1, 2), jobB.CellSpec(2, 2)
-	if sa.X != sb.X || sa.Y != sb.Y {
-		t.Fatalf("relocated cell differs: %+v vs %+v", sa, sb)
+	if rowSpec(b, 1) == rowSpec(b, 0) || rowSpec(b, 1) == rowSpec(b, 2) {
+		t.Fatal("distinct rows share a unit spec")
+	}
+	// A changed column list changes every row's unit: its solves chain
+	// through different points.
+	cols := compile(func(s *Scenario) { s.Sweep.Points = 4 })
+	if rowSpec(cols, 0) == rowSpec(a, 0) {
+		t.Fatal("a changed column list kept the row's unit spec")
 	}
 	// A changed provider strategy must change the spec.
-	c := tinyGridScenario(t)
-	c.Providers[0].C = 0.5
-	jobC, err := c.CompileGrid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jobC.CellSpec(0, 0).Providers[0].C == jobA.CellSpec(0, 0).Providers[0].C {
-		t.Fatal("provider edit did not reach the cell spec")
+	prov := compile(func(s *Scenario) { s.Providers[0].C = 0.5 })
+	if rowSpec(prov, 0) == rowSpec(a, 0) {
+		t.Fatal("provider edit did not reach the unit spec")
 	}
 }
 

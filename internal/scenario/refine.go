@@ -83,7 +83,7 @@ func (j *GridJob) RefineSpec() refine.Spec {
 }
 
 // ValuesSlice flattens a cell's value map into layer order. ok is false
-// when any layer is missing — a cache entry from an incompatible schema.
+// when any layer is missing — a map from another job's layers.
 func (j *GridJob) ValuesSlice(vals map[string]float64) ([]float64, bool) {
 	out := make([]float64, len(j.Layers))
 	for i, name := range j.Layers {

@@ -18,13 +18,13 @@ import (
 // flushed as each completes, so a client watching a 30-minute grid sees
 // cells arrive instead of a silent connection.
 //
-// Grid requests are cached cell-by-cell: every cell's content address
-// (scenario.CellSpec — population, providers, axes, resolved coordinates,
-// metrics; nothing cosmetic) is probed first, hits stream immediately, and
-// only the missing cells are solved — grouped by row so the warm-started
-// column sweep survives the cache holes. Re-running a grid after a small
-// edit therefore re-solves only the cells whose physics changed, and
-// re-running it unchanged solves zero.
+// Grid requests are cached row by row, because a row is what one fresh
+// warm-started solver computes: every row's content address
+// (scenario.UnitSpec — population, providers, axes, the row's resolved
+// points, metrics; nothing cosmetic) is probed first, cached rows stream
+// immediately, and only the missing rows are solved, each whole. Renaming a
+// grid or adding rows therefore re-solves only the new rows, re-running it
+// unchanged solves zero, and no cell depends on what the cache held.
 //
 // See docs/SERVICE.md for the full frame-by-frame contract.
 
@@ -218,50 +218,42 @@ func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage,
 // ---------------------------------------------------------------------------
 // Grid mode.
 
-// batchGrid streams a grid scenario cell by cell: cached cells first (they
-// cost one map probe each), then solved cells in completion order. Solving
-// distributes rows across workers by work stealing with one fresh
-// warm-started solver per row, and only rows with at least one missing cell
-// are visited.
+// batchGrid streams a grid scenario cell by cell: the cells of cached rows
+// first (one map probe per row), then solved cells in completion order.
+// A row is the cache unit: it is served from the cache whole or solved
+// whole, on a fresh warm-started solver, so no cell depends on what the
+// cache already held. Solving distributes the missing rows across workers
+// by work stealing.
 func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
-	// Content-address every cell up front; the key layout is row-major.
-	keys := make([]string, job.Cells())
-	cols := len(job.Xs)
-	for row := 0; row < len(job.Ys); row++ {
-		for col := 0; col < cols; col++ {
-			k, err := cache.Key(nsCell, job.CellSpec(row, col))
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, "hashing cell (%d,%d): %v", row, col, err)
-				return
-			}
-			keys[row*cols+col] = k
+	// Content-address every row up front.
+	keys := make([]string, len(job.Ys))
+	for row := range keys {
+		ys := make([]float64, len(job.Xs))
+		for i := range ys {
+			ys[i] = job.Ys[row]
 		}
+		k, err := cache.Key(nsUnit, job.UnitSpec(job.Xs, ys))
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, "hashing row %d: %v", row, err)
+			return
+		}
+		keys[row] = k
 	}
 	s.serveStream(w, r, "grid", sc.Name, gridHeader(sc, job, false), func(st *stream) (any, error) {
-		// Probe phase: stream hits immediately, collect misses per row.
-		missing := make(map[int][]int) // row -> missing columns, ascending
+		// Probe phase: stream cached rows immediately, collect the misses.
 		var missRows []int
-		for row := 0; row < len(job.Ys); row++ {
-			for col := 0; col < cols; col++ {
+		for row, key := range keys {
+			val, ok := s.store.Lookup(key)
+			if !ok {
+				missRows = append(missRows, row)
+				continue
+			}
+			for col, vals := range val.([][]float64) {
 				if err := st.ctx.Err(); err != nil {
 					return nil, err
 				}
-				val, ok := s.store.Lookup(keys[row*cols+col])
-				if !ok {
-					if len(missing[row]) == 0 {
-						missRows = append(missRows, row)
-					}
-					missing[row] = append(missing[row], col)
-					continue
-				}
 				st.hits++
-				// The cached Cell carries the row/col of whichever grid solved
-				// it first; its content address covers only physics, so a
-				// resized or reordered grid can hit cells whose stored indices
-				// no longer match. Re-anchor to this request's geometry before
-				// streaming.
-				cell := val.(scenario.Cell)
-				cell.Row, cell.Col = row, col
+				cell := scenario.Cell{Row: row, Col: col, X: job.Xs[col], Y: job.Ys[row], Values: job.ValuesMap(vals)}
 				if err := st.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
 					return nil, err
 				}
@@ -271,7 +263,7 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.
 			if err := st.reserve(); err != nil {
 				return nil, err
 			}
-			if err := solveGridRows(st, job, keys, missRows, missing, workers); err != nil {
+			if err := solveGridRows(st, job, keys, missRows, workers); err != nil {
 				return nil, err
 			}
 		}
@@ -282,13 +274,13 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.
 	})
 }
 
-// solveGridRows solves the missing cells through the job's executor (each
-// row on a fresh warm-started solver, so a cell's bytes never depend on the
-// worker count) and streams each as it completes. Solving runs on its own
-// goroutine so frames keep flowing while rows are in flight. When the
-// client disconnects the workers stop within one cell each; cells solved
-// meanwhile are still cached — the work is not wasted.
-func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []int, missing map[int][]int, workers int) error {
+// solveGridRows solves the missing rows through the job's executor and
+// streams each cell as it completes. Solving runs on its own goroutine so
+// frames keep flowing while rows are in flight. A row is cached once all
+// its cells are in; when the client disconnects the workers stop within
+// one cell each and rows already complete stay cached — the work is not
+// wasted.
+func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []int, workers int) error {
 	cols := len(job.Xs)
 	ctx, stop := context.WithCancel(st.ctx)
 	defer stop()
@@ -306,12 +298,21 @@ func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []
 				solveErr = fmt.Errorf("grid solve panicked: %v", p)
 			}
 		}()
-		st.delta.Accumulate(job.SolveRows(ctx, workers, missRows, func(row int) []int { return missing[row] }, func(c scenario.Cell) {
+		st.delta.Accumulate(job.SolveRows(ctx, workers, missRows, func(c scenario.Cell) {
 			cells <- c
 		}))
 	}()
+	rows := make([][][]float64, len(job.Ys))
 	for c := range cells {
-		st.bank("cell", keys[c.Row*cols+c.Col], c, obs.SolveStats{})
+		if rows[c.Row] == nil {
+			rows[c.Row] = make([][]float64, cols)
+		}
+		rows[c.Row][c.Col], _ = job.ValuesSlice(c.Values)
+		st.solved++
+		// A row's cells arrive in column order, so its last one completes it.
+		if c.Col == cols-1 {
+			st.bank("row", keys[c.Row], rows[c.Row], obs.SolveStats{})
+		}
 		if ctx.Err() != nil {
 			continue
 		}

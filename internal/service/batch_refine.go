@@ -16,14 +16,14 @@ import (
 // order, any worker count), and closes with the refinement telemetry and
 // the surrogate's verified error bound. The finished surrogate is cached
 // under the scenario's content address, so a subsequent GET /v1/query on
-// the same grid answers without solving; lattice points ride the same
-// per-cell equilibrium cache as dense batch cells.
+// the same grid answers without solving; lattice rows ride the same
+// solve-unit cache as dense batch rows.
 
 // pointFrame is one materialized lattice point of a refined stream.
 type pointFrame struct {
 	Point refinePoint `json:"point"`
-	// Cache is "hit" for points served by the per-cell cache, "miss" for
-	// points the run solved.
+	// Cache is "hit" for points of a solve unit served by the cache, "miss"
+	// for points the run solved.
 	Cache string `json:"cache"`
 	Trace string `json:"trace,omitempty"`
 }

@@ -175,7 +175,7 @@ func TestBatchGridStreamsCellsAndCachesPerCell(t *testing.T) {
 	}
 
 	// Resize the grid (one new ν row, rename the scenario): only the new
-	// row's cells solve — per-cell addressing ignores bounds and names.
+	// row's cells solve — row addressing ignores other rows and names.
 	grown := fmt.Sprintf(`{"grid_json": %s}`, tinyGridJSON("tiny-grid-grown", "1, 1.5, 2"))
 	w = do(t, s, "POST", "/v1/batch", grown)
 	frames = ndjsonFrames(t, w.Body.String())
@@ -295,8 +295,9 @@ func (w *cancelingWriter) Write(p []byte) (int, error) {
 
 func TestBatchGridClientDisconnectStopsStream(t *testing.T) {
 	s := New(Options{})
-	// 15 cells; the "client" goes away after the header plus two cells.
-	body := fmt.Sprintf(`{"grid_json": %s}`, tinyGridJSON("tiny-grid", "1, 1.5, 2, 2.5, 3"))
+	// 15 cells in rows of 3; the "client" goes away after the header plus
+	// two cells.
+	body := fmt.Sprintf(`{"grid_json": %s, "workers": 1}`, tinyGridJSON("tiny-grid", "1, 1.5, 2, 2.5, 3"))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &cancelingWriter{after: 3, cancel: cancel}
@@ -312,37 +313,48 @@ func TestBatchGridClientDisconnectStopsStream(t *testing.T) {
 		t.Fatalf("missing header frame before disconnect: %v", frames[0])
 	}
 
-	// The server stays healthy and the partial work was banked: a fresh
-	// request completes the grid with at least the streamed cells cached.
-	w2 := do(t, s, "POST", "/v1/batch", body)
-	frames2 := ndjsonFrames(t, w2.Body.String())
+	// The server stays healthy and banked only whole rows: a fresh request
+	// completes the grid with a whole number of rows cached, and its cells
+	// are exactly a fresh server's.
+	replay := do(t, s, "POST", "/v1/batch", body).Body.String()
+	frames2 := ndjsonFrames(t, replay)
 	var done gridDoneFrame
 	b, _ := json.Marshal(frames2[len(frames2)-1])
 	json.Unmarshal(b, &done)
 	if !done.Done || done.Cells != 15 {
 		t.Fatalf("post-disconnect run done frame %+v", done)
 	}
-	if done.CacheHits < 2 {
-		t.Fatalf("cells streamed before the disconnect were not cached (hits=%d)", done.CacheHits)
+	if done.CacheHits%3 != 0 {
+		t.Fatalf("replay hit %d cells, not a whole number of 3-cell rows", done.CacheHits)
 	}
 	if done.Solved+done.CacheHits != 15 {
 		t.Fatalf("solved %d + cached %d != 15 cells", done.Solved, done.CacheHits)
 	}
+	fresh := do(t, New(Options{}), "POST", "/v1/batch", body).Body.String()
+	compareCells(t, "replay after disconnect", batchCells(t, replay, ""), batchCells(t, fresh, "miss"))
 }
 
 func TestBatchMetricsCountCells(t *testing.T) {
 	s := New(Options{})
 	body := fmt.Sprintf(`{"grid_json": %s}`, tinyGridJSON("tiny-grid", "1, 2"))
-	do(t, s, "POST", "/v1/batch", body)
-	do(t, s, "POST", "/v1/batch", body)
+	for _, want := range []gridDoneFrame{{Cells: 6, Solved: 6}, {Cells: 6, CacheHits: 6}} {
+		frames := ndjsonFrames(t, do(t, s, "POST", "/v1/batch", body).Body.String())
+		var done gridDoneFrame
+		b, _ := json.Marshal(frames[len(frames)-1])
+		json.Unmarshal(b, &done)
+		if done.Cells != want.Cells || done.Solved != want.Solved || done.CacheHits != want.CacheHits {
+			t.Fatalf("done frame %+v, want cells=%d solved=%d cache_hits=%d", done, want.Cells, want.Solved, want.CacheHits)
+		}
+	}
 	st := s.CacheStats()
-	// 12 probes total: 6 cold misses then 6 warm hits.
-	if st.Hits != 6 || st.Misses != 6 {
-		t.Fatalf("cache stats %+v, want 6 hits / 6 misses", st)
+	// The cache holds one unit per row: the cold 2×3 grid adds 2 entries,
+	// and the 4 probes are 2 cold misses then 2 warm hits.
+	if st.Entries != 2 || st.Hits != 2 || st.Misses != 2 {
+		t.Fatalf("cache stats %+v, want 2 entries, 2 hits / 2 misses", st)
 	}
 	w := do(t, s, "GET", "/metrics", "")
-	if !strings.Contains(w.Body.String(), "pubopt_cache_hits_total 6") {
-		t.Fatal("cell hits missing from /metrics")
+	if !strings.Contains(w.Body.String(), "pubopt_cache_hits_total 2") {
+		t.Fatal("row hits missing from /metrics")
 	}
 }
 

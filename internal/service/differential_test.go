@@ -2,10 +2,11 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -17,8 +18,10 @@ import (
 // must carry the same bytes: the library call at any worker count,
 // POST /v1/runs on a fresh server at any per-solve worker count, a
 // /v1/batch list or grid stream, and a warm replay of each. A refined
-// surrogate solves its lattice on its own warm-start chains, so it only has
-// to agree with the dense grid within its declared tolerance.
+// surrogate solves its finer lattice on its own warm-start chains, but it
+// agrees with the dense grid bit for bit at its seed knots: its wave 0 is
+// the dense rows, solved the same way. No answer may depend on what the
+// cache already held.
 
 // differentialCPs is the ensemble size the built-ins are shrunk to.
 const differentialCPs = 24
@@ -206,7 +209,7 @@ func TestCrossRouteDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if d := math.Abs(got - l.Z[r][c]); d > res.Tolerance()*res.Scale(li) {
+						if got != l.Z[r][c] { //pubopt:allow(floatcmp): wave 0 is the dense rows, bit for bit
 							t.Errorf("%s %s at (%g, %g): refined %v, dense %v", sc.Name, l.Name, x, y, got, l.Z[r][c])
 						}
 					}
@@ -214,10 +217,83 @@ func TestCrossRouteDifferential(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("cache history", func(t *testing.T) {
+		t.Parallel()
+		for _, name := range scenario.GridNames() {
+			sc := historyGrid(t, name)
+			full := fmt.Sprintf(`{"grid_json": %s}`, mustJSON(t, sc))
+			want := batchCells(t, post(t, New(Options{}), "/v1/batch", full), "miss")
+
+			sub := historyGrid(t, name)
+			sub.Sweep.Values = []float64{sc.Sweep.Values[3]}
+			refined := historyGrid(t, name)
+			refined.Sweep.Grid.Refine = &scenario.RefineSpec{MaxDepth: 2, Probes: 8}
+			unverified := historyGrid(t, name)
+			unverified.Sweep.Grid.Refine = &scenario.RefineSpec{MaxDepth: 1, Probes: -1}
+			job, err := unverified.CompileGrid()
+			if err != nil {
+				t.Fatal(err)
+			}
+			onGrid := [2]float64{job.Xs[2], job.Ys[0]}
+			offGrid := [2]float64{(job.Xs[1] + job.Xs[2]) / 2, (job.Ys[0] + job.Ys[1]) / 2}
+			for _, history := range []struct {
+				what  string
+				serve func(s *Server)
+			}{
+				{"one-column sub-grid", func(s *Server) {
+					post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s}`, mustJSON(t, sub)))
+				}},
+				{"refined batch", func(s *Server) {
+					post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s, "refine": true}`, mustJSON(t, refined)))
+				}},
+				{"unverified query fallbacks", func(s *Server) {
+					for _, at := range [][2]float64{onGrid, offGrid} {
+						body := post(t, s, "/v1/query", fmt.Sprintf(`{"grid_json": %s, "x": %v, "y": %v}`, mustJSON(t, unverified), at[0], at[1]))
+						if !strings.Contains(body, `"source":"solve"`) {
+							t.Fatalf("%s: query at %v did not fall back to a solve: %s", name, at, body)
+						}
+					}
+				}},
+				{"disconnected stream", func(s *Server) {
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					r := httptest.NewRequest("POST", "/v1/batch", strings.NewReader(full)).WithContext(ctx)
+					s.ServeHTTP(&cancelingWriter{after: 3, cancel: cancel}, r)
+				}},
+			} {
+				s := New(Options{})
+				history.serve(s)
+				compareCells(t, fmt.Sprintf("%s after a %s", name, history.what),
+					batchCells(t, post(t, s, "/v1/batch", full), ""), want)
+			}
+		}
+	})
+}
+
+// historyGrid is grid built-in name on a 60-CP ensemble, cut to its first 6
+// columns and first 2 rows, both as explicit values.
+func historyGrid(t *testing.T, name string) *scenario.Scenario {
+	t.Helper()
+	sc, ok := scenario.Get(name)
+	if !ok {
+		t.Fatalf("no built-in %q", name)
+	}
+	if k := sc.Population.Kind; k == "paper" || k == "ensemble" {
+		if err := sc.ApplyEnsembleOverrides(7, 60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw, g := &sc.Sweep, sc.Sweep.Grid
+	xs, ys := sw.XValues(), g.RowValues()
+	sw.Values, sw.Lo, sw.Hi, sw.Points = xs[:min(6, len(xs))], 0, 0, 0
+	g.Values, g.Lo, g.Hi, g.Points = ys[:min(2, len(ys))], 0, 0, 0
+	return sc
 }
 
 // batchCells parses a dense /v1/batch grid stream into its cells, keyed by
-// (row, col) and re-marshaled, requiring every cell to report wantCache.
+// (row, col) and re-marshaled, requiring every cell to report wantCache
+// unless it is empty.
 func batchCells(t *testing.T, body, wantCache string) map[[2]int][]byte {
 	t.Helper()
 	cells := make(map[[2]int][]byte)
@@ -229,7 +305,7 @@ func batchCells(t *testing.T, body, wantCache string) map[[2]int][]byte {
 		if err := json.Unmarshal([]byte(line), &f); err != nil {
 			t.Fatal(err)
 		}
-		if f.Cache != wantCache {
+		if wantCache != "" && f.Cache != wantCache {
 			t.Errorf("cell (%d,%d) cache %q, want %q", f.Cell.Row, f.Cell.Col, f.Cache, wantCache)
 		}
 		cells[[2]int{f.Cell.Row, f.Cell.Col}] = mustJSON(t, f.Cell)

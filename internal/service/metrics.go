@@ -258,7 +258,7 @@ func (m *metrics) render(w *strings.Builder, st cache.Stats, solver obs.SolveSta
 	counter("pubopt_solver_cycle_restarts_total", "Class-dynamics partition-cycle restarts (mover-cap halvings and indifference-band widenings).", solver.CycleRestarts)
 
 	counter("pubopt_refine_points_solved_total", "Adaptive-refinement lattice points materialized by a kernel solve.", refined.PointsSolved)
-	counter("pubopt_refine_points_reused_total", "Adaptive-refinement lattice and probe points served by the per-cell cache.", refined.PointsReused)
+	counter("pubopt_refine_points_reused_total", "Adaptive-refinement lattice and probe points served by the solve-unit cache.", refined.PointsReused)
 	counter("pubopt_refine_probe_solves_total", "Surrogate-verification probe points solved.", refined.ProbeSolves)
 	counter("pubopt_refine_cells_split_total", "Refinement cells split into four children by curvature or indicator crossing.", refined.CellsSplit)
 	counter("pubopt_refine_cells_interpolated_total", "Refinement leaves accepted by the interpolant screen alone (no center solve).", refined.CellsInterpolated)

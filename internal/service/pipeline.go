@@ -21,7 +21,7 @@ import (
 // the server computes is cache.Key(namespace, content).
 const (
 	nsRun       = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
-	nsCell      = "batch/cell/v1"       // scenario.Cell; content: GridJob.CellSpec/CellSpecAt
+	nsUnit      = "grid/unit/v1"        // [][]float64, one value per layer per point; content: GridJob.UnitSpec
 	nsSurrogate = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
 	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
 )
@@ -301,10 +301,9 @@ func (st *stream) frame(v any) error {
 }
 
 // bank caches one solved unit and records it as a flight-recorder event of
-// kind ("cell" or "tick") carrying the unit's solver telemetry.
+// kind ("row" or "tick") carrying the unit's solver telemetry.
 func (st *stream) bank(kind, key string, val any, solver obs.SolveStats) {
 	st.s.store.Put(key, val)
-	st.solved++
 	st.s.recorder.Record(obs.Event{
 		Time: time.Now(), Trace: st.trace, Kind: kind, Name: st.name,
 		Key: shortKey(key), Outcome: cache.Miss.String(), Solver: solver,

@@ -25,9 +25,10 @@ import (
 // unverified interpolation, so the answer is always either within the
 // configured tolerance or exact.
 //
-// The surrogate's lattice points and the per-point fallback solves share
-// the per-cell equilibrium cache with POST /v1/batch: a dense batch warms
-// the surrogate build and vice versa.
+// The surrogate's solve units (lattice rows and the probe set) and the
+// one-point fallback solves share the equilibrium cache's unit namespace
+// with POST /v1/batch's grid rows: a dense batch warms the surrogate
+// build's seed rows and vice versa.
 
 // queryRequest is the body of POST /v1/query; the GET form takes the same
 // fields as URL parameters (?grid=name&x=…&y=…).
@@ -137,14 +138,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 	}
 	if !surr.Verified() {
 		// The error bound does not hold (verification failed or was
-		// disabled): answer with one kernel solve through the per-cell
-		// cache instead of unverified interpolation.
-		cell, status, err := s.solvePoint(r.Context(), res.sc.Name, job, req.X, req.Y)
+		// disabled): answer with one cached point solve instead of
+		// unverified interpolation.
+		vals, status, err := s.solvePoint(r.Context(), res.sc.Name, job, req.X, req.Y)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "fallback solve: %v", err)
 			return
 		}
-		resp.Values = cell.Values
+		resp.Values = vals
 		resp.Source = "solve"
 		resp.Cache = status.String()
 	}
@@ -166,12 +167,12 @@ func (s *Server) surrogate(ctx context.Context, res *resolved, job *scenario.Gri
 	return val.(*refine.Result), status, nil
 }
 
-// refineGrid runs the grid's adaptive refinement with its lattice points and
-// probes on the per-cell equilibrium cache, so it shares solves with dense
-// POST /v1/batch runs, and adds its stats to the server's refine counters.
+// refineGrid runs the grid's adaptive refinement with its solve units on
+// the equilibrium cache, so it shares seed rows with dense POST /v1/batch
+// runs, and adds its stats to the server's refine counters.
 func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *obs.Counters, opts refine.Options) (*refine.Result, error) {
 	prob, flush := job.RefineProblem(stats)
-	opts.Lookup, opts.Store = s.cellHooks(job)
+	opts.Lookup, opts.Store = s.unitHooks(job)
 	surr, err := refine.Run(ctx, prob, job.RefineSpec(), opts)
 	flush()
 	if err != nil {
@@ -181,36 +182,35 @@ func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *o
 	return surr, nil
 }
 
-// solvePoint solves one off-lattice point of grid name through the per-cell
-// equilibrium cache — the unverified-surrogate fallback of /v1/query. The
-// point is solved cold on the refinement adapter's point solver, as a
-// refinement probe is.
-func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (scenario.Cell, cache.Status, error) {
-	key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
+// solvePoint solves one point of grid name as a one-point unit on a fresh
+// solver, through the equilibrium cache — the unverified-surrogate
+// fallback of /v1/query.
+func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (map[string]float64, cache.Status, error) {
+	key, err := cache.Key(nsUnit, job.UnitSpec([]float64{x}, []float64{y}))
 	if err != nil {
-		return scenario.Cell{}, 0, err
+		return nil, 0, err
 	}
 	val, status, _, err := s.cached(ctx, "cell", name, key, func(stats *obs.Counters) (any, error) {
-		prob, flush := job.RefineProblem(stats)
-		vals := prob.NewSolver().Solve(x, y)
-		flush()
-		return scenario.Cell{Row: -1, Col: -1, X: x, Y: y, Values: job.ValuesMap(vals)}, nil
+		w := job.NewWorker()
+		vals, _ := job.ValuesSlice(w.SolveAt(x, y))
+		stats.Add(w.Stats())
+		return [][]float64{vals}, nil
 	})
 	if err != nil {
-		return scenario.Cell{}, status, err
+		return nil, status, err
 	}
-	return val.(scenario.Cell), status, nil
+	return job.ValuesMap(val.([][]float64)[0]), status, nil
 }
 
-// cellHooks bridges the refinement engine's point cache to the server's
-// content-addressed equilibrium cache: every lattice point and probe is
-// keyed by its CellSpecAt address — the same namespace POST /v1/batch uses
-// for dense cells — so dense and refined runs of coincident points share
-// solves. Lookup may be called concurrently from row tasks; the store is
-// goroutine-safe.
-func (s *Server) cellHooks(job *scenario.GridJob) (lookup func(x, y float64) ([]float64, bool), store func(x, y float64, vals []float64)) {
-	lookup = func(x, y float64) ([]float64, bool) {
-		key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
+// unitHooks bridges the refinement engine's unit cache to the server's
+// content-addressed equilibrium cache: every lattice-row task and the probe
+// set are keyed by their UnitSpec — the namespace POST /v1/batch keys its
+// rows in — so a refinement's seed rows and a dense grid's rows share
+// solves. The engine calls both hooks on its Run goroutine and never
+// mutates the values it is handed.
+func (s *Server) unitHooks(job *scenario.GridJob) (lookup func(xs, ys []float64) ([][]float64, bool), store func(xs, ys []float64, vals [][]float64)) {
+	lookup = func(xs, ys []float64) ([][]float64, bool) {
+		key, err := cache.Key(nsUnit, job.UnitSpec(xs, ys))
 		if err != nil {
 			return nil, false
 		}
@@ -218,18 +218,12 @@ func (s *Server) cellHooks(job *scenario.GridJob) (lookup func(x, y float64) ([]
 		if !ok {
 			return nil, false
 		}
-		cell, ok := val.(scenario.Cell)
-		if !ok {
-			return nil, false
-		}
-		return job.ValuesSlice(cell.Values)
+		return val.([][]float64), true
 	}
-	store = func(x, y float64, vals []float64) {
-		key, err := cache.Key(nsCell, job.CellSpecAt(x, y))
-		if err != nil {
-			return
+	store = func(xs, ys []float64, vals [][]float64) {
+		if key, err := cache.Key(nsUnit, job.UnitSpec(xs, ys)); err == nil {
+			s.store.Put(key, vals)
 		}
-		s.store.Put(key, scenario.Cell{Row: -1, Col: -1, X: x, Y: y, Values: job.ValuesMap(vals)})
 	}
 	return lookup, store
 }

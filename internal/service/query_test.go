@@ -274,7 +274,7 @@ func TestBatchRefineStreamsPointsLeavesAndWarmsQuery(t *testing.T) {
 		t.Fatalf("query after refined batch solved (%g -> %g)", solves, got)
 	}
 
-	// Replaying the refined batch hits the per-cell cache for every point:
+	// Replaying the refined batch hits the cache for every solve unit:
 	// zero new kernel work.
 	w = do(t, s, "POST", "/v1/batch", body)
 	frames = ndjsonFrames(t, w.Body.String())

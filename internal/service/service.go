@@ -11,8 +11,8 @@
 // content-addressed equilibrium cache (internal/cache), where identical
 // concurrent requests coalesce onto one solve and a bounded worker pool
 // keeps distinct solves from oversubscribing the CPU; NDJSON streams (grids
-// cell by cell, simulations tick by tick) take one stream runner that
-// serves cached units first and solves the rest in one pool slot. Both own
+// row by row, simulations tick by tick) take one stream runner that serves
+// cached units first and solves the rest in one pool slot. Both own
 // the metrics, flight-recorder events and log lines, so every endpoint is
 // metered the same way. The model is deterministic, so cached results
 // never go stale.
@@ -23,7 +23,7 @@
 //	GET  /v1/scenarios/{name}       one scenario's full JSON definition
 //	POST /v1/runs                   solve a named or inline 1-D scenario
 //	POST /v1/batch                  stream a scenario list or a 2-D grid
-//	                                as NDJSON, grid cells cached per cell;
+//	                                as NDJSON, grid cells cached per row;
 //	                                "refine": true streams an adaptive
 //	                                refinement run instead of dense cells
 //	GET  /v1/query                  solve-free point query against a grid's
@@ -60,11 +60,10 @@ import (
 )
 
 // DefaultCacheEntries is the LRU bound used when Options.CacheEntries is 0.
-// Grid cells from /v1/batch occupy one entry each, so the bound is sized to
-// hold several built-in grids' worth of cells alongside full run results;
-// a deployment replaying grids larger than this should raise it to at
-// least the working set's cell count, or warm re-runs re-solve evicted
-// cells.
+// A dense grid row from /v1/batch occupies one entry, so the bound holds
+// many built-in grids' rows alongside full run results; a deployment
+// replaying more rows than this should raise it to at least the working
+// set's row count, or warm re-runs re-solve evicted rows.
 const DefaultCacheEntries = 2048
 
 // DefaultFlightEvents is the flight recorder's ring capacity when

@@ -157,6 +157,7 @@ func simulateRest(st *stream, sc *scenario.Scenario, keys []string, last *dynami
 		}
 		rec := eng.Step()
 		st.bank("tick", keys[rec.Tick], rec, rec.Solver)
+		st.solved++
 		if err := st.frame(&simTickFrame{Tick: rec, Cache: cache.Miss.String(), Trace: st.echo}); err != nil {
 			return err
 		}

@@ -98,13 +98,3 @@ func writeLongCSV(w io.Writer, what string, header []string, emit func(write fun
 	}
 	return nil
 }
-
-// Map evaluates f over xs sequentially (warm-start friendly) and returns
-// the resulting series.
-func Map(name string, xs []float64, f func(x float64) float64) Series {
-	s := Series{Name: name}
-	for _, x := range xs {
-		s.Append(x, f(x))
-	}
-	return s
-}

@@ -15,13 +15,6 @@ func TestSeriesAppend(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	s := Map("sq", []float64{1, 2, 3}, func(x float64) float64 { return x * x })
-	if s.Name != "sq" || s.Len() != 3 || s.Y[2] != 9 {
-		t.Fatalf("Map = %+v", s)
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tbl := Table{Title: "t", XLabel: "c", YLabel: "psi"}
 	tbl.Add(Series{Name: "nu=20", X: []float64{0, 0.5}, Y: []float64{1, 2}})
