@@ -16,9 +16,10 @@ import (
 const HotPathMarker = "//pubopt:hotpath"
 
 // HotPathAlloc enforces the 0 allocs/op contract of the warm solve path
-// (internal/alloc.Workspace, the BulkAllocator fast paths, sweep.RunRows's
-// per-cell work, internal/refine's curvature screen and surrogate
-// evaluation) at vet time, before the CI benchmark gate can even run.
+// (internal/alloc.Workspace, the BulkAllocator fast paths, core.Solver's
+// class-game iteration, sweep.RunRows's per-cell work, internal/refine's
+// curvature screen and surrogate evaluation) at vet time, before the CI
+// benchmark gate can even run.
 //
 // Inside a function marked //pubopt:hotpath it flags every construct the gc
 // compiler turns into a heap allocation on at least some escape-analysis

@@ -22,6 +22,16 @@ import (
 // competitive dynamics, so repeated solves — price grids, capacity sweeps,
 // migration bisections — run without per-iteration allocation. It is not
 // safe for concurrent use; sweeps create one Solver per worker.
+//
+// # Pooling contract
+//
+// CompetitiveScratch returns the solver's own ClassEquilibrium: its
+// partition, θ profile and intra-class results live in solver buffers and
+// are valid only until the next call on the solver. It serves the games
+// whose equilibrium is read once and discarded (the migration search's
+// gap evaluations, share curves, policy objectives). CompetitiveFrom runs
+// the same game and returns a Clone, which the caller owns. This is the
+// alloc.Workspace contract one rung up.
 type Solver struct {
 	Alloc   alloc.Allocator
 	MaxIter int // iteration budget for the competitive fixed point
@@ -37,11 +47,14 @@ type Solver struct {
 	// premium levels evolve separately along the dynamics) and one for
 	// post-join counterfactuals.
 	wsO, wsP, wsJoin *alloc.Workspace
-	// Scratch: class partitions, the members∪{cp} join buffer, and the
-	// visited-partition set of the cycle detector.
+	// Scratch: class partitions, the members∪{cp} join buffer, the
+	// visited-partition set of the cycle detector, the screened movers and
+	// the pooled equilibrium CompetitiveScratch returns.
 	ordBuf, premBuf traffic.Population
 	joinBuf         traffic.Population
 	seen            partitionSet
+	movers          []mover
+	eq              ClassEquilibrium
 	// cycles counts partition-cycle restarts across the solver's lifetime:
 	// phase-1 mover-cap halvings and phase-2 indifference-band widenings.
 	// Surfaced through Stats alongside the kernels' counters.
@@ -86,8 +99,8 @@ func (s *Solver) Stats() obs.SolveStats {
 
 // splitScratch partitions pop by membership flags into the solver's
 // reusable class buffers, preserving order. The returned slices alias the
-// scratch and are valid until the next splitScratch call; results that
-// outlive an iteration (finalize) clone what they keep.
+// scratch and are valid until the next splitScratch call; equilibria that
+// outlive it are cloned (ClassEquilibrium.Clone).
 func (s *Solver) splitScratch(pop traffic.Population, premium []bool) (ordinary, prem traffic.Population) {
 	s.ordBuf = s.ordBuf[:0]
 	s.premBuf = s.premBuf[:0]
@@ -126,6 +139,21 @@ type ClassEquilibrium struct {
 	// band to widen). Every CP's class choice is optimal up to EpsUsed times
 	// its utility scale.
 	EpsUsed float64
+}
+
+// Clone returns a deep copy of the equilibrium, detached from the solver
+// that produced it: the partition, the θ profile and both intra-class
+// results are copied. The full population is shared, as the solver never
+// writes it.
+func (e *ClassEquilibrium) Clone() *ClassEquilibrium {
+	c := *e
+	c.InPremium = make([]bool, len(e.InPremium))
+	copy(c.InPremium, e.InPremium)
+	c.Theta = make([]float64, len(e.Theta))
+	copy(c.Theta, e.Theta)
+	c.Ordinary = e.Ordinary.Clone()
+	c.Premium = e.Premium.Clone()
+	return &c
 }
 
 // PremiumCount returns the number of premium CPs.
@@ -350,91 +378,43 @@ func (s *Solver) Competitive(strategy Strategy, nu float64, pop traffic.Populati
 // CompetitiveFrom is Competitive with a warm-start partition (may be nil).
 // Passing the previous equilibrium's InPremium when sweeping a parameter
 // cuts the iteration count to a handful, since partitions move slowly along
-// sweeps.
+// sweeps. The result is the caller's: CompetitiveScratch's equilibrium,
+// cloned.
 func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
+	return s.CompetitiveScratch(strategy, nu, pop, warm).Clone()
+}
+
+// CompetitiveScratch is CompetitiveFrom into the solver's pooled
+// equilibrium (see the pooling contract on Solver): the same game, the
+// same floats, no allocation once the solver's buffers have grown. The
+// result is valid until the next call on the solver; Clone it to retain
+// it. warm may alias the previous pooled partition.
+func (s *Solver) CompetitiveScratch(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
 	if err := strategy.Validate(); err != nil {
 		panic(err)
 	}
 	if nu < 0 || math.IsNaN(nu) {
 		panic(fmt.Sprintf("core: Competitive called with ν=%g", nu))
 	}
-	s.kernels()
-	eq := &ClassEquilibrium{
-		Strategy:  strategy,
-		Nu:        nu,
-		Pop:       pop,
-		InPremium: make([]bool, len(pop)),
-		Theta:     make([]float64, len(pop)),
-		Converged: true,
-	}
+	eq := s.begin(strategy, nu, pop, warm)
 	// κ = 0 or no CPs: no premium class forms; the trivial profile (N, ∅).
 	if len(pop) == 0 || strategy.NoPremium() {
 		s.finalize(eq)
 		return eq
 	}
 
-	// Initial partition.
-	if warm != nil && len(warm) == len(pop) {
-		copy(eq.InPremium, warm)
-	} else {
-		for i := range pop {
-			eq.InPremium[i] = pop[i].V > strategy.C
-		}
-	}
-
-	capO := (1 - strategy.Kappa) * nu
-	capP := strategy.Kappa * nu
 	// The unconstrained level of the full population is what an uncongested
 	// class advertises; it is a function of (mechanism, pop) only, so hoist
 	// it out of the dynamics.
 	hiFull := s.Alloc.LevelHi(pop)
-	levels := func(premium []bool) (lO, lP float64) {
-		o, p := s.splitScratch(pop, premium)
-		resO := s.wsO.Solve(capO, o)
-		lO = s.classLevel(resO, capO, hiFull)
-		resP := s.wsP.Solve(capP, p)
-		lP = s.classLevel(resP, capP, hiFull)
-		return lO, lP
-	}
-
 	eps := s.EpsUtil
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	type mover struct {
-		idx  int
-		gain float64 // apparent utility improvement of switching, always > 0
-	}
-	// screen collects CPs whose switch looks profitable at the advertised
-	// class levels (an upper bound on the true gain), best first.
-	movers := make([]mover, 0, len(pop))
-	screen := func(lO, lP float64) []mover {
-		movers = movers[:0]
-		for i := range pop {
-			g := s.switchGain(&pop[i], strategy.C, lO, lP)
-			band := eps * utilityScale(&pop[i], strategy.C)
-			switch {
-			case !eq.InPremium[i] && g > band:
-				movers = append(movers, mover{idx: i, gain: g})
-			case eq.InPremium[i] && g < -band:
-				movers = append(movers, mover{idx: i, gain: -g})
-			}
-		}
-		// Generic sort: unlike sort.Slice it reflects nothing and allocates
-		// nothing, and screen runs once per dynamics iteration.
-		slices.SortFunc(movers, func(a, b mover) int {
-			switch {
-			case a.gain > b.gain:
-				return -1
-			case a.gain < b.gain:
-				return 1
-			}
-			return 0
-		})
-		return movers
-	}
+	capO := (1 - strategy.Kappa) * nu
+	capP := strategy.Kappa * nu
 
-	lO, lP := levels(eq.InPremium)
+	lO, lP := s.levels(eq, hiFull)
 	s.seen.reset()
 	s.seen.add(eq.InPremium)
 
@@ -446,7 +426,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	cap1 := len(pop)
 	for iter := 1; iter <= phase1Budget && cap1 > 1; iter++ {
 		eq.Iterations = iter
-		ms := screen(lO, lP)
+		ms := s.screen(eq, eps, lO, lP)
 		if len(ms) == 0 {
 			eq.EpsUsed = eps
 			s.finalize(eq)
@@ -458,7 +438,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 		for _, m := range ms {
 			eq.InPremium[m.idx] = !eq.InPremium[m.idx]
 		}
-		lO, lP = levels(eq.InPremium)
+		lO, lP = s.levels(eq, hiFull)
 		if s.seen.add(eq.InPremium) {
 			s.cycles++
 			cap1 /= 2 // oscillating: shrink the block
@@ -475,7 +455,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	s.seen.add(eq.InPremium)
 	for iter := eq.Iterations + 1; iter <= s.MaxIter; iter++ {
 		eq.Iterations = iter
-		ms := screen(lO, lP)
+		ms := s.screen(eq, eps, lO, lP)
 		movedIdx := -1
 		if len(ms) > 0 {
 			o, p := s.splitScratch(pop, eq.InPremium)
@@ -534,7 +514,7 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 			s.finalize(eq)
 			return eq
 		}
-		lO, lP = levels(eq.InPremium)
+		lO, lP = s.levels(eq, hiFull)
 		if s.seen.add(eq.InPremium) {
 			s.cycles++
 			eps *= 8 // interleaved cycle: widen the indifference band
@@ -548,6 +528,92 @@ func (s *Solver) CompetitiveFrom(strategy Strategy, nu float64, pop traffic.Popu
 	return eq
 }
 
+// begin points the pooled equilibrium at a new game and sets its initial
+// partition: everyone ordinary when no premium class forms, else warm when
+// it fits pop, else affordability (v_i > c). warm may alias the pooled
+// partition: copy then moves nothing.
+func (s *Solver) begin(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
+	s.kernels()
+	n := len(pop)
+	in := slices.Grow(s.eq.InPremium[:0], n)[:n]
+	switch {
+	case strategy.NoPremium():
+		clear(in)
+	case warm != nil && len(warm) == n:
+		copy(in, warm)
+	default:
+		for i := range pop {
+			in[i] = pop[i].V > strategy.C
+		}
+	}
+	s.eq = ClassEquilibrium{
+		Strategy:  strategy,
+		Nu:        nu,
+		Pop:       pop,
+		InPremium: in,
+		Theta:     slices.Grow(s.eq.Theta[:0], n)[:n],
+		Converged: true,
+	}
+	if cap(s.movers) < n {
+		s.movers = make([]mover, 0, n)
+	}
+	return &s.eq
+}
+
+// levels solves both classes of eq's current partition on the warm
+// kernels and returns the levels they advertise to prospective members.
+//
+//pubopt:hotpath
+func (s *Solver) levels(eq *ClassEquilibrium, hiFull float64) (lO, lP float64) {
+	capO := (1 - eq.Strategy.Kappa) * eq.Nu
+	capP := eq.Strategy.Kappa * eq.Nu
+	o, p := s.splitScratch(eq.Pop, eq.InPremium)
+	lO = s.classLevel(s.wsO.Solve(capO, o), capO, hiFull)
+	lP = s.classLevel(s.wsP.Solve(capP, p), capP, hiFull)
+	return lO, lP
+}
+
+// mover is a CP whose switch looks profitable, with its apparent utility
+// improvement (always > 0).
+type mover struct {
+	idx  int
+	gain float64
+}
+
+// screen collects the CPs whose switch looks profitable at the advertised
+// class levels (an upper bound on the true gain), best first, into the
+// solver's mover buffer (begin sizes it to the population).
+//
+//pubopt:hotpath
+func (s *Solver) screen(eq *ClassEquilibrium, eps, lO, lP float64) []mover {
+	ms := s.movers[:0]
+	c := eq.Strategy.C
+	for i := range eq.Pop {
+		g := s.switchGain(&eq.Pop[i], c, lO, lP)
+		band := eps * utilityScale(&eq.Pop[i], c)
+		switch {
+		case !eq.InPremium[i] && g > band:
+			ms = ms[:len(ms)+1]
+			ms[len(ms)-1] = mover{idx: i, gain: g}
+		case eq.InPremium[i] && g < -band:
+			ms = ms[:len(ms)+1]
+			ms[len(ms)-1] = mover{idx: i, gain: -g}
+		}
+	}
+	// Generic sort: unlike sort.Slice it reflects nothing and allocates
+	// nothing, and screen runs once per dynamics iteration.
+	slices.SortFunc(ms, func(a, b mover) int {
+		switch {
+		case a.gain > b.gain:
+			return -1
+		case a.gain < b.gain:
+			return 1
+		}
+		return 0
+	})
+	return ms
+}
+
 // Trivial computes the degenerate strategy profiles of the paper without
 // iteration: for κ = 0 it is (N, ∅); for κ = 1 it is ({i : v_i ≤ c}, rest)
 // (§III-C). For interior κ it falls back to Competitive.
@@ -556,33 +622,22 @@ func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) 
 	case strategy.NoPremium():
 		return s.Competitive(strategy, nu, pop)
 	case strategy.AllPremium():
-		eq := &ClassEquilibrium{
-			Strategy:  strategy,
-			Nu:        nu,
-			Pop:       pop,
-			InPremium: make([]bool, len(pop)),
-			Theta:     make([]float64, len(pop)),
-			Converged: true,
-		}
-		for i := range pop {
-			eq.InPremium[i] = pop[i].V > strategy.C
-		}
+		eq := s.begin(strategy, nu, pop, nil)
 		s.finalize(eq)
-		return eq
+		return eq.Clone()
 	default:
 		return s.Competitive(strategy, nu, pop)
 	}
 }
 
 // finalize computes the exact intra-class equilibria and the per-CP θ for
-// the current partition. The intra-class solves run on the warm kernels;
-// the results are cloned because ClassEquilibrium retains them past the
-// solver's next use of the workspaces.
+// the current partition. The intra-class solves run on the warm kernels,
+// and eq keeps their pooled results: ClassEquilibrium.Clone copies them
+// when a caller retains the equilibrium.
 func (s *Solver) finalize(eq *ClassEquilibrium) {
-	s.kernels()
 	o, p := s.splitScratch(eq.Pop, eq.InPremium)
-	eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o).Clone()
-	eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p).Clone()
+	eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o)
+	eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p)
 	oi, pi := 0, 0
 	for i := range eq.Pop {
 		if eq.InPremium[i] {
@@ -595,50 +650,43 @@ func (s *Solver) finalize(eq *ClassEquilibrium) {
 	}
 }
 
-// split partitions pop by membership flags, preserving order, into freshly
-// allocated slices. Hot paths use Solver.splitScratch; this stays for the
-// cold callers (the Nash enumerator) that hold both halves across nested
-// solves.
-func split(pop traffic.Population, premium []bool) (ordinary, prem traffic.Population) {
-	for i := range pop {
-		if premium[i] {
-			prem = append(prem, pop[i])
-		} else {
-			ordinary = append(ordinary, pop[i])
-		}
-	}
-	return ordinary, prem
-}
-
 // partitionSet tracks the class partitions the dynamics have visited, for
-// cycle detection. Membership bits are packed into a reused buffer and
-// hashed with 64-bit FNV-1a; the packed key is stored per hash bucket and
-// compared on lookup, so a hash collision can never report a phantom cycle
-// (a false positive would spuriously shrink the phase-1 mover cap or widen
-// the indifference band). Revisit checks allocate nothing; only the first
-// visit of a partition stores a copy of its packed key.
+// cycle detection. Membership bits are packed into an arena, one key per
+// visited partition, and hashed with 64-bit FNV-1a; the map sends a hash to
+// the first key that had it. The packed keys are compared on lookup, so a
+// hash collision can never report a phantom cycle (a false positive would
+// spuriously shrink the phase-1 mover cap or widen the indifference band).
+// reset keeps the map's buckets and the arena, so once both have grown to a
+// game's longest run of distinct partitions nothing allocates.
 type partitionSet struct {
-	m   map[uint64][][]byte
-	buf []byte
+	first map[uint64]int // hash → index of the first key with that hash
+	arena []byte         // packed keys, each n bytes, in visit order
+	n     int            // packed key length; every partition between resets has the same length
 }
 
 // reset empties the set.
 func (ps *partitionSet) reset() {
-	if ps.m == nil || len(ps.m) > 0 {
-		ps.m = make(map[uint64][][]byte, 64)
+	if ps.first == nil {
+		ps.first = make(map[uint64]int, 64)
 	}
+	clear(ps.first)
+	ps.arena = ps.arena[:0]
 }
 
 // add records the partition and reports whether it was already present.
+//
+//pubopt:hotpath
 func (ps *partitionSet) add(premium []bool) bool {
-	n := (len(premium) + 7) / 8
-	if cap(ps.buf) < n {
-		ps.buf = make([]byte, n)
+	ps.n = (len(premium) + 7) / 8
+	// Pack into the arena's tail: the bytes stay as the new key, or are
+	// dropped again on a revisit.
+	keys := len(ps.arena) / max(ps.n, 1)
+	if cap(ps.arena)-len(ps.arena) < ps.n {
+		//pubopt:allow(hotpathalloc): the arena grows until it holds a game's longest run of distinct partitions, then reset reuses it
+		ps.arena = append(ps.arena, make([]byte, ps.n)...)[:len(ps.arena)]
 	}
-	b := ps.buf[:n]
-	for i := range b {
-		b[i] = 0
-	}
+	b := ps.arena[len(ps.arena) : len(ps.arena)+ps.n]
+	clear(b)
 	for i, p := range premium {
 		if p {
 			b[i/8] |= 1 << (i % 8)
@@ -650,14 +698,25 @@ func (ps *partitionSet) add(premium []bool) bool {
 		h ^= uint64(c)
 		h *= prime64
 	}
-	for _, k := range ps.m[h] {
-		if bytes.Equal(k, b) {
+	if k, ok := ps.first[h]; ok {
+		if bytes.Equal(ps.key(k), b) {
 			return true
 		}
+		// A 64-bit collision: compare against every stored key.
+		for j := range keys {
+			if bytes.Equal(ps.key(j), b) {
+				return true
+			}
+		}
+	} else {
+		ps.first[h] = keys
 	}
-	ps.m[h] = append(ps.m[h], append([]byte(nil), b...))
+	ps.arena = ps.arena[:len(ps.arena)+ps.n]
 	return false
 }
+
+// key returns the k-th stored packed partition.
+func (ps *partitionSet) key(k int) []byte { return ps.arena[k*ps.n : (k+1)*ps.n] }
 
 // VerifyCompetitive counts the CPs whose class choice violates the
 // ε-equilibrium condition (Definition 3 under the rational-expectations

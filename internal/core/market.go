@@ -84,9 +84,19 @@ func NewMarket(s *Solver, pop traffic.Population, nuBar float64) *Market {
 	return &Market{Solver: s, Pop: pop, NuBar: nuBar, MigrationTol: 1e-8, warm: make(map[string][]bool)}
 }
 
-// phiAtShare returns ISP k's per-capita consumer surplus when it holds
-// market share m, together with the class equilibrium that produced it.
-func (mk *Market) phiAtShare(isp ISP, m float64) (float64, *ClassEquilibrium) {
+// eqAtShare returns the class equilibrium ISP isp reaches when it holds
+// market share m, warm-started from the ISP's previous evaluation. The
+// result is the solver's pooled equilibrium, valid until its next call:
+// the migration search and the share curves read one value from each
+// evaluation and drop it, and an outcome Clones the equilibria it keeps.
+func (mk *Market) eqAtShare(isp ISP, m float64) *ClassEquilibrium {
+	eq := mk.Solver.CompetitiveScratch(isp.Strategy, mk.nuAtShare(isp, m), mk.Pop, mk.warm[isp.Name])
+	mk.warm[isp.Name] = append(mk.warm[isp.Name][:0], eq.InPremium...)
+	return eq
+}
+
+// nuAtShare is the per-capita capacity γν̄/m of ISP isp at market share m.
+func (mk *Market) nuAtShare(isp ISP, m float64) float64 {
 	if m < minShare {
 		m = minShare
 	}
@@ -99,20 +109,18 @@ func (mk *Market) phiAtShare(isp ISP, m float64) (float64, *ClassEquilibrium) {
 	if sat := mk.Pop.TotalUnconstrainedPerCapita(); nu > 1e4*sat {
 		nu = 1e4 * sat
 	}
-	eq := mk.Solver.CompetitiveFrom(isp.Strategy, nu, mk.Pop, mk.warm[isp.Name])
-	mk.warm[isp.Name] = append(mk.warm[isp.Name][:0], eq.InPremium...)
-	return eq.Phi(), eq
+	return nu
 }
 
 // SolveDuopoly computes the migration equilibrium of two ISPs by direct
-// bisection on ISP a's market share: the gap Φ_a(m) − Φ_b(1−m) is
-// non-increasing in m (Theorem 2 via ν_a = γ_a·ν̄/m), so the equalization
-// point is unique up to the discontinuities of the class game. Boundary
-// cases clamp: if even an infinitesimal share of consumers at a experiences
-// less surplus than b provides to everyone, a's share is 0 (the paper's
-// c_I = 1 corner where "all consumers move to ISP J").
+// bisection on ISP a's market share for a sign change of the gap
+// Φ_a(m) − Φ_b(1−m) (see migrate for which one it selects: the gap is not
+// monotone in general). Boundary cases clamp: if even an infinitesimal
+// share of consumers at a experiences less surplus than b provides to
+// everyone, a's share is 0 (the paper's c_I = 1 corner where "all consumers
+// move to ISP J").
 func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
-	m := mk.migrate(a, b, mk.phiAtShare)
+	m := mk.migrate(a, b, func(_ ISP, eq *ClassEquilibrium) float64 { return eq.Phi() })
 	return &MarketOutcome{
 		ISPs:   []ISP{a, b},
 		NuBar:  mk.NuBar,
@@ -129,11 +137,24 @@ type migration struct {
 	eqA, eqB *ClassEquilibrium
 }
 
-// migrate is the one two-ISP migration search: it finds the share m of ISP
-// a at which the per-ISP values value(a, m) and value(b, 1−m) equalize
-// (Assumption 5 on the value consumers weigh — Φ, or Φ + σ·Ψ under
-// rebates). The value gap is non-increasing in m, so a bisection finds it.
-func (mk *Market) migrate(a, b ISP, value func(isp ISP, m float64) (float64, *ClassEquilibrium)) migration {
+// migrate is the one two-ISP migration search: it finds a share m of ISP
+// a at which the per-ISP values of the class equilibria at shares m and
+// 1−m equalize (Assumption 5 on the value consumers weigh — Φ, or Φ + σ·Ψ
+// under rebates).
+//
+// Theorem 2 (via ν_a = γ_a·ν̄/m) suggests the gap falls in m, but the class
+// game jumps: when CPs switch classes the value can move against the
+// trend, so the gap is not monotone and can change sign more than once.
+// (On fig8-c02's 120-CP parity ensemble it changes sign three times within
+// 0.0075 of share; see TestMigrationGapNotMonotone in internal/scenario.)
+// The search is numeric.BisectDecreasing on [minShare, 1−minShare], so the
+// selected equilibrium is the sign change its midpoint sequence reaches; a
+// different search could select a different one.
+//
+// The gap evaluations and the plateau test discard their equilibria and
+// run on the solver's pooled one; only the two final equilibria are
+// retained.
+func (mk *Market) migrate(a, b ISP, value func(isp ISP, eq *ClassEquilibrium) float64) migration {
 	for _, isp := range []ISP{a, b} {
 		if err := isp.Validate(); err != nil {
 			panic(err)
@@ -145,9 +166,11 @@ func (mk *Market) migrate(a, b ISP, value func(isp ISP, m float64) (float64, *Cl
 	if math.Abs(a.Gamma+b.Gamma-1) > 1e-9 {
 		panic(fmt.Sprintf("core: duopoly capacity shares must sum to 1, got %g", a.Gamma+b.Gamma))
 	}
+	// Each value is read before the next evaluation reuses the pooled
+	// equilibrium.
 	gap := func(m float64) float64 {
-		va, _ := value(a, m)
-		vb, _ := value(b, 1-m)
+		va := value(a, mk.eqAtShare(a, m))
+		vb := value(b, mk.eqAtShare(b, 1-m))
 		return va - vb
 	}
 	tol := mk.MigrationTol
@@ -161,15 +184,16 @@ func (mk *Market) migrate(a, b ISP, value func(isp ISP, m float64) (float64, *Cl
 	// pressure at all. Select the capacity-proportional point, consistent
 	// with Lemma 4's homogeneous-strategy equilibrium; otherwise bisect.
 	var m float64
-	vGA, _ := value(a, a.Gamma)
-	vGB, _ := value(b, b.Gamma)
+	vGA := value(a, mk.eqAtShare(a, a.Gamma))
+	vGB := value(b, mk.eqAtShare(b, b.Gamma))
 	if math.Abs(vGA-vGB) <= 1e-9*math.Max(math.Max(vGA, vGB), 1) {
 		m = a.Gamma
 	} else {
 		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, tol)
 	}
-	va, eqA := value(a, m)
-	vb, eqB := value(b, 1-m)
+	eqA := mk.eqAtShare(a, m).Clone()
+	eqB := mk.eqAtShare(b, 1-m).Clone()
+	va, vb := value(a, eqA), value(b, eqB)
 	// The equalized level; at a clamped boundary the market level is the
 	// value of the ISP serving (essentially) everyone.
 	out := migration{shares: []float64{m, 1 - m}, level: math.Max(va, vb), eqA: eqA, eqB: eqB}
@@ -216,8 +240,8 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 		panic(fmt.Sprintf("core: capacity shares must sum to 1, got %g", gammaSum))
 	}
 	if len(isps) == 1 {
-		phi, eq := mk.phiAtShare(isps[0], 1)
-		return &MarketOutcome{ISPs: []ISP{isps[0]}, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: phi}
+		eq := mk.eqAtShare(isps[0], 1).Clone()
+		return &MarketOutcome{ISPs: []ISP{isps[0]}, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: eq.Phi()}
 	}
 
 	// Precompute Φ_k over a share grid, dense near zero where the curve
@@ -228,7 +252,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	for k, isp := range isps {
 		curve := make([]float64, len(grid))
 		for j, m := range grid {
-			curve[j], _ = mk.phiAtShare(isp, m)
+			curve[j] = mk.eqAtShare(isp, m).Phi()
 		}
 		// Enforce monotone non-increasing in m (solver noise and class-jump
 		// discontinuities can wiggle): take the running max from the right,
@@ -296,7 +320,7 @@ func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
 	}
 	out.Eqs = make([]*ClassEquilibrium, len(isps))
 	for k, isp := range isps {
-		_, out.Eqs[k] = mk.phiAtShare(isp, math.Max(out.Shares[k], minShare))
+		out.Eqs[k] = mk.eqAtShare(isp, math.Max(out.Shares[k], minShare)).Clone()
 	}
 	return out
 }

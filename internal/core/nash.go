@@ -54,21 +54,11 @@ func (s *Solver) Nash(strategy Strategy, nu float64, pop traffic.Population, max
 	if maxRounds <= 0 {
 		maxRounds = 50
 	}
-	eq := &ClassEquilibrium{
-		Strategy:  strategy,
-		Nu:        nu,
-		Pop:       pop,
-		InPremium: make([]bool, len(pop)),
-		Theta:     make([]float64, len(pop)),
-		Converged: true,
-	}
+	// Start from the affordability guess to shorten the dynamics.
+	eq := s.begin(strategy, nu, pop, nil)
 	if strategy.NoPremium() || len(pop) == 0 {
 		s.finalize(eq)
-		return eq
-	}
-	// Start from the affordability guess to shorten the dynamics.
-	for i := range pop {
-		eq.InPremium[i] = pop[i].V > strategy.C
+		return eq.Clone()
 	}
 	for round := 0; round < maxRounds; round++ {
 		eq.Iterations = round + 1
@@ -84,12 +74,12 @@ func (s *Solver) Nash(strategy Strategy, nu float64, pop traffic.Population, max
 		}
 		if !moved {
 			s.finalize(eq)
-			return eq
+			return eq.Clone()
 		}
 	}
 	eq.Converged = false
 	s.finalize(eq)
-	return eq
+	return eq.Clone()
 }
 
 // IsNash checks Definition 2 exactly: no single CP can strictly gain by
@@ -136,15 +126,10 @@ func (s *Solver) AllNash(strategy Strategy, nu float64, pop traffic.Population) 
 		for i := 0; i < n; i++ {
 			premium[i] = mask&(1<<i) != 0
 		}
-		eq := &ClassEquilibrium{
-			Strategy:  strategy,
-			Nu:        nu,
-			Pop:       pop,
-			InPremium: append([]bool(nil), premium...),
-			Theta:     make([]float64, n),
-			Converged: true,
-		}
+		eq := s.begin(strategy, nu, pop, premium)
 		s.finalize(eq)
+		// IsNash re-solves the classes on the same kernels: detach first.
+		eq = eq.Clone()
 		if s.IsNash(eq, 0) {
 			out = append(out, eq)
 		}

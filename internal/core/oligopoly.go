@@ -160,7 +160,7 @@ func (mk *Market) EpsilonGapForStrategy(s Strategy, nuGrid []float64) float64 {
 	ys := make([]float64, len(nuGrid))
 	var warm []bool
 	for i, nu := range nuGrid {
-		eq := solver.CompetitiveFrom(s, nu, mk.Pop, warm)
+		eq := solver.CompetitiveScratch(s, nu, mk.Pop, warm)
 		warm = append(warm[:0], eq.InPremium...)
 		ys[i] = eq.Phi()
 	}

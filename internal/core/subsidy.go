@@ -49,11 +49,11 @@ type SubsidizedOutcome struct {
 
 // SolveSubsidizedDuopoly computes the migration equilibrium of two ISPs
 // when consumers weigh rebates alongside surplus. The equalized quantity is
-// Φ + σ·Ψ; the monotone structure of the baseline model carries over
-// because Ψ, like Φ, is non-increasing in the ISP's own market share (more
-// subscribers squeeze the same capacity). Plateau selection follows
-// SolveDuopoly: capacity-proportional shares when consumers are indifferent
-// at that split.
+// Φ + σ·Ψ, through the same search as SolveDuopoly: like the surplus gap,
+// the value gap need not be monotone in the share (class jumps move Ψ as
+// well as Φ), and the search selects the sign change bisection reaches.
+// Plateau selection also follows SolveDuopoly: capacity-proportional shares
+// when consumers are indifferent at that split.
 func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome {
 	for _, s := range []SubsidizedISP{a, b} {
 		if err := s.Validate(); err != nil {
@@ -61,13 +61,12 @@ func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome 
 		}
 	}
 	// Consumers weigh Φ + σ·Ψ, per subscriber of each ISP.
-	m := mk.migrate(a.ISP, b.ISP, func(isp ISP, share float64) (float64, *ClassEquilibrium) {
+	m := mk.migrate(a.ISP, b.ISP, func(isp ISP, eq *ClassEquilibrium) float64 {
 		sigma := b.Sigma
 		if isp.Name == a.Name {
 			sigma = a.Sigma
 		}
-		phi, eq := mk.phiAtShare(isp, share)
-		return phi + sigma*eq.Psi(), eq
+		return eq.Phi() + sigma*eq.Psi()
 	})
 	return &SubsidizedOutcome{
 		ISPs:     []SubsidizedISP{a, b},

@@ -285,7 +285,7 @@ func (e *Engine) solveMarket() *core.MarketOutcome {
 
 // perCapita is provider k's per-capita capacity at its current share,
 // floored at shareFloor. It carries the same saturation cap as
-// core.Market.phiAtShare: far past saturation the equilibrium is flat, and
+// core.Market.nuAtShare: far past saturation the equilibrium is flat, and
 // an uncapped ν → ∞ would stall the class solver on a vanishing provider.
 func (e *Engine) perCapita(k int) float64 {
 	nu := e.caps[k] / math.Max(e.shares[k], shareFloor)

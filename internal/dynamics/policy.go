@@ -100,7 +100,7 @@ func (e *Engine) objective(k int, p scenario.PolicySpec, c float64) float64 {
 		if e.polWarm == nil {
 			e.polWarm = make([][]bool, len(e.names))
 		}
-		eq := e.solver.CompetitiveFrom(cand, e.perCapita(k), e.workPop, e.polWarm[k])
+		eq := e.solver.CompetitiveScratch(cand, e.perCapita(k), e.workPop, e.polWarm[k])
 		e.polWarm[k] = append(e.polWarm[k][:0], eq.InPremium...)
 		return eq.Psi()
 	}

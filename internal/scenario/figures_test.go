@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/netecon-sim/publicoption/internal/core"
 	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/sweep"
 )
@@ -350,6 +351,44 @@ func TestAppendixFiguresKeepPsi(t *testing.T) {
 			if !equalFloats(psi[0].Z[r], psi[1].Z[r]) {
 				t.Fatalf("%s and %s: Ψ row %d differs", pair[0], pair[1], r)
 			}
+		}
+	}
+}
+
+// TestMigrationGapNotMonotone pins why the migration search's selection
+// rule matters: on fig8-c02 at the parity size, κ = 0.5, column 8, the
+// surplus gap Φ_a(m) − Φ_b(1−m) changes sign three times within 0.0075 of
+// share, because CPs switching classes move each ISP's surplus in jumps.
+// A root search other than core's bisection may therefore select a
+// different equilibrium, so replacing it is a numeric change, not a
+// speed-up.
+func TestMigrationGapNotMonotone(t *testing.T) {
+	s := shrink(t, "fig8-c02", 18, nil)
+	job, err := s.CompileGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nuBar := job.Xs[8]
+	if math.Abs(nuBar-30.88) > 0.01 {
+		t.Fatalf("column 8 is ν̄ = %v, want ≈ 30.88", nuBar)
+	}
+	a, b := s.Providers[0], s.Providers[1]
+	incumbent := core.Strategy{Kappa: 0.5, C: a.C}
+	if !b.PublicOption {
+		t.Fatalf("provider %s is not the Public Option", b.Name)
+	}
+	// Each side solved cold, at its per-capita capacity γν̄/m.
+	gap := func(m float64) float64 {
+		phiA := core.NewSolver(nil).Competitive(incumbent, a.Gamma*nuBar/m, job.pop).Phi()
+		phiB := core.NewSolver(nil).Competitive(core.PublicOption, b.Gamma*nuBar/(1-m), job.pop).Phi()
+		return phiA - phiB
+	}
+	for _, c := range []struct {
+		m        float64
+		positive bool
+	}{{0.4325, true}, {0.4350, false}, {0.4375, true}, {0.4400, false}} {
+		if g := gap(c.m); (g > 0) != c.positive || g == 0 {
+			t.Errorf("gap(%.4f) = %+.6g, want positive=%t", c.m, g, c.positive)
 		}
 	}
 }

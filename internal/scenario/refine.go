@@ -116,7 +116,10 @@ func (ps *gridPointSolver) Solve(x, y float64) []float64 {
 
 // RefineProblem adapts the compiled grid to the refinement engine. The
 // returned flush publishes the accumulated solver telemetry of every worker
-// the engine created into stats; call it exactly once, after the run.
+// the engine created into stats (when stats is non-nil) and releases the
+// workers; call it exactly once, after the run. The problem's NewSolver
+// outlives the run inside refine.Result, so flush is what lets the
+// workers' markets, solvers and kernel workspaces be collected.
 func (j *GridJob) RefineProblem(stats *obs.Counters) (refine.Problem, func()) {
 	var mu sync.Mutex
 	var workers []*GridWorker
@@ -136,13 +139,12 @@ func (j *GridJob) RefineProblem(stats *obs.Counters) (refine.Problem, func()) {
 		},
 	}
 	flush := func() {
-		if stats == nil {
-			return
-		}
 		mu.Lock()
 		defer mu.Unlock()
-		for _, w := range workers {
-			stats.Add(w.Stats())
+		if stats != nil {
+			for _, w := range workers {
+				stats.Add(w.Stats())
+			}
 		}
 		workers = nil
 	}

@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/refine"
@@ -145,6 +147,38 @@ func TestRunGridRefinedDeterministicAcrossWorkers(t *testing.T) {
 	if wantStats.PointsSolved == 0 {
 		t.Fatal("no points solved")
 	}
+}
+
+// TestRefineProblemFlushReleasesWorkers pins that flush releases the
+// workers without a stats sink too: a refine.Result keeps the problem's
+// NewSolver, so a worker list that outlived flush would keep every
+// worker's market, solver and kernel workspaces alive with the surrogate.
+func TestRefineProblemFlushReleasesWorkers(t *testing.T) {
+	job, err := tinyRefinedScenario(t).CompileGrid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, flush := job.RefineProblem(nil)
+	collected := make(chan struct{})
+	func() {
+		ps := prob.NewSolver().(*gridPointSolver)
+		ps.Solve(job.Xs[0], job.Ys[0]) // the worker builds its market
+		runtime.SetFinalizer(ps.w, func(*GridWorker) { close(collected) })
+	}()
+	flush()
+	deadline := time.After(5 * time.Second)
+wait:
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			break wait
+		case <-deadline:
+			t.Fatal("the worker is still reachable after flush")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(prob) // held past flush, as refine.Result holds it
 }
 
 func TestRunGridRefinedPublishesSolverStats(t *testing.T) {
