@@ -73,7 +73,7 @@ flags for run:
                             (0 = the scenario's own value)
   -cps N                    override the population's ensemble size
                             (0 = the scenario's own value)
-  -workers N                parallel curves/chunks/batches (0 = GOMAXPROCS)
+  -workers N                parallel cells/curves/batches (0 = GOMAXPROCS)
 `)
 }
 

@@ -10,8 +10,8 @@ import (
 
 // Grid-sweep surface: 2-D scenarios (a column axis × a row axis, e.g. the
 // Public Option share γ × per-capita capacity ν) compile into cell jobs,
-// solve on a work-stealing row runner with one fresh warm-started solver
-// per row, and render as long-form CSV or ASCII heatmaps. See
+// solve on a work-stealing runner with one pooled solver per goroutine, and
+// render as long-form CSV or ASCII heatmaps. See
 // docs/SCENARIOS.md for the grid JSON schema and docs/ARCHITECTURE.md for
 // where grids sit in the layer stack.
 
@@ -27,15 +27,16 @@ type (
 	// ResultGridLayer is one scalar field of a ResultGrid.
 	ResultGridLayer = sweep.GridLayer
 	// GridJob is a compiled grid scenario: resolved cells plus the one cell
-	// executor (SolveRows, a fresh solver per row) — a row is the unit the
-	// serving layer caches.
+	// executor (SolveCells). The unit is a cell, a pure function of its
+	// coordinates: what the executor solves and the serving layer caches.
 	GridJob = scenario.GridJob
 	// GridCell is one solved grid cell: position, resolved coordinates, and
 	// one value per layer.
 	GridCell = scenario.Cell
-	// GridUnitSpec is the content-addressable specification of one solve
-	// unit — the ordered points one fresh solver computes, such as a grid
-	// row — hashed into equilibrium cache keys.
+	// GridUnitSpec is the content-addressable specification of a grid's
+	// cells less their coordinates: the unit is a cell, a pure function of
+	// its coordinates, so its digest plus a cell's (x, y) is that cell's
+	// equilibrium cache key.
 	GridUnitSpec = scenario.UnitSpec
 	// ScenarioRefine is the optional sweep.grid.refine block: it switches
 	// Scenario.RunGridRefined from dense solving to adaptive refinement

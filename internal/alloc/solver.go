@@ -103,10 +103,14 @@ func (w *Workspace) Evals() int { return int(w.stats.Evals) }
 // to attribute work to one solve or one sweep segment.
 func (w *Workspace) Stats() obs.SolveStats { return w.stats }
 
-// Reset drops the warm-start state (keeping the scratch buffers). Call it
-// between sweeps over unrelated systems if you want reproducible eval
-// counts; correctness never requires it.
-func (w *Workspace) Reset() { w.hasWarm = false }
+// Reset drops the warm-start state (keeping the scratch buffers and the
+// cumulative Stats): the next solve brackets exactly as on a fresh
+// workspace, with the same levels and the same eval counts. Call it
+// between solves that must not depend on each other; correctness never
+// requires it.
+func (w *Workspace) Reset() {
+	w.warmLevel, w.warmHi, w.hasWarm, w.lastDelta = 0, 0, false, 0
+}
 
 // ensure grows the scratch buffers to hold n CPs without allocating on the
 // steady state.

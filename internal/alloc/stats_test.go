@@ -84,3 +84,32 @@ func TestWorkspaceStatsEmptyAndZeroNu(t *testing.T) {
 		t.Fatalf("ν=0 stats %+v", st)
 	}
 }
+
+// TestWorkspaceResetMatchesFresh pins Reset's contract: after unrelated
+// solves and a Reset, a workspace solves a sequence exactly as a fresh one
+// does — bit-equal levels and the same per-solve telemetry — because Reset
+// also forgets the previous level motion that sizes the warm bracket.
+func TestWorkspaceResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pop := randomPopulation(rng, 60)
+	other := randomPopulation(rng, 35)
+	total := pop.TotalUnconstrainedPerCapita()
+
+	used := NewWorkspace(MaxMin{})
+	for k := 0; k < 5; k++ {
+		used.Solve(other.TotalUnconstrainedPerCapita()*(0.1+0.17*float64(k)), other)
+	}
+	used.Reset()
+	fresh := NewWorkspace(MaxMin{})
+	for k, frac := range []float64{1.0 / 3, 0.34, 0.36, 0.2, 0.9} {
+		u0, f0 := used.Stats(), fresh.Stats()
+		lu := used.Solve(total*frac, pop).Level
+		lf := fresh.Solve(total*frac, pop).Level
+		if math.Float64bits(lu) != math.Float64bits(lf) {
+			t.Fatalf("solve %d (ν = %g·total): level %v after Reset, %v fresh", k, frac, lu, lf)
+		}
+		if du, df := used.Stats().Since(u0), fresh.Stats().Since(f0); du != df {
+			t.Fatalf("solve %d (ν = %g·total): delta %+v after Reset, %+v fresh", k, frac, du, df)
+		}
+	}
+}

@@ -237,8 +237,8 @@ func (s *Store) Get(key string) (any, bool) {
 
 // Lookup returns the cached value for key, counting the probe as a hit or
 // miss in Stats. It never solves and never coalesces — callers that plan to
-// produce missing values themselves (the batch endpoint's grid rows and
-// refinement's solve units, which are solved on the caller's own workers
+// produce missing values themselves (the batch endpoint's grid cells and
+// refinement's points, which are solved on the caller's own workers
 // rather than one singleflight each) probe with Lookup and insert with Put.
 func (s *Store) Lookup(key string) (any, bool) {
 	s.mu.Lock()

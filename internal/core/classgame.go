@@ -97,6 +97,17 @@ func (s *Solver) Stats() obs.SolveStats {
 	return st
 }
 
+// Reset drops the warm state of the solver's three kernels, keeping their
+// buffers and telemetry: the next game solves bit for bit as on a fresh
+// solver.
+func (s *Solver) Reset() {
+	if s.wsO != nil {
+		s.wsO.Reset()
+		s.wsP.Reset()
+		s.wsJoin.Reset()
+	}
+}
+
 // splitScratch partitions pop by membership flags into the solver's
 // reusable class buffers, preserving order. The returned slices alias the
 // scratch and are valid until the next splitScratch call; equilibria that

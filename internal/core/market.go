@@ -84,6 +84,16 @@ func NewMarket(s *Solver, pop traffic.Population, nuBar float64) *Market {
 	return &Market{Solver: s, Pop: pop, NuBar: nuBar, MigrationTol: 1e-8, warm: make(map[string][]bool)}
 }
 
+// Reset forgets every per-ISP warm partition and the solver's warm kernel
+// state, keeping their buffers: the next solve returns bit for bit what a
+// fresh market with the same settings returns.
+func (mk *Market) Reset() {
+	for name, in := range mk.warm { //pubopt:allow(detrand): truncating every entry is order-independent
+		mk.warm[name] = in[:0]
+	}
+	mk.Solver.Reset()
+}
+
 // eqAtShare returns the class equilibrium ISP isp reaches when it holds
 // market share m, warm-started from the ISP's previous evaluation. The
 // result is the solver's pooled equilibrium, valid until its next call:

@@ -18,8 +18,8 @@ type RefineStats struct {
 	// kernel solve during this run.
 	PointsSolved uint64 `json:"points_solved,omitempty"`
 	// PointsReused counts lattice/probe points served by the caller's Lookup
-	// hook (the content-addressed equilibrium cache, one whole solve unit
-	// per hit) instead of a solve.
+	// hook (the content-addressed equilibrium cache, one cell per hit)
+	// instead of a solve.
 	PointsReused uint64 `json:"points_reused,omitempty"`
 	// CellsSplit counts cells whose curvature or indicator test forced a
 	// split into four children.

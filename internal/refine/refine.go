@@ -20,14 +20,14 @@
 // # Determinism
 //
 // Refinement proceeds in depth waves. Each wave collects every lattice
-// point it needs, dedupes and sorts them by (row, column), and solves one
-// task per lattice row — a fresh solver per task, points in ascending
-// column order so the equilibrium kernel warm-starts along the row exactly
-// like a dense grid sweep. A task is also the cache unit: Options.Lookup
-// serves it whole or it is solved whole, so a cached value never depends
-// on what the cache held. Tasks run on a worker pool, but results are
-// merged sequentially in sorted order, so the refined tree, the surrogate,
-// and every callback sequence are byte-identical for any worker count.
+// point it needs, dedupes and sorts them by (row, column), offers each to
+// Options.Lookup and solves the misses on a pool of point solvers, one per
+// goroutine. The unit is a cell, a pure function of its coordinates: a
+// solver returns the same values at a point whatever it solved before, so
+// a cached point is exactly what a solve returns, and a lattice point at a
+// seed knot is the dense grid's cell there. Results are merged
+// sequentially in sorted order, so the refined tree, the surrogate, and
+// every callback sequence are byte-identical for any worker count.
 //
 // # Error contract
 //
@@ -71,9 +71,11 @@ const (
 )
 
 // PointSolver produces the metric layers at one grid point. Implementations
-// are single-goroutine (the engine creates one per row task via
-// Problem.NewSolver) and must be deterministic: identical (x, y) must yield
-// identical values, or refinement loses its byte-reproducibility contract.
+// are single-goroutine (the engine gives each of its solve goroutines one,
+// built by Problem.NewSolver and reused for every point that goroutine
+// claims) and must be pure: Solve(x, y) returns identical values whatever
+// the solver solved before, or refinement loses its byte-reproducibility
+// contract.
 type PointSolver interface {
 	// Solve returns one value per Problem.Layers entry, in order.
 	Solve(x, y float64) []float64
@@ -90,8 +92,8 @@ type Problem struct {
 	Xs, Ys []float64
 	// Layers names the metric layers every solve produces.
 	Layers []string
-	// NewSolver builds a fresh point solver. The engine calls it once per
-	// solve unit that Options.Lookup misses.
+	// NewSolver builds a point solver. The engine calls it at most once per
+	// solve goroutine of a run.
 	NewSolver func() PointSolver
 }
 
@@ -171,32 +173,20 @@ type Leaf struct {
 type Options struct {
 	// Workers bounds solve parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Lookup, when set, is consulted once per solve unit before it is
-	// dispatched — the bridge to the content-addressed equilibrium cache.
-	// A unit is the ordered point list (xs[i], ys[i]) one fresh solver
-	// solves: a lattice-row task of a wave, or the probe set. A hit returns
-	// one value slice per point and is served whole; the slices become
-	// owned by the engine. A miss solves the whole unit.
-	Lookup func(xs, ys []float64) ([][]float64, bool)
-	// Store, when set, receives every freshly solved unit (lattice rows and
-	// the probe set), in deterministic order.
-	Store func(xs, ys []float64, vals [][]float64)
+	// Lookup, when set, is consulted once per point (lattice point or
+	// probe) before it is solved — the bridge to the content-addressed
+	// equilibrium cache. A hit returns the point's value slice, which
+	// becomes owned by the engine; a miss is solved.
+	Lookup func(x, y float64) ([]float64, bool)
+	// Store, when set, receives every freshly solved point (lattice points
+	// and probes), in deterministic order.
+	Store func(x, y float64, vals []float64)
 	// OnPoint, when set, streams every materialized lattice point. A
 	// non-nil error aborts the run.
 	OnPoint func(p Point) error
 	// OnLeaf, when set, streams every finalized leaf. A non-nil error
 	// aborts the run.
 	OnLeaf func(l Leaf) error
-}
-
-// lookup consults Lookup for the unit (xs, ys); a hit must hold one value
-// slice per point.
-func (o Options) lookup(xs, ys []float64) ([][]float64, bool) {
-	if o.Lookup == nil {
-		return nil, false
-	}
-	v, ok := o.Lookup(xs, ys)
-	return v, ok && len(v) == len(xs)
 }
 
 // cellNode is one quadtree node over the lattice. Children (when child ≥ 0)
@@ -236,6 +226,9 @@ type Result struct {
 type engine struct {
 	r   *Result
 	opt Options
+	// solvers holds one point solver per solve goroutine, built on first
+	// use and reused for every point that goroutine claims.
+	solvers []PointSolver
 	// rows and cols index solved lattice points: rows[iy] is the sorted
 	// list of lattice columns with a solved point in lattice row iy.
 	rows map[int][]int
@@ -248,9 +241,6 @@ func Run(ctx context.Context, prob Problem, spec Spec, opt Options) (*Result, er
 		return nil, err
 	}
 	spec = spec.withDefaults()
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
 	indicator := -1
 	if spec.IndicatorLayer != "" {
 		for i, name := range prob.Layers {
@@ -273,12 +263,7 @@ func Run(ctx context.Context, prob Problem, spec Spec, opt Options) (*Result, er
 		points:    make(map[int64][]float64),
 		indicator: indicator,
 	}
-	e := &engine{
-		r:    r,
-		opt:  opt,
-		rows: make(map[int][]int),
-		cols: make(map[int][]int),
-	}
+	e := newEngine(r, opt)
 
 	// Wave 0: the seed grid.
 	seed := make([]latticePt, 0, len(prob.Xs)*len(prob.Ys))
@@ -319,11 +304,25 @@ func Run(ctx context.Context, prob Problem, spec Spec, opt Options) (*Result, er
 	}
 
 	if spec.Probes > 0 {
-		if err := r.reverify(ctx, opt); err != nil {
+		if err := e.reverify(ctx); err != nil {
 			return nil, err
 		}
 	}
 	return r, nil
+}
+
+// newEngine returns the transient state of a run over r.
+func newEngine(r *Result, opt Options) *engine {
+	if opt.Workers <= 0 {
+		opt.Workers = runtime.GOMAXPROCS(0)
+	}
+	return &engine{
+		r:       r,
+		opt:     opt,
+		solvers: make([]PointSolver, opt.Workers),
+		rows:    make(map[int][]int),
+		cols:    make(map[int][]int),
+	}
 }
 
 func validateProblem(p Problem) error {
@@ -409,9 +408,8 @@ func (r *Result) computeScales() {
 }
 
 // solveWave materializes every requested lattice point that is not already
-// solved: dedupe, sort by (row, column), solve one task per lattice row
-// (fresh solver, ascending column = warm-started like a dense sweep row),
-// then merge sequentially in sorted order.
+// solved: dedupe, sort by (row, column), look up or solve each point, then
+// merge sequentially in sorted order.
 func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 	r := e.r
 	sort.Slice(reqs, func(a, b int) bool {
@@ -434,90 +432,70 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 	if len(todo) == 0 {
 		return nil
 	}
-
-	// Group into one task per lattice row: the solve unit. Units the cache
-	// holds are served whole; the rest solve whole, each on a fresh solver.
-	type rowTask struct {
-		iy     int
-		ixs    []int
-		xs, ys []float64
-		vals   [][]float64
-		reused bool
+	xs, ys := make([]float64, len(todo)), make([]float64, len(todo))
+	for k, p := range todo {
+		xs[k], ys[k] = r.coordX(p.ix), r.coordY(p.iy)
 	}
-	var groups []*rowTask
-	for _, p := range todo {
-		if len(groups) == 0 || groups[len(groups)-1].iy != p.iy {
-			groups = append(groups, &rowTask{iy: p.iy})
-		}
-		g := groups[len(groups)-1]
-		g.ixs = append(g.ixs, p.ix)
-		g.xs = append(g.xs, r.coordX(p.ix))
-		g.ys = append(g.ys, r.coordY(p.iy))
-	}
-	for _, g := range groups {
-		g.vals, g.reused = e.opt.lookup(g.xs, g.ys)
-	}
-	sweep.RunRows(e.opt.Workers, len(groups), func(_, gi int) {
-		if g := groups[gi]; !g.reused {
-			g.vals = solveUnit(ctx, r.prob.NewSolver(), g.xs, g.ys)
-		}
-	})
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
+	vals, reused, err := e.solvePoints(ctx, xs, ys)
+	if err != nil {
+		return err
 	}
 
 	// Sequential merge in sorted order: the only place points, rows/cols
 	// indexes, stats, and callbacks are touched, so the run is
 	// worker-count independent.
-	for _, g := range groups {
-		if err := r.checkUnit(g.vals); err != nil {
-			return err
-		}
-		if g.reused {
-			r.stats.PointsReused += uint64(len(g.ixs))
+	for k, p := range todo {
+		if reused[k] {
+			r.stats.PointsReused++
 		} else {
-			r.stats.PointsSolved += uint64(len(g.ixs))
-			if e.opt.Store != nil {
-				e.opt.Store(g.xs, g.ys, g.vals)
-			}
+			r.stats.PointsSolved++
 		}
-		for k, ix := range g.ixs {
-			v := g.vals[k]
-			r.points[r.key(ix, g.iy)] = v
-			e.rows[g.iy] = insertSorted(e.rows[g.iy], ix)
-			e.cols[ix] = insertSorted(e.cols[ix], g.iy)
-			if e.opt.OnPoint != nil {
-				if err := e.opt.OnPoint(Point{X: g.xs[k], Y: g.ys[k], Values: v, Reused: g.reused}); err != nil {
-					return err
-				}
+		r.points[r.key(p.ix, p.iy)] = vals[k]
+		e.rows[p.iy] = insertSorted(e.rows[p.iy], p.ix)
+		e.cols[p.ix] = insertSorted(e.cols[p.ix], p.iy)
+		if e.opt.OnPoint != nil {
+			if err := e.opt.OnPoint(Point{X: xs[k], Y: ys[k], Values: vals[k], Reused: reused[k]}); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// solveUnit solves the points (xs[k], ys[k]) in order on solver, stopping
-// early once ctx is done.
-func solveUnit(ctx context.Context, solver PointSolver, xs, ys []float64) [][]float64 {
-	vals := make([][]float64, len(xs))
+// solvePoints returns one value slice per point (xs[k], ys[k]): each is
+// offered to Options.Lookup first (reused[k] reports a hit) and the misses
+// are solved on the pooled solvers, which stop starting points once ctx is
+// done. Freshly solved points go to Options.Store in point order.
+func (e *engine) solvePoints(ctx context.Context, xs, ys []float64) (vals [][]float64, reused []bool, err error) {
+	vals, reused = make([][]float64, len(xs)), make([]bool, len(xs))
+	var miss []int
 	for k := range xs {
-		if ctx != nil && ctx.Err() != nil {
-			break
+		if e.opt.Lookup != nil {
+			vals[k], reused[k] = e.opt.Lookup(xs[k], ys[k])
 		}
-		vals[k] = solver.Solve(xs[k], ys[k])
-	}
-	return vals
-}
-
-// checkUnit rejects a unit whose solver returned the wrong number of
-// layers.
-func (r *Result) checkUnit(vals [][]float64) error {
-	for _, v := range vals {
-		if len(v) != len(r.prob.Layers) {
-			return fmt.Errorf("refine: solver returned %d values, want %d layers", len(v), len(r.prob.Layers))
+		if !reused[k] {
+			miss = append(miss, k)
 		}
 	}
-	return nil
+	sweep.RunRowsContext(ctx, len(e.solvers), len(miss), func(worker, i int) {
+		if e.solvers[worker] == nil {
+			e.solvers[worker] = e.r.prob.NewSolver()
+		}
+		k := miss[i]
+		vals[k] = e.solvers[worker].Solve(xs[k], ys[k])
+	})
+	if ctx != nil && ctx.Err() != nil {
+		return nil, nil, ctx.Err()
+	}
+	for k, v := range vals {
+		if len(v) != len(e.r.prob.Layers) {
+			return nil, nil, fmt.Errorf("refine: solver returned %d values, want %d layers", len(v), len(e.r.prob.Layers))
+		}
+		if !reused[k] && e.opt.Store != nil {
+			e.opt.Store(xs[k], ys[k], v)
+		}
+	}
+	return vals, reused, nil
 }
 
 // insertSorted inserts v into ascending slice s (no duplicates expected —

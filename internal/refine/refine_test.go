@@ -190,7 +190,7 @@ func TestDoctoredSurrogateFailsVerification(t *testing.T) {
 	for _, v := range res.points {
 		v[0] += 10 * res.Scale(0)
 	}
-	if err := res.reverify(context.Background(), Options{}); err != nil {
+	if err := newEngine(res, Options{}).reverify(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if res.Verified() {
@@ -232,16 +232,16 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 func TestLookupStoreRoundTrip(t *testing.T) {
 	wavy := func(x, y float64) float64 { return math.Sin(3*x) * math.Cos(2*y) }
 	spec := Spec{Tol: 0.005, MaxDepth: 3, Probes: 16}
-	unit := func(xs, ys []float64) string { return fmt.Sprint(xs, ys) }
-	stored := map[string][][]float64{}
+	type point struct{ x, y float64 }
+	stored := map[point][]float64{}
 	points := 0
 	first, err := Run(context.Background(), problemOf(4, 4, wavy), spec, Options{
-		Store: func(xs, ys []float64, vals [][]float64) {
-			if len(xs) != len(ys) || len(vals) != len(xs) {
-				t.Fatalf("Store got %d xs, %d ys, %d values", len(xs), len(ys), len(vals))
+		Store: func(x, y float64, vals []float64) {
+			if len(vals) != 1 {
+				t.Fatalf("Store got %d values at (%g, %g), want 1 layer", len(vals), x, y)
 			}
-			stored[unit(xs, ys)] = vals
-			points += len(xs)
+			stored[point{x, y}] = vals
+			points++
 		},
 	})
 	if err != nil {
@@ -250,13 +250,12 @@ func TestLookupStoreRoundTrip(t *testing.T) {
 	if got, want := uint64(points), first.Stats().PointsSolved+first.Stats().ProbeSolves; got != want {
 		t.Fatalf("Store saw %d points, stats say %d solved", got, want)
 	}
-	// Warm re-run: every unit must come whole from Lookup, nothing
-	// re-solves.
+	// Warm re-run: every point must come from Lookup, nothing re-solves.
 	lookups := 0
 	warm, err := Run(context.Background(), problemOf(4, 4, wavy), spec, Options{
-		Lookup: func(xs, ys []float64) ([][]float64, bool) {
+		Lookup: func(x, y float64) ([]float64, bool) {
 			lookups++
-			v, ok := stored[unit(xs, ys)]
+			v, ok := stored[point{x, y}]
 			return v, ok
 		},
 	})
@@ -267,7 +266,7 @@ func TestLookupStoreRoundTrip(t *testing.T) {
 		t.Fatalf("warm run solved %d points + %d probes and reused %d, want 0 + 0 and %d", st.PointsSolved, st.ProbeSolves, st.PointsReused, points)
 	}
 	if lookups != len(stored) {
-		t.Fatalf("warm run made %d lookups for %d stored units", lookups, len(stored))
+		t.Fatalf("warm run made %d lookups for %d stored points", lookups, len(stored))
 	}
 	if warm.MaxError() != first.MaxError() || warm.Verified() != first.Verified() {
 		t.Fatal("warm run disagrees with cold run")

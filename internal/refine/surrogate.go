@@ -213,11 +213,12 @@ func (r *Result) Leaves() []Leaf {
 
 // reverify runs the solver-verified error bound: solve spec.Probes off-knot
 // points (deterministically drawn from spec.Seed) and compare each against
-// the surrogate. The probe set is one solve unit: it flows through the
-// Lookup/Store hooks whole, like a lattice row, so a warm re-verification
-// solves nothing. Resets and recomputes probeErr/verified — the
-// falsifiability tests rely on a doctored surrogate failing here.
-func (r *Result) reverify(ctx context.Context, opt Options) error {
+// the surrogate. Probes are points like any lattice point: each flows
+// through the Lookup/Store hooks, so a warm re-verification solves nothing.
+// Resets and recomputes probeErr/verified — the falsifiability tests rely
+// on a doctored surrogate failing here.
+func (e *engine) reverify(ctx context.Context) error {
+	r := e.r
 	r.probeErr = 0
 	r.verified = false
 	if r.spec.Probes <= 0 {
@@ -225,40 +226,20 @@ func (r *Result) reverify(ctx context.Context, opt Options) error {
 	}
 	x0, x1, y0, y1 := r.Bounds()
 	rng := numeric.NewRNG(r.spec.Seed)
-	type probe struct{ x, y float64 }
-	probes := make([]probe, r.spec.Probes)
-	for i := range probes {
-		probes[i] = probe{x: rng.Uniform(x0, x1), y: rng.Uniform(y0, y1)}
+	xs, ys := make([]float64, r.spec.Probes), make([]float64, r.spec.Probes)
+	for k := range xs {
+		xs[k], ys[k] = rng.Uniform(x0, x1), rng.Uniform(y0, y1)
 	}
-	// Solve in (y, x) order — warm-start friendly and independent of the
-	// draw order above.
-	sort.Slice(probes, func(a, b int) bool {
-		if probes[a].y != probes[b].y { //pubopt:allow(floatcmp): distinct RNG draws; ties only need *an* order
-			return probes[a].y < probes[b].y
-		}
-		return probes[a].x < probes[b].x
-	})
-	xs, ys := make([]float64, len(probes)), make([]float64, len(probes))
-	for k, p := range probes {
-		xs[k], ys[k] = p.x, p.y
-	}
-	truths, reused := opt.lookup(xs, ys)
-	if reused {
-		r.stats.PointsReused += uint64(len(probes))
-	} else {
-		truths = solveUnit(ctx, r.prob.NewSolver(), xs, ys)
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		r.stats.ProbeSolves += uint64(len(probes))
-	}
-	if err := r.checkUnit(truths); err != nil {
+	truths, reused, err := e.solvePoints(ctx, xs, ys)
+	if err != nil {
 		return err
 	}
-	if !reused && opt.Store != nil {
-		opt.Store(xs, ys, truths)
-	}
 	for k, truth := range truths {
+		if reused[k] {
+			r.stats.PointsReused++
+		} else {
+			r.stats.ProbeSolves++
+		}
 		for li := range r.prob.Layers {
 			d := (truth[li] - r.eval(xs[k], ys[k], li)) / r.scale[li]
 			if d < 0 {

@@ -13,11 +13,12 @@ import (
 // GridJob is a compiled provider-market sweep: the materialized CP
 // population, both axes resolved to absolute model units, the output layer
 // names, and a cell solver. A 2-D grid compiles to one row per row-axis
-// value; a 1-D sweep compiles to a single row with no row axis. Every
-// static market solve — Run's 1-D sweeps, RunGrid and the serving layer's
-// row-cached batch endpoint — executes through SolveRows, so a cell solved
-// locally and a cell solved behind the HTTP cache are the same
-// computation.
+// value; a 1-D sweep compiles to a single row with no row axis. The unit is
+// a cell, a pure function of its coordinates: every static market solve —
+// Run's 1-D sweeps, RunGrid, the sampler, refinement and the serving
+// layer's cell-cached batch endpoint — solves cells on pooled GridWorkers,
+// so a cell solved locally and a cell solved behind the HTTP cache are the
+// same computation, bit for bit.
 type GridJob struct {
 	// Xs are the resolved column-axis values (absolute ν for a "nu" axis,
 	// never fractions of saturation), Ys the resolved row-axis values ({0}
@@ -51,23 +52,20 @@ type Cell struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// UnitSpec is the content address of one solve unit: the ordered points
-// (Xs[i], Ys[i]) one fresh GridWorker solves in turn, plus the parts of the
-// scenario that change the solved numbers (population, providers, metrics)
-// — and nothing else. A unit is a dense grid row, a refinement lattice-row
-// task, the refinement probe set or one point. Each solve in a unit
-// warm-starts the next, so a value depends on the whole point list: caching
-// whole units keeps every cached value exactly what a fresh solve of its
-// key returns. Cosmetic fields (name, title, description, reference) and
-// the grid's other rows are excluded, so renaming a scenario or adding rows
-// re-uses every row it shares.
+// UnitSpec is the content address of a job's cells, less their
+// coordinates: the parts of the scenario that change a solved cell's
+// numbers (population, providers, axes, fixed ν, metrics) and nothing else.
+// The unit is a cell, a pure function of its coordinates, so a digest of
+// this spec plus a cell's (x, y) addresses one cell wherever it is solved:
+// a dense grid cell, a refinement lattice point or probe, or a /v1/query
+// fallback. Cosmetic fields (name, title, description, reference) and the
+// axis values are excluded, so renaming, resizing or refining a grid
+// re-uses every cell it shares.
 type UnitSpec struct {
 	Population PopulationSpec `json:"population"`
 	Providers  []ProviderSpec `json:"providers"`
 	XAxis      string         `json:"x_axis"`
-	Xs         []float64      `json:"xs"`
 	YAxis      string         `json:"y_axis"`
-	Ys         []float64      `json:"ys"`
 	// Nu is the fixed absolute per-capita capacity ν; 0 when one of the
 	// axes is "nu" (the coordinates supply it).
 	Nu      float64  `json:"nu,omitempty"`
@@ -141,18 +139,14 @@ func (s *Scenario) layers() []string {
 // Cells returns the total cell count (rows × columns).
 func (j *GridJob) Cells() int { return len(j.Xs) * len(j.Ys) }
 
-// UnitSpec returns the content address of the unit that solves the points
-// (xs[i], ys[i]) in order on one fresh worker. It is coordinate-based, not
-// index-based, so a refinement lattice row shares its cache entry with the
-// dense grid row it coincides with.
-func (j *GridJob) UnitSpec(xs, ys []float64) UnitSpec {
+// UnitSpec returns the content address of the job's cells; a cell adds its
+// resolved (x, y).
+func (j *GridJob) UnitSpec() UnitSpec {
 	return UnitSpec{
 		Population: j.scenario.Population,
 		Providers:  j.scenario.Providers,
 		XAxis:      j.XAxis,
-		Xs:         xs,
 		YAxis:      j.YAxis,
-		Ys:         ys,
 		Nu:         j.fixedNu,
 		Metrics:    j.scenario.Sweep.metrics(),
 	}
@@ -163,17 +157,19 @@ func (j *GridJob) NewGrid() *sweep.Grid {
 	return sweep.NewGrid(j.scenario.Title, j.XAxis, j.YAxis, j.Xs, j.Ys, j.Layers)
 }
 
-// GridWorker owns one warm-started solver (and, through it, the reusable
-// allocation-free equilibrium workspaces). Workers are not safe for
-// concurrent use, and each solve seeds the next: SolveRows gives every row
-// a fresh worker and feeds it the row's cells in column order, so a cell's
-// value depends on its row alone.
+// GridWorker is a pooled set of solver buffers: one market, its class-game
+// solver and their allocation-free kernel workspaces. Every solve first
+// resets their warm state (the migration search inside one cell still
+// warm-starts itself), so a cell is a pure function of its coordinates —
+// the same bits on a fresh worker as on one that solved any other cells,
+// in any order — while the buffers stay grown. Workers are not safe for
+// concurrent use; the executor gives each goroutine its own.
 type GridWorker struct {
 	job *GridJob
 	mk  *core.Market
 }
 
-// NewWorker returns a fresh worker with its own solver state.
+// NewWorker returns a worker with its own, not yet grown, buffers.
 func (j *GridJob) NewWorker() *GridWorker { return &GridWorker{job: j} }
 
 // Stats returns the worker's cumulative solver telemetry (zero before the
@@ -223,7 +219,8 @@ func (w *GridWorker) solve(x, y float64) (point, []providerEq) {
 		w.mk = core.NewMarket(core.NewSolver(nil), j.pop, nu)
 		w.mk.MigrationTol = 1e-7
 	} else {
-		w.mk.NuBar = nu // keeps the per-ISP warm partitions
+		w.mk.NuBar = nu
+		w.mk.Reset()
 	}
 	return j.scenario.solveAt(w.mk, axes)
 }
@@ -252,43 +249,39 @@ func (j *GridJob) cellValues(pt point) map[string]float64 {
 	return vals
 }
 
-// SolveRows is the one executor of static market solves. It solves every
-// column of each listed row, hands every solved cell to emit —
+// SolveCells is the one executor of static market solves. It solves each
+// listed cell (a row-major index row·len(Xs)+col), hands it to emit —
 // concurrently, from up to workers goroutines — and returns the summed
-// solver telemetry.
-//
-// The unit of work is one whole row, solved in column order on a fresh
-// GridWorker, so a cell's value depends only on its row's UnitSpec. The one
-// exception is a job with no row axis (a 1-D sweep): its single row is cut
-// into chunkRanges(len(Xs)) contiguous chunks, each on a fresh worker, so
-// one curve keeps its column parallelism. Once ctx is done no cell is
-// started; a nil ctx never cancels.
-func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, emit func(Cell)) obs.SolveStats {
-	type unit struct{ row, lo, hi int }
-	var units []unit
-	for _, row := range rows {
-		if j.YAxis != "" {
-			units = append(units, unit{row, 0, len(j.Xs)})
-			continue
-		}
-		for _, r := range chunkRanges(len(j.Xs)) {
-			units = append(units, unit{row, r[0], r[1]})
-		}
+// solver telemetry. Each goroutine owns one pooled GridWorker and cells are
+// claimed by work stealing; a cell is a pure function of its coordinates,
+// so neither the worker count nor the visiting order reaches a value. Once
+// ctx is done no cell is started; a nil ctx never cancels.
+func (j *GridJob) SolveCells(ctx context.Context, workers int, cells []int, emit func(Cell)) obs.SolveStats {
+	nx := len(j.Xs)
+	return j.each(ctx, workers, len(cells), func(w *GridWorker, i int) {
+		emit(w.SolveCell(cells[i]/nx, cells[i]%nx))
+	})
+}
+
+// each calls visit(w, i) for every i in [0, n) from up to workers
+// goroutines, each with its own pooled worker, and returns the workers'
+// summed telemetry.
+func (j *GridJob) each(ctx context.Context, workers, n int, visit func(w *GridWorker, i int)) obs.SolveStats {
+	if workers <= 0 || workers > n {
+		workers = n
 	}
-	stats := make([]obs.SolveStats, len(units))
-	sweep.RunRowsContext(ctx, workers, len(units), func(_, u int) {
-		w := j.NewWorker()
-		for col := units[u].lo; col < units[u].hi; col++ {
-			if ctx != nil && ctx.Err() != nil {
-				break
-			}
-			emit(w.SolveCell(units[u].row, col))
+	pool := make([]*GridWorker, workers)
+	sweep.RunRowsContext(ctx, workers, n, func(worker, i int) {
+		if pool[worker] == nil {
+			pool[worker] = j.NewWorker()
 		}
-		stats[u] = w.Stats()
+		visit(pool[worker], i)
 	})
 	var total obs.SolveStats
-	for _, st := range stats {
-		total.Accumulate(st)
+	for _, w := range pool {
+		if w != nil {
+			total.Accumulate(w.Stats())
+		}
 	}
 	return total
 }
@@ -296,11 +289,11 @@ func (j *GridJob) SolveRows(ctx context.Context, workers int, rows []int, emit f
 // solveAll solves every cell of the job into a fresh result grid.
 func (j *GridJob) solveAll(opt RunOptions) *sweep.Grid {
 	g := j.NewGrid()
-	rows := make([]int, len(j.Ys))
-	for i := range rows {
-		rows[i] = i
+	cells := make([]int, j.Cells())
+	for i := range cells {
+		cells[i] = i
 	}
-	opt.Stats.Add(j.SolveRows(nil, opt.workers(), rows, func(c Cell) {
+	opt.Stats.Add(j.SolveCells(nil, opt.workers(), cells, func(c Cell) {
 		for li, name := range j.Layers {
 			g.Layers[li].Z[c.Row][c.Col] = c.Values[name]
 		}
@@ -308,11 +301,10 @@ func (j *GridJob) solveAll(opt RunOptions) *sweep.Grid {
 	return g
 }
 
-// RunGrid validates and solves a 2-D grid scenario through SolveRows: rows
-// are distributed across workers by work stealing, each on a fresh
-// warm-started solver, and cells within a row warm-start each other along
-// the column axis. The result is one grid with one layer per recorded
-// metric (per metric and provider for per-provider metrics).
+// RunGrid validates and solves a 2-D grid scenario through SolveCells:
+// cells are spread over workers by work stealing, each worker a pooled
+// solver. The result is one grid with one layer per recorded metric (per
+// metric and provider for per-provider metrics).
 func (s *Scenario) RunGrid(opt RunOptions) (*sweep.Grid, error) {
 	job, err := s.CompileGrid()
 	if err != nil {

@@ -197,8 +197,9 @@ func TestCompileGridLayersAndCells(t *testing.T) {
 
 func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 	// A grid row at fixed ν must reproduce the 1-D sweep at that ν bit for
-	// bit: both run through GridJob.SolveRows, and a grid row on its fresh
-	// solver is the one chunk of a single-worker 1-D sweep.
+	// bit: both run through GridJob.SolveCells, and a cell is a pure
+	// function of its coordinates, so the grid's (γ, ν) cell is the 1-D
+	// sweep's γ point at that ν.
 	s := tinyGridScenario(t)
 	g, err := s.RunGrid(RunOptions{Workers: 2})
 	if err != nil {
@@ -239,9 +240,9 @@ func TestGridRowMatchesOneDimensionalSweep(t *testing.T) {
 	}
 }
 
-// Every grid row runs on a fresh warm-started solver and a 1-D sweep is cut
-// into chunks by its length alone, so a run's values are bit-identical at
-// any worker count. duopoly-price-kappa on a 60-CP ensemble used to move by
+// Every cell is a pure function of its coordinates — its pooled worker
+// resets the warm state first — so a run's values are bit-identical at any
+// worker count. duopoly-price-kappa on a 60-CP ensemble used to move by
 // 2.5e-5 at (c=0, κ=0.75) when a worker carried its warm solver from one
 // claimed row into the next, and monopoly-capacity and neutral-baseline
 // moved in their last bits when a 1-D sweep's chunks followed the worker
@@ -319,23 +320,20 @@ func runValues(t *testing.T, s *Scenario, workers int) map[string]float64 {
 	return vals
 }
 
-// rowSpec is the unit address of grid row row: its columns in order at
-// the row's coordinate.
-func rowSpec(j *GridJob, row int) string {
-	ys := make([]float64, len(j.Xs))
-	for i := range ys {
-		ys[i] = j.Ys[row]
-	}
-	b, err := json.Marshal(j.UnitSpec(j.Xs, ys))
+// cellSpec is the address of cell (row, col): the job's UnitSpec, then
+// the cell's resolved coordinates, bit for bit.
+func cellSpec(j *GridJob, row, col int) string {
+	b, err := json.Marshal(j.UnitSpec())
 	if err != nil {
 		panic(err)
 	}
-	return string(b)
+	return fmt.Sprintf("%s@%x,%x", b, math.Float64bits(j.Xs[col]), math.Float64bits(j.Ys[row]))
 }
 
 func TestUnitSpecStableUnderGridResize(t *testing.T) {
-	// Renaming, retitling and adding rows must keep the shared rows' unit
-	// addresses: UnitSpec ignores cosmetic fields and the other rows.
+	// Renaming, retitling, adding rows and dropping columns must keep the
+	// shared cells' addresses: UnitSpec ignores cosmetic fields and the
+	// axis values, and a cell adds only its own coordinates.
 	compile := func(edit func(s *Scenario)) *GridJob {
 		s := tinyGridScenario(t)
 		edit(s)
@@ -352,21 +350,34 @@ func TestUnitSpecStableUnderGridResize(t *testing.T) {
 		s.Sweep.Grid.Values = []float64{1, 1.5, 2} // one new row, two old
 	})
 	// ν=1 is row 0 in both; ν=2 moved from row 1 to row 2.
-	if rowSpec(a, 0) != rowSpec(b, 0) || rowSpec(a, 1) != rowSpec(b, 2) {
-		t.Fatal("a renamed grid with an added row changed a shared row's unit spec")
+	for col := range a.Xs {
+		if cellSpec(a, 0, col) != cellSpec(b, 0, col) || cellSpec(a, 1, col) != cellSpec(b, 2, col) {
+			t.Fatalf("a renamed grid with an added row changed shared column %d's cell spec", col)
+		}
+		if cellSpec(b, 1, col) == cellSpec(b, 0, col) || cellSpec(b, 1, col) == cellSpec(b, 2, col) {
+			t.Fatal("distinct rows share a cell spec")
+		}
 	}
-	if rowSpec(b, 1) == rowSpec(b, 0) || rowSpec(b, 1) == rowSpec(b, 2) {
-		t.Fatal("distinct rows share a unit spec")
+	for col := 1; col < len(a.Xs); col++ {
+		if cellSpec(a, 0, col) == cellSpec(a, 0, col-1) {
+			t.Fatal("distinct columns share a cell spec")
+		}
 	}
-	// A changed column list changes every row's unit: its solves chain
-	// through different points.
+	// A sub-grid that keeps a subset of the columns keeps their cells.
+	sub := compile(func(s *Scenario) { s.Sweep.Values = []float64{a.Xs[0], a.Xs[2]} })
+	for row := range a.Ys {
+		if cellSpec(sub, row, 0) != cellSpec(a, row, 0) || cellSpec(sub, row, 1) != cellSpec(a, row, 2) {
+			t.Fatalf("a sub-grid of the columns changed row %d's shared cell specs", row)
+		}
+	}
+	// A changed column list changes the cells it moves, no others.
 	cols := compile(func(s *Scenario) { s.Sweep.Points = 4 })
-	if rowSpec(cols, 0) == rowSpec(a, 0) {
-		t.Fatal("a changed column list kept the row's unit spec")
+	if cellSpec(cols, 0, 1) == cellSpec(a, 0, 1) {
+		t.Fatal("a moved column kept its cell spec")
 	}
 	// A changed provider strategy must change the spec.
 	prov := compile(func(s *Scenario) { s.Providers[0].C = 0.5 })
-	if rowSpec(prov, 0) == rowSpec(a, 0) {
+	if cellSpec(prov, 0, 0) == cellSpec(a, 0, 0) {
 		t.Fatal("provider edit did not reach the unit spec")
 	}
 }

@@ -105,7 +105,8 @@ func (j *GridJob) ValuesMap(vals []float64) map[string]float64 {
 	return out
 }
 
-// gridPointSolver adapts a GridWorker to the engine's PointSolver.
+// gridPointSolver adapts a GridWorker to the engine's PointSolver: a pooled
+// worker, so each point is a pure function of its coordinates.
 type gridPointSolver struct{ w *GridWorker }
 
 func (ps *gridPointSolver) Solve(x, y float64) []float64 {
@@ -114,10 +115,11 @@ func (ps *gridPointSolver) Solve(x, y float64) []float64 {
 	return out
 }
 
-// RefineProblem adapts the compiled grid to the refinement engine. The
-// returned flush publishes the accumulated solver telemetry of every worker
-// the engine created into stats (when stats is non-nil) and releases the
-// workers; call it exactly once, after the run. The problem's NewSolver
+// RefineProblem adapts the compiled grid to the refinement engine, which
+// builds one worker per solve goroutine. The returned flush publishes the
+// accumulated solver telemetry of every worker the engine created into
+// stats (when stats is non-nil) and releases the workers; call it exactly
+// once, after the run. The problem's NewSolver
 // outlives the run inside refine.Result, so flush is what lets the
 // workers' markets, solvers and kernel workspaces be collected.
 func (j *GridJob) RefineProblem(stats *obs.Counters) (refine.Problem, func()) {

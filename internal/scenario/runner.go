@@ -15,9 +15,10 @@ import (
 // RunOptions controls scenario execution, not its meaning: everything that
 // changes the modeled outcome lives in the Scenario itself.
 type RunOptions struct {
-	// Workers bounds parallelism: grid rows, the chunks of a 1-D market
-	// sweep, regime curves, or population batches depending on the
-	// scenario. 0 means GOMAXPROCS.
+	// Workers bounds parallelism: market cells, regime curves, or
+	// population batches depending on the scenario. 0 means GOMAXPROCS.
+	// For market sweeps the unit is a cell, a pure function of its
+	// coordinates, so no value depends on it.
 	Workers int
 	// Stats, when non-nil, receives the run's solver telemetry (one atomic
 	// publish per run or regime curve, never per solve). Batched large-N
@@ -46,7 +47,7 @@ func bestResponseGrid() core.StrategyGrid {
 
 // Run validates the scenario, solves its 1-D sweep, and returns one table
 // per metric. A provider-market sweep compiles to a one-row GridJob solved
-// by SolveRows. Tables carry the scenario title and serialize with
+// by SolveCells. Tables carry the scenario title and serialize with
 // sweep.Table.WriteCSV. Grid scenarios (Sweep.Grid set) are 2-D and solve
 // with RunGrid instead.
 func (s *Scenario) Run(opt RunOptions) ([]*sweep.Table, error) {
@@ -118,23 +119,6 @@ func (s *Scenario) layerTables(g *sweep.Grid) []*sweep.Table {
 		tables = append(tables, t)
 	}
 	return tables
-}
-
-// chunkPoints is the largest chunk a 1-D sweep is cut into.
-const chunkPoints = 8
-
-// chunkRanges splits n sweep points into ⌈n/chunkPoints⌉ balanced
-// contiguous chunks. Each chunk is solved on its own fresh solver, so warm
-// starts stay within a monotone sub-sweep while chunks run in parallel.
-// The cut reads the sweep's length alone, so a curve's values never depend
-// on how many workers solve it.
-func chunkRanges(n int) [][2]int {
-	k := (n + chunkPoints - 1) / chunkPoints
-	ranges := make([][2]int, k)
-	for c := range ranges {
-		ranges[c] = [2]int{c * n / k, (c + 1) * n / k}
-	}
-	return ranges
 }
 
 // ---------------------------------------------------------------------------

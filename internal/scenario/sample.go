@@ -123,13 +123,16 @@ func (s *Scenario) SampleEquilibria(opt SampleOptions) ([]LinkEquilibrium, error
 		return out, nil
 	}
 
-	// One warm worker across the picked cells, in row-major order.
-	w := job.NewWorker()
-	for _, ci := range picked {
-		row, col := ci/len(job.Xs), ci%len(job.Xs)
-		_, eqs := w.solve(job.Xs[col], job.Ys[row])
-		for _, pe := range eqs {
-			emit(label(row, col), pe.name, pe.share, pe.eq)
+	// The picked cells through the grid executor's pooled workers: each
+	// cell's equilibria are the ones RunGrid solves at its coordinates.
+	eqs := make([][]providerEq, len(picked))
+	job.each(nil, RunOptions{}.workers(), len(picked), func(w *GridWorker, k int) {
+		row, col := picked[k]/len(job.Xs), picked[k]%len(job.Xs)
+		_, eqs[k] = w.solve(job.Xs[col], job.Ys[row])
+	})
+	for k, ci := range picked {
+		for _, pe := range eqs[k] {
+			emit(label(ci/len(job.Xs), ci%len(job.Xs)), pe.name, pe.share, pe.eq)
 		}
 	}
 	return out, nil

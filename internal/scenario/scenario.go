@@ -13,8 +13,10 @@
 // literature (asymmetric duopolies, large-N oligopolies, revenue-rebating
 // incumbents). Run and RunGrid compile a provider-market scenario — built-in
 // or loaded from JSON — into a GridJob (a 1-D sweep is one row with no row
-// axis) and solve it with the one executor, GridJob.SolveRows: every row on
-// a fresh warm-started solver, rows spread over workers by sweep.RunRows.
+// axis) and solve it with the one executor, GridJob.SolveCells: the unit is
+// a cell, a pure function of its coordinates, solved on a pooled worker
+// whose warm state is reset first, cells spread over workers by
+// sweep.RunRows.
 // Large CP populations (10⁵–10⁶) are generated and evaluated in fixed-size
 // batches so memory stays bounded. The paper's studies that are not market
 // sweeps live as examples in the packages that own them: Figure 2 in

@@ -18,13 +18,13 @@ import (
 // flushed as each completes, so a client watching a 30-minute grid sees
 // cells arrive instead of a silent connection.
 //
-// Grid requests are cached row by row, because a row is what one fresh
-// warm-started solver computes: every row's content address
-// (scenario.UnitSpec — population, providers, axes, the row's resolved
-// points, metrics; nothing cosmetic) is probed first, cached rows stream
-// immediately, and only the missing rows are solved, each whole. Renaming a
-// grid or adding rows therefore re-solves only the new rows, re-running it
-// unchanged solves zero, and no cell depends on what the cache held.
+// Grid requests are cached cell by cell: the unit is a cell, a pure
+// function of its coordinates. Every cell's content address (cellKeys: a
+// digest of the grid's physics, then the cell's resolved (x, y); nothing
+// cosmetic) is probed first, cached cells stream immediately, and only the
+// missing cells are solved. Renaming, resizing or refining a grid therefore
+// re-solves only cells it has not seen, re-running it unchanged solves
+// zero, and no cell depends on what the cache held.
 //
 // See docs/SERVICE.md for the full frame-by-frame contract.
 
@@ -218,52 +218,40 @@ func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage,
 // ---------------------------------------------------------------------------
 // Grid mode.
 
-// batchGrid streams a grid scenario cell by cell: the cells of cached rows
-// first (one map probe per row), then solved cells in completion order.
-// A row is the cache unit: it is served from the cache whole or solved
-// whole, on a fresh warm-started solver, so no cell depends on what the
-// cache already held. Solving distributes the missing rows across workers
-// by work stealing.
+// batchGrid streams a grid scenario cell by cell: the cached cells first
+// (one map probe each), then the solved cells in completion order, each
+// banked as it lands. Solving spreads the missing cells over workers by
+// work stealing.
 func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
-	// Content-address every row up front.
-	keys := make([]string, len(job.Ys))
-	for row := range keys {
-		ys := make([]float64, len(job.Xs))
-		for i := range ys {
-			ys[i] = job.Ys[row]
-		}
-		k, err := cache.Key(nsUnit, job.UnitSpec(job.Xs, ys))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "hashing row %d: %v", row, err)
-			return
-		}
-		keys[row] = k
+	key, err := cellKeys(job)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "hashing grid: %v", err)
+		return
 	}
 	s.serveStream(w, r, "grid", sc.Name, gridHeader(sc, job, false), func(st *stream) (any, error) {
-		// Probe phase: stream cached rows immediately, collect the misses.
-		var missRows []int
-		for row, key := range keys {
-			val, ok := s.store.Lookup(key)
+		// Probe phase: stream cached cells immediately, collect the misses.
+		var miss []int
+		for i := 0; i < job.Cells(); i++ {
+			row, col := i/len(job.Xs), i%len(job.Xs)
+			val, ok := s.store.Lookup(key(job.Xs[col], job.Ys[row]))
 			if !ok {
-				missRows = append(missRows, row)
+				miss = append(miss, i)
 				continue
 			}
-			for col, vals := range val.([][]float64) {
-				if err := st.ctx.Err(); err != nil {
-					return nil, err
-				}
-				st.hits++
-				cell := scenario.Cell{Row: row, Col: col, X: job.Xs[col], Y: job.Ys[row], Values: job.ValuesMap(vals)}
-				if err := st.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
-					return nil, err
-				}
+			if err := st.ctx.Err(); err != nil {
+				return nil, err
+			}
+			st.hits++
+			cell := scenario.Cell{Row: row, Col: col, X: job.Xs[col], Y: job.Ys[row], Values: job.ValuesMap(val.([]float64))}
+			if err := st.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+				return nil, err
 			}
 		}
-		if len(missRows) > 0 {
+		if len(miss) > 0 {
 			if err := st.reserve(); err != nil {
 				return nil, err
 			}
-			if err := solveGridRows(st, job, keys, missRows, workers); err != nil {
+			if err := solveGridCells(st, job, key, miss, workers); err != nil {
 				return nil, err
 			}
 		}
@@ -274,20 +262,18 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.
 	})
 }
 
-// solveGridRows solves the missing rows through the job's executor and
-// streams each cell as it completes. Solving runs on its own goroutine so
-// frames keep flowing while rows are in flight. A row is cached once all
-// its cells are in; when the client disconnects the workers stop within
-// one cell each and rows already complete stay cached — the work is not
-// wasted.
-func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []int, workers int) error {
-	cols := len(job.Xs)
+// solveGridCells solves the missing cells through the job's executor and
+// streams and banks each one as it completes. Solving runs on its own
+// goroutine so frames keep flowing while cells are in flight. When the
+// client disconnects the workers stop within one cell each and every cell
+// already solved stays cached — the work is not wasted.
+func solveGridCells(st *stream, job *scenario.GridJob, key func(x, y float64) string, miss []int, workers int) error {
 	ctx, stop := context.WithCancel(st.ctx)
 	defer stop()
 	var solveErr error
-	// A row's worth of buffer lets a worker run ahead of a frame write that
-	// is waiting on a slow client.
-	cells := make(chan scenario.Cell, cols)
+	// A cell per worker of buffer lets the workers run ahead of a frame
+	// write that is waiting on a slow client.
+	cells := make(chan scenario.Cell, workers)
 	go func() {
 		// Writes to solveErr and st.delta happen before close(cells), which
 		// happens before the stream loop below ends, so reading them after
@@ -298,21 +284,14 @@ func solveGridRows(st *stream, job *scenario.GridJob, keys []string, missRows []
 				solveErr = fmt.Errorf("grid solve panicked: %v", p)
 			}
 		}()
-		st.delta.Accumulate(job.SolveRows(ctx, workers, missRows, func(c scenario.Cell) {
+		st.delta.Accumulate(job.SolveCells(ctx, workers, miss, func(c scenario.Cell) {
 			cells <- c
 		}))
 	}()
-	rows := make([][][]float64, len(job.Ys))
 	for c := range cells {
-		if rows[c.Row] == nil {
-			rows[c.Row] = make([][]float64, cols)
-		}
-		rows[c.Row][c.Col], _ = job.ValuesSlice(c.Values)
+		vals, _ := job.ValuesSlice(c.Values)
 		st.solved++
-		// A row's cells arrive in column order, so its last one completes it.
-		if c.Col == cols-1 {
-			st.bank("row", keys[c.Row], rows[c.Row], obs.SolveStats{})
-		}
+		st.bank("cell", key(c.X, c.Y), vals, obs.SolveStats{})
 		if ctx.Err() != nil {
 			continue
 		}

@@ -16,14 +16,14 @@ import (
 // order, any worker count), and closes with the refinement telemetry and
 // the surrogate's verified error bound. The finished surrogate is cached
 // under the scenario's content address, so a subsequent GET /v1/query on
-// the same grid answers without solving; lattice rows ride the same
-// solve-unit cache as dense batch rows.
+// the same grid answers without solving; lattice points ride the same
+// cell cache as dense batch cells.
 
 // pointFrame is one materialized lattice point of a refined stream.
 type pointFrame struct {
 	Point refinePoint `json:"point"`
-	// Cache is "hit" for points of a solve unit served by the cache, "miss"
-	// for points the run solved.
+	// Cache is "hit" for points served by the cache, "miss" for points the
+	// run solved.
 	Cache string `json:"cache"`
 	Trace string `json:"trace,omitempty"`
 }
@@ -69,7 +69,7 @@ type refineDoneFrame struct {
 // batchGridRefined streams an adaptive-refinement run of a grid scenario.
 // Unlike the dense path, frames are emitted straight from the engine's
 // sequential merge on this goroutine — the engine's own worker pool solves
-// rows in parallel underneath.
+// points in parallel underneath.
 func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, res *resolved, job *scenario.GridJob, workers int) {
 	s.serveStream(w, r, "grid", res.sc.Name, gridHeader(res.sc, job, true), func(st *stream) (any, error) {
 		if err := st.reserve(); err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/netecon-sim/publicoption/internal/refine"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 )
 
@@ -17,17 +18,18 @@ import (
 // every question the model is asked one answer, so every way of asking it
 // must carry the same bytes: the library call at any worker count,
 // POST /v1/runs on a fresh server at any per-solve worker count, a
-// /v1/batch list or grid stream, and a warm replay of each. A refined
-// surrogate solves its finer lattice on its own warm-start chains, but it
-// agrees with the dense grid bit for bit at its seed knots: its wave 0 is
-// the dense rows, solved the same way. No answer may depend on what the
+// /v1/batch list or grid stream, and a warm replay of each. The unit is a
+// cell, a pure function of its coordinates, so every point a refined
+// surrogate solves — seed knot, finer lattice point or probe — is bit for
+// bit what a fresh worker solves there, and a /v1/query fallback at a seed
+// knot is the dense batch's cache entry. No answer may depend on what the
 // cache already held.
 
 // differentialCPs is the ensemble size the built-ins are shrunk to.
 const differentialCPs = 24
 
 // differentialCols caps a built-in grid's column count; a 1-D sweep keeps
-// its full length, so its chunking is exercised as declared.
+// its full length.
 const differentialCols = 9
 
 // differentialScenarios returns the battery's inputs: every static
@@ -194,9 +196,36 @@ func TestCrossRouteDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := sc.RunGridRefined(scenario.RunOptions{Workers: 2})
+			job, err := sc.CompileGrid()
 			if err != nil {
 				t.Fatal(err)
+			}
+			// Every materialized lattice point and every probe (Store sees
+			// both; OnPoint the lattice points only) is a fresh worker's
+			// solve at its coordinates.
+			lattice := make(map[[2]float64]bool)
+			var solved int
+			prob, flush := job.RefineProblem(nil)
+			res, err := refine.Run(context.Background(), prob, job.RefineSpec(), refine.Options{
+				Workers: 2,
+				OnPoint: func(p refine.Point) error {
+					lattice[[2]float64{p.X, p.Y}] = true
+					return nil
+				},
+				Store: func(x, y float64, vals []float64) {
+					solved++
+					want, _ := job.ValuesSlice(job.NewWorker().SolveAt(x, y))
+					if !bytes.Equal(mustJSON(t, vals), mustJSON(t, want)) {
+						t.Errorf("%s at (%g, %g) (lattice point: %v): refined %v, fresh worker %v", sc.Name, x, y, lattice[[2]float64{x, y}], vals, want)
+					}
+				},
+			})
+			flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := res.Stats(); uint64(solved) != st.PointsSolved+st.ProbeSolves || uint64(len(lattice)) != st.PointsSolved {
+				t.Fatalf("%s: Store saw %d points and OnPoint %d, stats %+v", sc.Name, solved, len(lattice), st)
 			}
 			dense, err := sc.RunGrid(scenario.RunOptions{Workers: 2})
 			if err != nil {
@@ -209,7 +238,7 @@ func TestCrossRouteDifferential(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got != l.Z[r][c] { //pubopt:allow(floatcmp): wave 0 is the dense rows, bit for bit
+						if got != l.Z[r][c] { //pubopt:allow(floatcmp): a seed knot is the dense cell, bit for bit
 							t.Errorf("%s %s at (%g, %g): refined %v, dense %v", sc.Name, l.Name, x, y, got, l.Z[r][c])
 						}
 					}
@@ -227,6 +256,8 @@ func TestCrossRouteDifferential(t *testing.T) {
 
 			sub := historyGrid(t, name)
 			sub.Sweep.Values = []float64{sc.Sweep.Values[3]}
+			subset := historyGrid(t, name)
+			subset.Sweep.Values = []float64{sc.Sweep.Values[1], sc.Sweep.Values[3], sc.Sweep.Values[4]}
 			refined := historyGrid(t, name)
 			refined.Sweep.Grid.Refine = &scenario.RefineSpec{MaxDepth: 2, Probes: 8}
 			unverified := historyGrid(t, name)
@@ -243,6 +274,9 @@ func TestCrossRouteDifferential(t *testing.T) {
 			}{
 				{"one-column sub-grid", func(s *Server) {
 					post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s}`, mustJSON(t, sub)))
+				}},
+				{"column-subset sub-grid", func(s *Server) {
+					post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s}`, mustJSON(t, subset)))
 				}},
 				{"refined batch", func(s *Server) {
 					post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s, "refine": true}`, mustJSON(t, refined)))
@@ -266,6 +300,39 @@ func TestCrossRouteDifferential(t *testing.T) {
 				history.serve(s)
 				compareCells(t, fmt.Sprintf("%s after a %s", name, history.what),
 					batchCells(t, post(t, s, "/v1/batch", full), ""), want)
+			}
+
+			// A column subset is cached cell by cell, so the full grid
+			// served after it hits every cell they share.
+			s := New(Options{})
+			post(t, s, "/v1/batch", fmt.Sprintf(`{"grid_json": %s}`, mustJSON(t, subset)))
+			hits := 0
+			for _, line := range strings.Split(post(t, s, "/v1/batch", full), "\n") {
+				if strings.HasPrefix(line, `{"cell":`) && strings.Contains(line, `"cache":"hit"`) {
+					hits++
+				}
+			}
+			if want := 3 * len(sc.Sweep.Grid.Values); hits != want {
+				t.Errorf("%s: full grid after a column subset hit %d cells, want the %d shared", name, hits, want)
+			}
+
+			// A /v1/query fallback at a seed knot is the dense batch's cell:
+			// a cache hit with the batch frame's values.
+			s = New(Options{})
+			post(t, s, "/v1/batch", full)
+			var q QueryResponse
+			body := post(t, s, "/v1/query", fmt.Sprintf(`{"grid_json": %s, "x": %v, "y": %v}`, mustJSON(t, unverified), onGrid[0], onGrid[1]))
+			if err := json.Unmarshal([]byte(body), &q); err != nil {
+				t.Fatal(err)
+			}
+			knot := want[[2]int{0, 2}]
+			var cell scenario.Cell
+			if err := json.Unmarshal(knot, &cell); err != nil {
+				t.Fatal(err)
+			}
+			if q.Source != "solve" || q.Cache != "hit" || !bytes.Equal(mustJSON(t, q.Values), mustJSON(t, cell.Values)) {
+				t.Errorf("%s: query fallback at seed knot %v after a dense batch: source %s, cache %s, values %v; want solve, hit, %v",
+					name, onGrid, q.Source, q.Cache, q.Values, cell.Values)
 			}
 		}
 	})

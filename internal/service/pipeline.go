@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
@@ -21,7 +22,7 @@ import (
 // the server computes is cache.Key(namespace, content).
 const (
 	nsRun       = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
-	nsUnit      = "grid/unit/v1"        // [][]float64, one value per layer per point; content: GridJob.UnitSpec
+	nsCell      = "grid/cell/v1"        // []float64, one value per layer; content: GridJob.UnitSpec, then the cell's (x, y) (cellKeys)
 	nsSurrogate = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
 	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
 )
@@ -301,7 +302,7 @@ func (st *stream) frame(v any) error {
 }
 
 // bank caches one solved unit and records it as a flight-recorder event of
-// kind ("row" or "tick") carrying the unit's solver telemetry.
+// kind ("cell" or "tick") carrying the unit's solver telemetry.
 func (st *stream) bank(kind, key string, val any, solver obs.SolveStats) {
 	st.s.store.Put(key, val)
 	st.s.recorder.Record(obs.Event{
@@ -377,6 +378,21 @@ func (s *Server) echo(ctx context.Context) string {
 		return obs.TraceID(ctx)
 	}
 	return ""
+}
+
+// cellKeys returns the cache address of job's cells: one digest of the
+// job's physics (scenario.UnitSpec), computed here once, then the cell's
+// resolved (x, y) in exact hex. The unit is a cell, a pure function of its
+// coordinates, so a dense cell, a refinement lattice point or probe and a
+// /v1/query fallback at the same (x, y) are one entry.
+func cellKeys(job *scenario.GridJob) (func(x, y float64) string, error) {
+	space, err := cache.Key(nsCell, job.UnitSpec())
+	if err != nil {
+		return nil, err
+	}
+	return func(x, y float64) string {
+		return space + "@" + strconv.FormatFloat(x, 'x', -1, 64) + "," + strconv.FormatFloat(y, 'x', -1, 64)
+	}, nil
 }
 
 // shortKey abbreviates a cache key for logs and events: enough hex to

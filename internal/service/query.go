@@ -25,10 +25,11 @@ import (
 // unverified interpolation, so the answer is always either within the
 // configured tolerance or exact.
 //
-// The surrogate's solve units (lattice rows and the probe set) and the
-// one-point fallback solves share the equilibrium cache's unit namespace
-// with POST /v1/batch's grid rows: a dense batch warms the surrogate
-// build's seed rows and vice versa.
+// The unit is a cell, a pure function of its coordinates: the surrogate's
+// lattice points and probes and the fallback solves share the equilibrium
+// cache's cell namespace with POST /v1/batch's grid cells, so a dense
+// batch warms the surrogate build's seed knots and a fallback at a knot,
+// and vice versa.
 
 // queryRequest is the body of POST /v1/query; the GET form takes the same
 // fields as URL parameters (?grid=name&x=…&y=…).
@@ -167,12 +168,25 @@ func (s *Server) surrogate(ctx context.Context, res *resolved, job *scenario.Gri
 	return val.(*refine.Result), status, nil
 }
 
-// refineGrid runs the grid's adaptive refinement with its solve units on
-// the equilibrium cache, so it shares seed rows with dense POST /v1/batch
-// runs, and adds its stats to the server's refine counters.
+// refineGrid runs the grid's adaptive refinement with its points on the
+// equilibrium cache, so it shares cells with dense POST /v1/batch runs and
+// query fallbacks, and adds its stats to the server's refine counters.
 func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *obs.Counters, opts refine.Options) (*refine.Result, error) {
+	key, err := cellKeys(job)
+	if err != nil {
+		return nil, err
+	}
+	// The engine calls both hooks on its Run goroutine and never mutates
+	// the values it is handed.
+	opts.Lookup = func(x, y float64) ([]float64, bool) {
+		val, ok := s.store.Lookup(key(x, y))
+		if !ok {
+			return nil, false
+		}
+		return val.([]float64), true
+	}
+	opts.Store = func(x, y float64, vals []float64) { s.store.Put(key(x, y), vals) }
 	prob, flush := job.RefineProblem(stats)
-	opts.Lookup, opts.Store = s.unitHooks(job)
 	surr, err := refine.Run(ctx, prob, job.RefineSpec(), opts)
 	flush()
 	if err != nil {
@@ -182,48 +196,21 @@ func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *o
 	return surr, nil
 }
 
-// solvePoint solves one point of grid name as a one-point unit on a fresh
-// solver, through the equilibrium cache — the unverified-surrogate
-// fallback of /v1/query.
+// solvePoint solves the cell of grid name at (x, y) through the equilibrium
+// cache — the unverified-surrogate fallback of /v1/query.
 func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (map[string]float64, cache.Status, error) {
-	key, err := cache.Key(nsUnit, job.UnitSpec([]float64{x}, []float64{y}))
+	key, err := cellKeys(job)
 	if err != nil {
 		return nil, 0, err
 	}
-	val, status, _, err := s.cached(ctx, "cell", name, key, func(stats *obs.Counters) (any, error) {
+	val, status, _, err := s.cached(ctx, "cell", name, key(x, y), func(stats *obs.Counters) (any, error) {
 		w := job.NewWorker()
 		vals, _ := job.ValuesSlice(w.SolveAt(x, y))
 		stats.Add(w.Stats())
-		return [][]float64{vals}, nil
+		return vals, nil
 	})
 	if err != nil {
 		return nil, status, err
 	}
-	return job.ValuesMap(val.([][]float64)[0]), status, nil
-}
-
-// unitHooks bridges the refinement engine's unit cache to the server's
-// content-addressed equilibrium cache: every lattice-row task and the probe
-// set are keyed by their UnitSpec — the namespace POST /v1/batch keys its
-// rows in — so a refinement's seed rows and a dense grid's rows share
-// solves. The engine calls both hooks on its Run goroutine and never
-// mutates the values it is handed.
-func (s *Server) unitHooks(job *scenario.GridJob) (lookup func(xs, ys []float64) ([][]float64, bool), store func(xs, ys []float64, vals [][]float64)) {
-	lookup = func(xs, ys []float64) ([][]float64, bool) {
-		key, err := cache.Key(nsUnit, job.UnitSpec(xs, ys))
-		if err != nil {
-			return nil, false
-		}
-		val, ok := s.store.Lookup(key)
-		if !ok {
-			return nil, false
-		}
-		return val.([][]float64), true
-	}
-	store = func(xs, ys []float64, vals [][]float64) {
-		if key, err := cache.Key(nsUnit, job.UnitSpec(xs, ys)); err == nil {
-			s.store.Put(key, vals)
-		}
-	}
-	return lookup, store
+	return job.ValuesMap(val.([]float64)), status, nil
 }

@@ -11,7 +11,7 @@
 // content-addressed equilibrium cache (internal/cache), where identical
 // concurrent requests coalesce onto one solve and a bounded worker pool
 // keeps distinct solves from oversubscribing the CPU; NDJSON streams (grids
-// row by row, simulations tick by tick) take one stream runner that serves
+// cell by cell, simulations tick by tick) take one stream runner that serves
 // cached units first and solves the rest in one pool slot. Both own
 // the metrics, flight-recorder events and log lines, so every endpoint is
 // metered the same way. The model is deterministic, so cached results
@@ -23,7 +23,7 @@
 //	GET  /v1/scenarios/{name}       one scenario's full JSON definition
 //	POST /v1/runs                   solve a named or inline 1-D scenario
 //	POST /v1/batch                  stream a scenario list or a 2-D grid
-//	                                as NDJSON, grid cells cached per row;
+//	                                as NDJSON, grid cells cached per cell;
 //	                                "refine": true streams an adaptive
 //	                                refinement run instead of dense cells
 //	GET  /v1/query                  solve-free point query against a grid's

@@ -124,13 +124,14 @@ func (g *Grid) WriteCSV(w io.Writer) error {
 // stealing: every worker repeatedly claims the next unclaimed row from a
 // shared counter, so a worker that lands on cheap rows takes more of them
 // and no worker idles while rows remain. A "row" is any independent unit:
-// a grid row, a chunk of a 1-D sweep, a regime curve, a population batch.
+// a grid cell, a refinement point, a regime curve, a population batch.
 // workers <= 0 (or above rows) means one goroutine per row; callers with a
 // "0 = GOMAXPROCS" option resolve it first.
 //
 // run(worker, row) is called with the claiming worker's index in
 // [0,workers). Which rows a worker claims depends on timing, so state kept
-// per worker across rows makes results depend on scheduling. Workers run
+// per worker across rows makes results depend on scheduling unless run
+// resets it first (the cell executor's pooled workers do). Workers run
 // sequentially within themselves; panics propagate to the caller after all
 // workers drain.
 //
