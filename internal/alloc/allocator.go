@@ -36,7 +36,10 @@ import (
 //
 // Implementations must guarantee, for every valid CP:
 //   - RateAt(level, cp) is continuous and non-decreasing in level;
-//   - RateAt(0, cp) = 0 and RateAt(level, cp) ∈ [0, cp.ThetaHat] (Axiom 1);
+//   - RateAt(level, cp) = 0 for every level ≤ 0, and
+//     RateAt(level, cp) ∈ [0, cp.ThetaHat] (Axiom 1). Workspace.Solve at
+//     ν = 0 and the class game's κ = 1 shortcut rely on the zero level
+//     granting nothing: they return rate 0 without calling RateAt;
 //   - RateAt(LevelHi(pop), cp) = cp.ThetaHat for every cp in pop, so the
 //     solver's bisection interval [0, LevelHi] always brackets the
 //     work-conserving level.

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -98,6 +99,46 @@ func TestAxiom4ScaleInvarianceDirect(t *testing.T) {
 		for i := range pop {
 			if math.Abs(base.Theta[i]-scaled.Theta[i]) > 1e-9*math.Max(pop[i].ThetaHat, 1) {
 				t.Fatalf("scale ξ=%v changes θ_%d: %v vs %v", xi, i, base.Theta[i], scaled.Theta[i])
+			}
+		}
+	}
+}
+
+// TestZeroLevelGrantsNothing pins the Allocator contract that a level ≤ 0
+// grants every CP rate 0, through every entry point: RateAt, EvalRate and
+// the bulk RatesAt/AggregateAt. Workspace.Solve's ν = 0 exit and the class
+// game's κ = 1 shortcut return zero rates without asking the mechanism.
+func TestZeroLevelGrantsNothing(t *testing.T) {
+	pop := randomPopulation(rand.New(rand.NewSource(17)), 70) // every demand family
+	mechanisms := []Allocator{
+		MaxMin{},
+		AlphaFair{Alpha: 1},
+		AlphaFair{Alpha: 2},
+		AlphaFair{Alpha: 1, Weights: WeightByThetaHat},
+		PerCPMaxMin{},
+	}
+	out := make([]float64, len(pop))
+	for _, mech := range mechanisms {
+		for _, level := range []float64{0, math.Copysign(0, -1), -1e-300, -1, math.Inf(-1)} {
+			for i := range pop {
+				if r := mech.RateAt(level, &pop[i]); r != 0 {
+					t.Fatalf("%s: RateAt(%g, cp %d) = %g, want 0", mech.Name(), level, i, r)
+				}
+				if r := EvalRate(mech, level, &pop[i]); r != 0 {
+					t.Fatalf("%s: EvalRate(%g, cp %d) = %g, want 0", mech.Name(), level, i, r)
+				}
+			}
+			for i := range out {
+				out[i] = 1
+			}
+			RatesAt(mech, level, pop, out)
+			for i, r := range out {
+				if r != 0 {
+					t.Fatalf("%s: RatesAt(%g) gives cp %d rate %g, want 0", mech.Name(), level, i, r)
+				}
+			}
+			if agg := AggregateAt(mech, level, pop); agg != 0 {
+				t.Fatalf("%s: AggregateAt(%g) = %g, want 0", mech.Name(), level, agg)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
 // TestWorkspaceStats pins the solver-telemetry contract: Solves counts every
@@ -69,7 +71,9 @@ func TestWorkspaceStats(t *testing.T) {
 }
 
 // TestWorkspaceStatsEmptyAndZeroNu covers the degenerate paths: an empty
-// population and ν=0 count as solves without bracketing work.
+// population and ν=0 count as solves without bracketing work, and the ν=0
+// result is the zero allocation: level 0, every θ = 0, constrained, with a
+// zero residual.
 func TestWorkspaceStatsEmptyAndZeroNu(t *testing.T) {
 	w := NewWorkspace(nil)
 	w.Solve(1, nil)
@@ -78,38 +82,123 @@ func TestWorkspaceStatsEmptyAndZeroNu(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	pop := randomPopulation(rng, 8)
-	w.Solve(0, pop)
-	st := w.Stats()
-	if st.Solves != 2 || st.Constrained != 1 || st.Residual != 0 {
+	w.Solve(0.5*pop.TotalUnconstrainedPerCapita(), pop) // leaves θ and a residual behind
+	before := w.Stats()
+	res := w.Solve(0, pop)
+	d := w.Stats().Since(before)
+	if st := w.Stats(); st.Solves != 3 || st.Constrained != 2 || st.Residual != 0 {
 		t.Fatalf("ν=0 stats %+v", st)
+	}
+	if d.Evals != 0 || d.WarmBrackets+d.ColdBrackets != 0 {
+		t.Fatalf("ν=0 solve did bracketing work: delta %+v", d)
+	}
+	if res.Level != 0 || !res.Constrained || res.Nu != 0 || len(res.Theta) != len(pop) {
+		t.Fatalf("ν=0 result: level %v, constrained %v, ν %v, %d rates", res.Level, res.Constrained, res.Nu, len(res.Theta))
+	}
+	for i, th := range res.Theta {
+		if th != 0 {
+			t.Fatalf("ν=0 result gives CP %d rate %v, want 0", i, th)
+		}
+	}
+}
+
+// TestZeroNuKeepsWarmState pins that a ν = 0 solve leaves the warm state
+// alone: a zero-capacity class solved between two loaded solves on one
+// workspace does not change the second one's level bits or evaluations.
+func TestZeroNuKeepsWarmState(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pop := randomPopulation(rng, 50)
+	idle := randomPopulation(rng, 12)
+	total := pop.TotalUnconstrainedPerCapita()
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}, PerCPMaxMin{}} {
+		with, without := NewWorkspace(mech), NewWorkspace(mech)
+		for k, frac := range []float64{0.3, 0.32, 0.5, 0.49} {
+			nu := total * frac
+			w0, o0 := with.Stats(), without.Stats()
+			lw := with.Solve(nu, pop).Level
+			lo := without.Solve(nu, pop).Level
+			dw, do := with.Stats().Since(w0), without.Stats().Since(o0)
+			if math.Float64bits(lw) != math.Float64bits(lo) || dw.Evals != do.Evals || dw.WarmBrackets != do.WarmBrackets {
+				t.Fatalf("%s solve %d: level %v in %d evals after a ν=0 solve, %v in %d evals without",
+					mech.Name(), k, lw, dw.Evals, lo, do.Evals)
+			}
+			with.Solve(0, idle)
+		}
+	}
+}
+
+// TestWarmProbeIsPredicted pins the first-order warm probe by its work:
+// along a ν sweep of one 300-CP population, a warm solve averages at most
+// 6.4 aggregate evaluations. It takes 5.65 with the probe at
+// ℓ_prev + Δν/slope and 7.3 with the probe at the previous level.
+func TestWarmProbeIsPredicted(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pop := randomPopulation(rng, 300)
+	total := pop.TotalUnconstrainedPerCapita()
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}} {
+		w := NewWorkspace(mech)
+		w.Solve(0.3*total, pop)
+		before := w.Stats()
+		const steps = 40
+		for k := 1; k <= steps; k++ {
+			w.Solve((0.3+0.005*float64(k))*total, pop)
+		}
+		d := w.Stats().Since(before)
+		if d.WarmBrackets != steps || 10*d.Evals > 64*steps {
+			t.Fatalf("%s: %d of %d sweep solves warm, %d evaluations (budget 6.4 per solve)", mech.Name(), d.WarmBrackets, steps, d.Evals)
+		}
 	}
 }
 
 // TestWorkspaceResetMatchesFresh pins Reset's contract: after unrelated
 // solves and a Reset, a workspace solves a sequence exactly as a fresh one
 // does — bit-equal levels and the same per-solve telemetry — because Reset
-// also forgets the previous level motion that sizes the warm bracket.
+// also forgets the previous ν and the bracket slope that predict the warm
+// probe. The sequence warm-starts through the predicted probe, including
+// across a ν = 0 solve, an uncongested one and a population change.
 func TestWorkspaceResetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pop := randomPopulation(rng, 60)
 	other := randomPopulation(rng, 35)
 	total := pop.TotalUnconstrainedPerCapita()
 
-	used := NewWorkspace(MaxMin{})
-	for k := 0; k < 5; k++ {
-		used.Solve(other.TotalUnconstrainedPerCapita()*(0.1+0.17*float64(k)), other)
-	}
-	used.Reset()
-	fresh := NewWorkspace(MaxMin{})
-	for k, frac := range []float64{1.0 / 3, 0.34, 0.36, 0.2, 0.9} {
-		u0, f0 := used.Stats(), fresh.Stats()
-		lu := used.Solve(total*frac, pop).Level
-		lf := fresh.Solve(total*frac, pop).Level
-		if math.Float64bits(lu) != math.Float64bits(lf) {
-			t.Fatalf("solve %d (ν = %g·total): level %v after Reset, %v fresh", k, frac, lu, lf)
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}, PerCPMaxMin{}} {
+		used := NewWorkspace(mech)
+		for k := 0; k < 5; k++ {
+			used.Solve(other.TotalUnconstrainedPerCapita()*(0.1+0.17*float64(k)), other)
 		}
-		if du, df := used.Stats().Since(u0), fresh.Stats().Since(f0); du != df {
-			t.Fatalf("solve %d (ν = %g·total): delta %+v after Reset, %+v fresh", k, frac, du, df)
+		if !(used.slope > 0) || used.warmNu == 0 {
+			t.Fatalf("%s: no probe prediction on record before Reset (slope %v, ν %v)", mech.Name(), used.slope, used.warmNu)
+		}
+		used.Reset()
+		fresh := NewWorkspace(mech)
+		if used.warmLevel != fresh.warmLevel || used.warmHi != fresh.warmHi || used.hasWarm != fresh.hasWarm ||
+			used.warmNu != fresh.warmNu || used.slope != fresh.slope {
+			t.Fatalf("%s: warm state after Reset differs from a fresh workspace's", mech.Name())
+		}
+		var warm uint64
+		for k, step := range []struct {
+			frac float64
+			pop  traffic.Population
+		}{
+			{1.0 / 3, pop}, {0.34, pop}, {0.36, pop}, {0, pop}, {0.35, pop}, {0.2, pop},
+			{0.3, other}, {0.9, pop}, {1.2, pop}, {0.5, pop}, {0.52, pop},
+		} {
+			nu := step.frac * total
+			u0, f0 := used.Stats(), fresh.Stats()
+			lu := used.Solve(nu, step.pop).Level
+			lf := fresh.Solve(nu, step.pop).Level
+			if math.Float64bits(lu) != math.Float64bits(lf) {
+				t.Fatalf("%s solve %d (ν = %g·total): level %v after Reset, %v fresh", mech.Name(), k, step.frac, lu, lf)
+			}
+			du, df := used.Stats().Since(u0), fresh.Stats().Since(f0)
+			if du != df {
+				t.Fatalf("%s solve %d (ν = %g·total): delta %+v after Reset, %+v fresh", mech.Name(), k, step.frac, du, df)
+			}
+			warm += du.WarmBrackets
+		}
+		if warm < 5 {
+			t.Fatalf("%s: only %d warm-started solves in the sequence", mech.Name(), warm)
 		}
 	}
 }

@@ -47,6 +47,13 @@ type Solver struct {
 	// premium levels evolve separately along the dynamics) and one for
 	// post-join counterfactuals.
 	wsO, wsP, wsJoin *alloc.Workspace
+	// leveledO and leveledP are the class results of the last levels call,
+	// still on the game's current partition while leveled is set: the
+	// dynamics stop only when no CP moves, so finalize reuses them instead
+	// of solving both classes again. begin clears leveled, and within a
+	// class game only levels and finalize solve on wsO and wsP.
+	leveledO, leveledP *alloc.Result
+	leveled            bool
 	// Scratch: class partitions, the members∪{cp} join buffer, the
 	// visited-partition set of the cycle detector, the screened movers and
 	// the pooled equilibrium CompetitiveScratch returns.
@@ -422,10 +429,32 @@ func (s *Solver) CompetitiveScratch(strategy Strategy, nu float64, pop traffic.P
 	if eps <= 0 {
 		eps = 1e-9
 	}
-	capO := (1 - strategy.Kappa) * nu
-	capP := strategy.Kappa * nu
-
 	lO, lP := s.levels(eq, hiFull)
+	if strategy.AllPremium() && len(pop) > 1 && affordable(eq) {
+		// κ = 1 from the affordability partition is already an
+		// equilibrium: the zero-capacity ordinary class advertises level
+		// 0, where every rate is 0, so each CP's switch gain is α(v−c)ρ_P —
+		// never positive for an ordinary CP (v ≤ c), never negative for a
+		// premium one (v > c). The dynamics' first screen would find no
+		// mover and stop there; skip it. (A one-CP game has no phase 1 and
+		// takes the dynamics.)
+		eq.Iterations, eq.EpsUsed = 1, eps
+	} else {
+		s.dynamics(eq, hiFull, eps, lO, lP)
+	}
+	s.finalize(eq)
+	return eq
+}
+
+// dynamics runs the two-phase class dynamics (see Competitive) from eq's
+// partition, whose classes levels has just solved to advertised levels lO
+// and lP, until no CP moves or the iteration budget runs out. It leaves
+// the final partition, Iterations, EpsUsed and Converged in eq; the caller
+// finalizes.
+func (s *Solver) dynamics(eq *ClassEquilibrium, hiFull, eps, lO, lP float64) {
+	pop, strategy := eq.Pop, eq.Strategy
+	capO := (1 - strategy.Kappa) * eq.Nu
+	capP := strategy.Kappa * eq.Nu
 	s.seen.reset()
 	s.seen.add(eq.InPremium)
 
@@ -440,8 +469,7 @@ func (s *Solver) CompetitiveScratch(strategy Strategy, nu float64, pop traffic.P
 		ms := s.screen(eq, eps, lO, lP)
 		if len(ms) == 0 {
 			eq.EpsUsed = eps
-			s.finalize(eq)
-			return eq
+			return
 		}
 		if len(ms) > cap1 {
 			ms = ms[:cap1]
@@ -522,8 +550,7 @@ func (s *Solver) CompetitiveScratch(strategy Strategy, nu float64, pop traffic.P
 		if movedIdx < 0 {
 			// No candidate survives post-join verification: equilibrium.
 			eq.EpsUsed = eps
-			s.finalize(eq)
-			return eq
+			return
 		}
 		lO, lP = s.levels(eq, hiFull)
 		if s.seen.add(eq.InPremium) {
@@ -535,8 +562,6 @@ func (s *Solver) CompetitiveScratch(strategy Strategy, nu float64, pop traffic.P
 	}
 	eq.Converged = false
 	eq.EpsUsed = eps
-	s.finalize(eq)
-	return eq
 }
 
 // begin points the pooled equilibrium at a new game and sets its initial
@@ -568,7 +593,19 @@ func (s *Solver) begin(strategy Strategy, nu float64, pop traffic.Population, wa
 	if cap(s.movers) < n {
 		s.movers = make([]mover, 0, n)
 	}
+	s.leveled = false
 	return &s.eq
+}
+
+// affordable reports whether eq's partition is the affordability one:
+// premium exactly for the CPs with v_i > c.
+func affordable(eq *ClassEquilibrium) bool {
+	for i := range eq.Pop {
+		if eq.InPremium[i] != (eq.Pop[i].V > eq.Strategy.C) {
+			return false
+		}
+	}
+	return true
 }
 
 // levels solves both classes of eq's current partition on the warm
@@ -579,9 +616,8 @@ func (s *Solver) levels(eq *ClassEquilibrium, hiFull float64) (lO, lP float64) {
 	capO := (1 - eq.Strategy.Kappa) * eq.Nu
 	capP := eq.Strategy.Kappa * eq.Nu
 	o, p := s.splitScratch(eq.Pop, eq.InPremium)
-	lO = s.classLevel(s.wsO.Solve(capO, o), capO, hiFull)
-	lP = s.classLevel(s.wsP.Solve(capP, p), capP, hiFull)
-	return lO, lP
+	s.leveledO, s.leveledP, s.leveled = s.wsO.Solve(capO, o), s.wsP.Solve(capP, p), true
+	return s.classLevel(s.leveledO, capO, hiFull), s.classLevel(s.leveledP, capP, hiFull)
 }
 
 // mover is a CP whose switch looks profitable, with its apparent utility
@@ -642,13 +678,23 @@ func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) 
 }
 
 // finalize computes the exact intra-class equilibria and the per-CP θ for
-// the current partition. The intra-class solves run on the warm kernels,
-// and eq keeps their pooled results: ClassEquilibrium.Clone copies them
-// when a caller retains the equilibrium.
+// the current partition: the last levels call's results when it solved
+// this partition, else solves on the warm kernels (κ = 0 solves the whole
+// population in place, it being the ordinary class). eq keeps the pooled
+// results: ClassEquilibrium.Clone copies them when a caller retains the
+// equilibrium.
 func (s *Solver) finalize(eq *ClassEquilibrium) {
-	o, p := s.splitScratch(eq.Pop, eq.InPremium)
-	eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o)
-	eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p)
+	switch {
+	case s.leveled:
+		eq.Ordinary, eq.Premium = s.leveledO, s.leveledP
+	case eq.Strategy.NoPremium():
+		eq.Ordinary = s.wsO.Solve(eq.Nu, eq.Pop)
+		eq.Premium = s.wsP.Solve(0, s.premBuf[:0])
+	default:
+		o, p := s.splitScratch(eq.Pop, eq.InPremium)
+		eq.Ordinary = s.wsO.Solve((1-eq.Strategy.Kappa)*eq.Nu, o)
+		eq.Premium = s.wsP.Solve(eq.Strategy.Kappa*eq.Nu, p)
+	}
 	oi, pi := 0, 0
 	for i := range eq.Pop {
 		if eq.InPremium[i] {

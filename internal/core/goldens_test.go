@@ -48,22 +48,22 @@ func solverGoldens() []goldenCase {
 	)
 
 	return []goldenCase{
-		{"interior/phi", interior.Phi(), 19.383454125739334},
-		{"interior/psi", interior.Psi(), 2.1100233758832427},
+		{"interior/phi", interior.Phi(), 19.383454125739327},
+		{"interior/psi", interior.Psi(), 2.1100233758832414},
 		{"interior/premium", float64(interior.PremiumCount()), 25},
 		{"kappa0/phi", kzero.Phi(), 19.230511150496834},
 		{"kappa0/psi", kzero.Psi(), 0},
-		{"kappa1/phi", kone.Phi(), 19.794412317234368},
+		{"kappa1/phi", kone.Phi(), 19.794412317234382},
 		{"kappa1/premium", float64(kone.PremiumCount()), 50},
-		{"trivial0/phi", trivZero.Phi(), 19.230511150496827},
+		{"trivial0/phi", trivZero.Phi(), 19.230511150496834},
 		{"trivial1/phi", trivOne.Phi(), 19.794412317234368},
 		{"duopoly/share0", duo.Shares[0], 0.6125391458704359},
 		{"duopoly/phi", duo.Phi, 19.914356855081639},
-		{"triopoly/share0", tri.Shares[0], 0.47696206122668811},
-		{"triopoly/share1", tri.Shares[1], 0.33001415184368194},
+		{"triopoly/share0", tri.Shares[0], 0.47696206122668833},
+		{"triopoly/share1", tri.Shares[1], 0.33001415184368155},
 		{"triopoly/phi", tri.Phi, 19.974629546309217},
 		{"subsidy/share0", sub.Shares[0], 0.53106184670077172},
-		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753419},
+		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753426},
 	}
 }
 

@@ -60,7 +60,13 @@ const minShare = 1e-9
 
 // Market solves consumer-migration equilibria for a fixed population and
 // system capacity. It caches per-ISP surplus evaluations through warm
-// starts; create one Market per (pop, ν̄) study.
+// starts; create one Market per (pop, ν̄) study. The warm partitions are
+// per ISP, but the solver's kernels are shared by every ISP in the market:
+// each ISP's ordinary class is solved on one kernel and its premium class
+// on the other, so consecutive games of different ISPs warm-start from
+// each other's levels. (A zero-capacity class leaves a kernel's warm
+// state alone, so a κ = 1 incumbent's empty ordinary class does not cost
+// the Public Option's full-population class its warm start.)
 type Market struct {
 	Solver *Solver
 	Pop    traffic.Population

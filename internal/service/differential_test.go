@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,8 +36,9 @@ const differentialCols = 9
 // differentialScenarios returns the battery's inputs: every static
 // provider-market built-in at differentialCPs (regime comparisons and
 // batched populations solve outside the cell executor and are left out),
-// plus the inline tiny scenarios of the route transcripts. The 1-D sweeps
-// and the grids come back separately.
+// generated markets the built-ins do not declare (generatedScenarios), and
+// the inline tiny scenarios of the route transcripts. The 1-D sweeps and
+// the grids come back separately.
 func differentialScenarios(t *testing.T) (oneD, grids []*scenario.Scenario) {
 	t.Helper()
 	for _, sc := range scenario.All() {
@@ -57,6 +59,7 @@ func differentialScenarios(t *testing.T) (oneD, grids []*scenario.Scenario) {
 		}
 		grids = append(grids, sc)
 	}
+	oneD = append(oneD, generatedScenarios(t, 22, 8)...)
 	for _, raw := range []string{tinyRunJSON, tinyGridJSON("tiny-grid", "1, 2")} {
 		sc, err := scenario.LoadString(raw)
 		if err != nil {
@@ -69,6 +72,83 @@ func differentialScenarios(t *testing.T) (oneD, grids []*scenario.Scenario) {
 		}
 	}
 	return oneD, grids
+}
+
+// generatedScenarios derives n valid small 1-D scenarios, deterministically
+// from seed, from the static provider-market 1-D built-ins — part of the
+// FuzzScenarioValidate seed corpus. Each keeps a drawn built-in's metrics,
+// redraws its ensemble (at most differentialCPs CPs) and replaces its
+// market with one of the shapes the built-ins leave out: three and four
+// ISPs, interior κ, and revenue rebates, with capacity, price or κ swept
+// over three points. Every scenario goes through the loader, so it is one
+// FuzzScenarioValidate would accept.
+func generatedScenarios(t *testing.T, seed int64, n int) []*scenario.Scenario {
+	t.Helper()
+	var corpus []*scenario.Scenario
+	for _, sc := range scenario.All() {
+		k := sc.Population.Kind
+		if sc.IsDynamic() || sc.IsGrid() || sc.Regulation != nil || sc.Population.Batch > 0 || (k != "paper" && k != "ensemble") {
+			continue
+		}
+		corpus = append(corpus, sc)
+	}
+	shapes := []struct {
+		isps             int
+		interior, rebate bool
+	}{{3, true, false}, {4, false, false}, {2, true, false}, {2, false, true}, {2, true, true}, {4, true, false}}
+	rng := rand.New(rand.NewSource(seed))
+	draw := func(lo, hi float64) float64 { return lo + (hi-lo)*rng.Float64() }
+	var out []*scenario.Scenario
+	for i := range n {
+		shape := shapes[i%len(shapes)]
+		sc := *corpus[rng.Intn(len(corpus))]
+		sc.Name = fmt.Sprintf("generated-%d-from-%s", i, sc.Name)
+		sc.Population.Kind, sc.Population.Seed, sc.Population.N = "ensemble", rng.Uint64()|1, 12+rng.Intn(differentialCPs-11)
+
+		// The first ISP differentiates (interior or full κ); the last is
+		// a Public Option; any between are neutral or κ = 1.
+		sc.Providers = make([]scenario.ProviderSpec, shape.isps)
+		left := 1.0
+		for k := range sc.Providers {
+			p := &sc.Providers[k]
+			p.Name = fmt.Sprintf("isp%d", k)
+			if k < shape.isps-1 {
+				p.Gamma = left * draw(0.25, 0.6)
+				left -= p.Gamma
+			} else {
+				p.Gamma = left
+			}
+			switch {
+			case k == shape.isps-1:
+				p.Name, p.PublicOption = "po", true
+			case k == 0 && shape.interior:
+				p.Kappa, p.C = draw(0.2, 0.8), draw(0.1, 0.7)
+			case k%2 == 0:
+				p.Kappa, p.C = 1, draw(0.1, 0.7)
+			}
+		}
+		if shape.rebate {
+			sc.Providers[0].Sigma = draw(0.2, 0.8)
+		}
+
+		sw := scenario.SweepSpec{Metrics: sc.Sweep.Metrics, OfSaturation: true, Nu: draw(0.2, 0.8)}
+		switch axis := []string{scenario.AxisNu, scenario.AxisPrice, scenario.AxisKappa}[rng.Intn(3)]; axis {
+		case scenario.AxisNu:
+			sw.Axis, sw.Values, sw.Nu = axis, []float64{draw(0.1, 0.3), draw(0.4, 0.6), draw(0.7, 1.2)}, 0
+		case scenario.AxisPrice:
+			sw.Axis, sw.Values = axis, []float64{draw(0.05, 0.3), draw(0.35, 0.6), draw(0.65, 0.95)}
+		default:
+			sw.Axis, sw.Values = axis, []float64{draw(0.1, 0.4), draw(0.45, 0.7), 1}
+		}
+		sc.Sweep = sw
+
+		loaded, err := scenario.LoadString(string(mustJSON(t, &sc)))
+		if err != nil {
+			t.Fatalf("generated scenario %d is invalid: %v", i, err)
+		}
+		out = append(out, loaded)
+	}
+	return out
 }
 
 // mustJSON marshals v or fails the test.
