@@ -106,7 +106,8 @@ func TestAxiom4ScaleInvarianceDirect(t *testing.T) {
 
 // TestZeroLevelGrantsNothing pins the Allocator contract that a level ≤ 0
 // grants every CP rate 0, through every entry point: RateAt, EvalRate and
-// the bulk RatesAt/AggregateAt. Workspace.Solve's ν = 0 exit and the class
+// the BulkAllocator methods RatesAt and AggregateAt, which every built-in
+// mechanism implements. Workspace.Solve's ν = 0 exit and the class
 // game's κ = 1 shortcut return zero rates without asking the mechanism.
 func TestZeroLevelGrantsNothing(t *testing.T) {
 	pop := randomPopulation(rand.New(rand.NewSource(17)), 70) // every demand family
@@ -119,6 +120,10 @@ func TestZeroLevelGrantsNothing(t *testing.T) {
 	}
 	out := make([]float64, len(pop))
 	for _, mech := range mechanisms {
+		bulk, ok := mech.(BulkAllocator)
+		if !ok {
+			t.Fatalf("%s: built-in mechanism must implement BulkAllocator", mech.Name())
+		}
 		for _, level := range []float64{0, math.Copysign(0, -1), -1e-300, -1, math.Inf(-1)} {
 			for i := range pop {
 				if r := mech.RateAt(level, &pop[i]); r != 0 {
@@ -131,13 +136,13 @@ func TestZeroLevelGrantsNothing(t *testing.T) {
 			for i := range out {
 				out[i] = 1
 			}
-			RatesAt(mech, level, pop, out)
+			bulk.RatesAt(level, pop, out)
 			for i, r := range out {
 				if r != 0 {
 					t.Fatalf("%s: RatesAt(%g) gives cp %d rate %g, want 0", mech.Name(), level, i, r)
 				}
 			}
-			if agg := AggregateAt(mech, level, pop); agg != 0 {
+			if agg := bulk.AggregateAt(level, pop); agg != 0 {
 				t.Fatalf("%s: AggregateAt(%g) = %g, want 0", mech.Name(), level, agg)
 			}
 		}

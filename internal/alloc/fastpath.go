@@ -12,10 +12,10 @@ import (
 // the mechanism's level→rate map RateAt and the demand composition
 // d_i(θ)·θ — and both are interface calls in the generic formulation. The
 // helpers here recover the concrete types of the built-in mechanisms and
-// demand families so the inner loops run as straight-line float code, and
-// the BulkAllocator dispatchers give whole-population evaluation a single
-// entry point that the Workspace kernel, the class-curve cache and the
-// screening dynamics all share.
+// demand families so the inner loops run as straight-line float code: the
+// Workspace kernel flattens level-linear mechanisms into float arrays and
+// runs the rest through their BulkAllocator methods, and the class game's
+// screening dynamics evaluate single CPs through EvalRate and EvalRho.
 //
 // Semantics are pinned to the generic path: every fast branch replicates
 // the corresponding method (RateAt, Curve.At, CP.Rho) expression for
@@ -27,8 +27,8 @@ import (
 // Implementations evaluate the level map for every CP in one call with a
 // concrete receiver, removing the per-CP interface dispatch of
 // Allocator.RateAt from the solver's inner loop. All built-in mechanisms
-// implement it; AggregateAt and RatesAt fall back to the generic per-CP
-// loop for mechanisms that do not.
+// implement it; the Workspace falls back to the generic per-CP loop for
+// mechanisms that do not.
 type BulkAllocator interface {
 	// AggregateAt returns Σ_i α_i·d_i(θ_i(level))·θ_i(level), the aggregate
 	// per-capita rate of the population at the given operating level.
@@ -158,35 +158,4 @@ func EvalRate(a Allocator, level float64, cp *traffic.CP) float64 {
 		return m.RateAt(level, cp)
 	}
 	return a.RateAt(level, cp)
-}
-
-// AggregateAt returns the aggregate per-capita rate Σ_i α_i·d_i(θ_i)·θ_i of
-// the population at the given operating level, dispatching to the
-// mechanism's BulkAllocator fast path when it has one.
-//
-//pubopt:hotpath
-func AggregateAt(a Allocator, level float64, pop traffic.Population) float64 {
-	if b, ok := a.(BulkAllocator); ok {
-		return b.AggregateAt(level, pop)
-	}
-	var sum float64
-	for i := range pop {
-		sum += EvalPerCapitaRate(&pop[i], a.RateAt(level, &pop[i]))
-	}
-	return sum
-}
-
-// RatesAt fills out[i] = RateAt(level, &pop[i]) for every CP, dispatching
-// to the mechanism's BulkAllocator fast path when it has one. out must have
-// length len(pop).
-//
-//pubopt:hotpath
-func RatesAt(a Allocator, level float64, pop traffic.Population, out []float64) {
-	if b, ok := a.(BulkAllocator); ok {
-		b.RatesAt(level, pop, out)
-		return
-	}
-	for i := range pop {
-		out[i] = a.RateAt(level, &pop[i])
-	}
 }

@@ -306,6 +306,9 @@ func (w *Workspace) findLevel(nu, hi, total float64) float64 {
 	tol := relTol * hi
 	lo, flo := 0.0, -nu
 	up, fup := hi, total-nu
+	// rlo and rup are |f| at the bracket ends as evaluated: the Illinois
+	// steps halve flo and fup, never these.
+	rlo, rup := nu, total-nu
 
 	warm := false
 	if w.hasWarm && w.warmLevel > 0 {
@@ -333,9 +336,9 @@ func (w *Workspace) findLevel(nu, hi, total float64) float64 {
 				return x0
 			}
 			if f0 < 0 {
-				lo, flo = x0, f0
+				lo, flo, rlo = x0, f0, -f0
 			} else {
-				up, fup = x0, f0
+				up, fup, rup = x0, f0, f0
 			}
 			// Probe the other side of the root: twice the Newton distance
 			// |f0|/slope, or 1e-3·hi with no slope on record, expanding
@@ -368,9 +371,9 @@ func (w *Workspace) findLevel(nu, hi, total float64) float64 {
 					return x
 				}
 				if fx < 0 {
-					lo, flo = x, fx
+					lo, flo, rlo = x, fx, -fx
 				} else {
-					up, fup = x, fx
+					up, fup, rup = x, fx, fx
 				}
 				step *= 8
 			}
@@ -415,13 +418,13 @@ func (w *Workspace) findLevel(nu, hi, total float64) float64 {
 			w.stats.Residual = 0
 			return x
 		case fx < 0:
-			lo, flo = x, fx
+			lo, flo, rlo = x, fx, -fx
 			if side < 0 {
 				fup /= 2
 			}
 			side = -1
 		default:
-			up, fup = x, fx
+			up, fup, rup = x, fx, fx
 			if side > 0 {
 				flo /= 2
 			}
@@ -434,14 +437,11 @@ func (w *Workspace) findLevel(nu, hi, total float64) float64 {
 	} else {
 		w.slope = 0
 	}
-	// The residual bound is the smaller endpoint magnitude of the final
-	// bracket: the returned midpoint's |aggregate−ν| cannot exceed it, and
-	// reading it costs no extra aggregate evaluation.
-	if r := math.Abs(flo); r < math.Abs(fup) {
-		w.stats.Residual = r
-	} else {
-		w.stats.Residual = math.Abs(fup)
-	}
+	// The residual bound is the larger evaluated |f| at the final bracket's
+	// ends: the aggregate is non-decreasing in the level, so the returned
+	// midpoint's aggregate−ν lies between them, and reading it costs no
+	// extra aggregate evaluation.
+	w.stats.Residual = max(rlo, rup)
 	return lo + (up-lo)/2
 }
 

@@ -202,3 +202,35 @@ func TestWorkspaceResetMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestResidualBoundsTrueError pins SolveStats.Residual as a bound: over
+// random 200-CP congested solves, cold and warm, under the level-linear
+// mechanisms, the recorded residual is at least the work-conservation error
+// |Σ α_i·d_i(θ_i)·θ_i − ν| of the returned rates, recomputed through the
+// generic CP methods with a compensated sum. The allowance of 16 ulps of
+// the total covers the roundoff of the solver's own 200-term sum. (When
+// the smaller, Illinois-halved endpoint residual was recorded, 7–10% of
+// such solves understated the error beyond that allowance, the worst by
+// 5e4×.)
+// PerCPMaxMin is left out: its rates invert the level map by an inner
+// bisection whose own error the level search does not see.
+func TestResidualBoundsTrueError(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}, AlphaFair{Alpha: 1, Weights: WeightByThetaHat}} {
+		w := NewWorkspace(mech)
+		var pop traffic.Population
+		var total, ulp float64
+		for k := 0; k < 300; k++ {
+			if k%10 == 0 { // a new population: the next solve brackets cold
+				pop = randomPopulation(rng, 200)
+				total = pop.TotalUnconstrainedPerCapita()
+				ulp = math.Nextafter(total, math.Inf(1)) - total
+			}
+			nu := total * (0.02 + 0.96*rng.Float64())
+			res := w.Solve(nu, pop)
+			if r, err := w.Stats().Residual, math.Abs(res.Aggregate()-nu); r+16*ulp < err {
+				t.Fatalf("%s solve %d (ν = %v): recorded residual %g < true error %g", mech.Name(), k, nu, r, err)
+			}
+		}
+	}
+}

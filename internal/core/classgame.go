@@ -8,7 +8,6 @@ import (
 
 	"github.com/netecon-sim/publicoption/internal/alloc"
 	"github.com/netecon-sim/publicoption/internal/econ"
-	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
@@ -259,79 +258,6 @@ func (s *Solver) postJoinTheta(cp *traffic.CP, capacity float64, members traffic
 	return res.Theta[len(s.joinBuf)-1]
 }
 
-// classCurve caches one class's aggregate-rate map τ ↦ λ_class(τ) so that
-// many post-join queries against the same class cost O(1) class sweeps
-// instead of a full bisection each. The interpolant provides the shape; the
-// answer is sharpened with offset-corrected exact evaluations, so results
-// match postJoinTheta to solver tolerance.
-type classCurve struct {
-	alloc   alloc.Allocator
-	members traffic.Population
-	cap     float64
-	hi      float64 // level at which every CP in the *full* population is unconstrained
-	interp  *numeric.PCHIP
-	total   float64 // λ_class(hi): the class's total unconstrained rate
-}
-
-const classCurveSamples = 96
-
-// newClassCurve samples the class's aggregate rate across levels.
-func (s *Solver) newClassCurve(members traffic.Population, capacity float64, full traffic.Population) *classCurve {
-	hi := s.Alloc.LevelHi(full)
-	if hi <= 0 {
-		hi = 1
-	}
-	c := &classCurve{alloc: s.Alloc, members: members, cap: capacity, hi: hi}
-	xs := numeric.Linspace(0, hi, classCurveSamples)
-	ys := make([]float64, len(xs))
-	for i, tau := range xs {
-		ys[i] = c.exact(tau)
-	}
-	c.interp = numeric.NewPCHIP(xs, ys)
-	c.total = ys[len(ys)-1]
-	return c
-}
-
-// exact returns λ_class(tau) by direct summation, through the mechanism's
-// bulk fast path.
-func (c *classCurve) exact(tau float64) float64 {
-	return alloc.AggregateAt(c.alloc, tau, c.members)
-}
-
-// postJoinTheta returns the level-form throughput cp would get after joining
-// this class: the root of λ_class(τ) + λ_cp(τ) = capacity (or the
-// unconstrained rate when capacity covers everyone). It uses the cached
-// interpolant for bisection and corrects the interpolation error with exact
-// evaluations until the residual is at solver tolerance.
-func (c *classCurve) postJoinTheta(cp *traffic.CP) float64 {
-	if c.cap <= 0 {
-		return 0
-	}
-	own := func(tau float64) float64 {
-		return alloc.EvalPerCapitaRate(cp, alloc.EvalRate(c.alloc, tau, cp))
-	}
-	if c.total+own(c.hi) <= c.cap {
-		return c.alloc.RateAt(c.hi, cp) // everyone unconstrained
-	}
-	resTol := 1e-11 * math.Max(c.cap, 1)
-	offset := 0.0
-	tau := 0.0
-	for k := 0; k < 8; k++ {
-		tau = numeric.Bisect(func(t float64) float64 {
-			return c.interp.At(t) + offset + own(t) - c.cap
-		}, 0, c.hi, 1e-13*c.hi)
-		residual := c.exact(tau) + own(tau) - c.cap
-		if math.Abs(residual) <= resTol {
-			break
-		}
-		// Freeze the interpolation error at tau into the offset and
-		// re-solve; the error is smooth and small, so this converges in a
-		// couple of rounds.
-		offset = c.exact(tau) - c.interp.At(tau)
-	}
-	return c.alloc.RateAt(tau, cp)
-}
-
 // switchGain evaluates the competitive joining condition (Definition 3,
 // restated in utility form to avoid the division in Eq. 8): the per-capita
 // utility gain of the premium class over the ordinary class,
@@ -376,7 +302,9 @@ func utilityScale(cp *traffic.CP, c float64) float64 {
 //
 //  2. Sequential phase: candidates are screened by apparent gain in
 //     descending order, and each is verified against the exact post-join
-//     level of its target class before moving; one CP moves per iteration.
+//     level of its target class — one solve of that class with the
+//     candidate joined, on the warm post-join kernel — before moving; the
+//     first that still gains moves, one CP per iteration.
 //     A CP whose verified gain exceeds the band strictly improves its own
 //     utility by moving, so the single-mover dynamics cannot immediately
 //     revisit a state through the same CP; if the partition nevertheless
@@ -486,10 +414,9 @@ func (s *Solver) dynamics(eq *ClassEquilibrium, hiFull, eps, lO, lP float64) {
 		}
 	}
 
-	// Phase 2: sequential verified moves. Candidate verification reuses a
-	// cached aggregate-rate curve per class per iteration, so scanning even
-	// dozens of marginal candidates costs a couple of class sweeps rather
-	// than a full equilibrium solve each.
+	// Phase 2: sequential verified moves. Each candidate, best apparent gain
+	// first, is verified by solving its target class with it joined on the
+	// warm post-join kernel; the first that still gains moves.
 	s.seen.reset()
 	s.seen.add(eq.InPremium)
 	for iter := eq.Iterations + 1; iter <= s.MaxIter; iter++ {
@@ -498,40 +425,16 @@ func (s *Solver) dynamics(eq *ClassEquilibrium, hiFull, eps, lO, lP float64) {
 		movedIdx := -1
 		if len(ms) > 0 {
 			o, p := s.splitScratch(pop, eq.InPremium)
-			// Class curves are built lazily: when the top candidate passes
-			// verification (the common case mid-churn), one direct solve is
-			// cheaper than sampling the curve; the cached curve pays off
-			// when many marginal candidates must be scanned.
-			var curveO, curveP *classCurve
-			for mi, m := range ms {
+			for _, m := range ms {
 				cp := &pop[m.idx]
 				// Verify against the exact post-join level of the target
 				// class (Assumption 3 with rational expectations).
 				targetPremium := !eq.InPremium[m.idx]
-				price := 0.0
+				members, capacity, price := o, capO, 0.0
 				if targetPremium {
-					price = strategy.C
+					members, capacity, price = p, capP, strategy.C
 				}
-				var theta float64
-				if mi == 0 {
-					members, capacity := o, capO
-					if targetPremium {
-						members, capacity = p, capP
-					}
-					theta = s.postJoinTheta(cp, capacity, members)
-				} else {
-					if targetPremium {
-						if curveP == nil {
-							curveP = s.newClassCurve(p, capP, pop)
-						}
-						theta = curveP.postJoinTheta(cp)
-					} else {
-						if curveO == nil {
-							curveO = s.newClassCurve(o, capO, pop)
-						}
-						theta = curveO.postJoinTheta(cp)
-					}
-				}
+				theta := s.postJoinTheta(cp, capacity, members)
 				uTarget := (cp.V - price) * cp.Alpha * alloc.EvalRho(cp, theta)
 				// Current utility at the exact current level (the CP is
 				// already counted in its own class).

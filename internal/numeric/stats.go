@@ -35,19 +35,6 @@ func Sum(xs []float64) float64 {
 	return k.Value()
 }
 
-// Dot returns the Kahan-compensated dot product of a and b. It panics if the
-// slices have different lengths.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot called with mismatched lengths")
-	}
-	var k Kahan
-	for i := range a {
-		k.Add(a[i] * b[i])
-	}
-	return k.Value()
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -172,11 +159,6 @@ func AlmostEqual(a, b, tol float64) bool {
 	}
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return d <= tol*scale
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	return math.Min(math.Max(x, lo), hi)
 }
 
 // IsMonotoneNonDecreasing reports whether ys never decreases by more than

@@ -23,21 +23,6 @@ func TestSumCompensated(t *testing.T) {
 	}
 }
 
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Fatalf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
 func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); m != 5 {
@@ -132,12 +117,6 @@ func TestIsMonotoneNonDecreasing(t *testing.T) {
 	}
 	if !IsMonotoneNonDecreasing([]float64{1, 0.999999}, 1e-3) {
 		t.Fatal("tiny numerical drop within slack rejected")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
 	}
 }
 

@@ -162,21 +162,58 @@ func TestRouteTranscripts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (run with -update to capture)", err)
 			}
-			gotLines := strings.Split(got.String(), "\n")
-			wantLines := strings.Split(string(want), "\n")
-			for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-				var g, w string
-				if i < len(gotLines) {
-					g = gotLines[i]
-				}
-				if i < len(wantLines) {
-					w = wantLines[i]
-				}
-				if g != w {
-					t.Fatalf("%s line %d differs:\n got: %s\nwant: %s", golden, i+1, g, w)
-				}
+			if report := lineDiff(got.String(), string(want)); report != "" {
+				t.Fatalf("%s %s", golden, report)
 			}
 		})
+	}
+}
+
+// maxReportedDiffs caps the differing lines a failed replay prints.
+const maxReportedDiffs = 5
+
+// lineDiff compares two transcripts line by line and returns "" when they
+// match, else how many lines differ followed by the first few of them, so
+// a replay tells one drifted line from a moved file.
+func lineDiff(got, want string) string {
+	gotLines := strings.Split(got, "\n")
+	wantLines := strings.Split(want, "\n")
+	var n int
+	var shown strings.Builder
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g == w {
+			continue
+		}
+		if n++; n <= maxReportedDiffs {
+			fmt.Fprintf(&shown, "\nline %d:\n got: %s\nwant: %s", i+1, g, w)
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf("differs on %d of %d lines (golden %d); first %d:%s",
+		n, max(len(gotLines), len(wantLines)), len(wantLines), min(n, maxReportedDiffs), shown.String())
+}
+
+func TestLineDiffCountsEveryDifference(t *testing.T) {
+	if r := lineDiff("a\nb\n", "a\nb\n"); r != "" {
+		t.Fatalf("equal transcripts: %q", r)
+	}
+	want := "1\n2\n3\n4\n5\n6\n7\n8\n"
+	got := "1\nx2\nx3\n4\nx5\nx6\nx7\nx8\nx9\n"
+	r := lineDiff(got, want)
+	if !strings.HasPrefix(r, "differs on 7 of 10 lines (golden 9); first 5:") {
+		t.Fatalf("report %q", r)
+	}
+	if !strings.Contains(r, "line 7:") || strings.Contains(r, "line 8:") {
+		t.Fatalf("report should show lines 2, 3, 5, 6 and 7 only: %q", r)
 	}
 }
 
