@@ -252,6 +252,7 @@ func (w *Workspace) Solve(nu float64, pop traffic.Population) *Result {
 	res := &w.res
 	*res = Result{Nu: nu, Pop: pop, Theta: w.theta}
 	if n == 0 {
+		w.stats.Residual = 0
 		return res
 	}
 	total := pop.TotalUnconstrainedPerCapita()
@@ -263,6 +264,7 @@ func (w *Workspace) Solve(nu float64, pop traffic.Population) *Result {
 		}
 		res.Level = hi
 		w.warmLevel, w.warmHi, w.hasWarm, w.slope = hi, hi, true, 0
+		w.stats.Residual = 0
 		return res
 	}
 	res.Constrained = true

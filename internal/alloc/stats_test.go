@@ -102,6 +102,33 @@ func TestWorkspaceStatsEmptyAndZeroNu(t *testing.T) {
 	}
 }
 
+// TestUncongestedResidualIsZero pins the documented Residual of the
+// solves that search nothing: an uncongested solve and an empty
+// population each read 0, whatever the congested solve before them left.
+func TestUncongestedResidualIsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	pop := randomPopulation(rng, 40)
+	total := pop.TotalUnconstrainedPerCapita()
+	w := NewWorkspace(nil)
+	for _, next := range []struct {
+		name string
+		nu   float64
+		pop  traffic.Population
+	}{{"uncongested", 2 * total, pop}, {"empty population", 1, nil}} {
+		// Search until a congested solve leaves a nonzero residual.
+		for k := 1; w.Stats().Residual == 0; k++ {
+			if k > 50 {
+				t.Fatal("50 congested solves all recorded a zero residual")
+			}
+			w.Solve(total*float64(k)/51, pop)
+		}
+		w.Solve(next.nu, next.pop)
+		if r := w.Stats().Residual; r != 0 {
+			t.Errorf("%s solve after a congested one: residual %g, want 0", next.name, r)
+		}
+	}
+}
+
 // TestZeroNuKeepsWarmState pins that a ν = 0 solve leaves the warm state
 // alone: a zero-capacity class solved between two loaded solves on one
 // workspace does not change the second one's level bits or evaluations.

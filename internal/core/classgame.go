@@ -28,7 +28,7 @@ import (
 // partition, θ profile and intra-class results live in solver buffers and
 // are valid only until the next call on the solver. It serves the games
 // whose equilibrium is read once and discarded (the migration search's
-// gap evaluations, share curves, policy objectives). CompetitiveFrom runs
+// gap evaluations, policy objectives). CompetitiveFrom runs
 // the same game and returns a Clone, which the caller owns. This is the
 // alloc.Workspace contract one rung up.
 type Solver struct {

@@ -37,7 +37,7 @@ func solverGoldens() []goldenCase {
 		ISP{Name: "i", Gamma: 0.6, Strategy: Strategy{Kappa: 1, C: 0.3}},
 		ISP{Name: "po", Gamma: 0.4, Strategy: PublicOption},
 	)
-	tri := mk.SolveMarket([]ISP{
+	tri := mk.Solve([]ISP{
 		{Name: "a", Gamma: 0.5, Strategy: Strategy{Kappa: 0.7, C: 0.35}},
 		{Name: "b", Gamma: 0.3, Strategy: Strategy{Kappa: 1, C: 0.5}},
 		{Name: "po", Gamma: 0.2, Strategy: PublicOption},
@@ -59,9 +59,9 @@ func solverGoldens() []goldenCase {
 		{"trivial1/phi", trivOne.Phi(), 19.794412317234368},
 		{"duopoly/share0", duo.Shares[0], 0.6125391458704359},
 		{"duopoly/phi", duo.Phi, 19.914356855081639},
-		{"triopoly/share0", tri.Shares[0], 0.47696206122668833},
-		{"triopoly/share1", tri.Shares[1], 0.33001415184368155},
-		{"triopoly/phi", tri.Phi, 19.974629546309217},
+		{"triopoly/share0", tri.Shares[0], 0.47707274188216398},
+		{"triopoly/share1", tri.Shares[1], 0.32975938477522759},
+		{"triopoly/phi", tri.Phi, 19.969741849946232},
 		{"subsidy/share0", sub.Shares[0], 0.53106184670077172},
 		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753426},
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/traffic"
@@ -71,10 +70,10 @@ type Market struct {
 	Solver *Solver
 	Pop    traffic.Population
 	NuBar  float64
-	// MigrationTol is the absolute market-share tolerance of the consumer
-	// migration bisection (Assumption 5). The default 1e-8 resolves shares
-	// far beyond anything the experiments read; loosen it for speed in
-	// large sweeps.
+	// MigrationTol is the absolute market-share tolerance of each nested
+	// consumer-migration bisection (Assumption 5). The default 1e-8
+	// resolves shares far beyond anything the experiments read; loosen it
+	// for speed in large sweeps.
 	MigrationTol float64
 	warm         map[string][]bool // per-ISP warm-start partitions
 }
@@ -103,8 +102,8 @@ func (mk *Market) Reset() {
 // eqAtShare returns the class equilibrium ISP isp reaches when it holds
 // market share m, warm-started from the ISP's previous evaluation. The
 // result is the solver's pooled equilibrium, valid until its next call:
-// the migration search and the share curves read one value from each
-// evaluation and drop it, and an outcome Clones the equilibria it keeps.
+// the migration search reads one value from each evaluation and drops it,
+// and an outcome Clones the equilibria it keeps.
 func (mk *Market) eqAtShare(isp ISP, m float64) *ClassEquilibrium {
 	eq := mk.Solver.CompetitiveScratch(isp.Strategy, mk.nuAtShare(isp, m), mk.Pop, mk.warm[isp.Name])
 	mk.warm[isp.Name] = append(mk.warm[isp.Name][:0], eq.InPremium...)
@@ -128,240 +127,141 @@ func (mk *Market) nuAtShare(isp ISP, m float64) float64 {
 	return nu
 }
 
-// SolveDuopoly computes the migration equilibrium of two ISPs by direct
-// bisection on ISP a's market share for a sign change of the gap
-// Φ_a(m) − Φ_b(1−m) (see migrate for which one it selects: the gap is not
-// monotone in general). Boundary cases clamp: if even an infinitesimal
-// share of consumers at a experiences less surplus than b provides to
-// everyone, a's share is 0 (the paper's c_I = 1 corner where "all consumers
-// move to ISP J").
+// MaxISPs is the largest market Solve accepts. The migration search nests
+// one bisection per ISP after the first, so K ISPs whose strategies differ
+// cost about 26^(K−1) class games at MigrationTol 1e-7: some 17,000 at
+// K = 4 and 460,000 at K = 5.
+const MaxISPs = 4
+
+// valueFunc is the per-subscriber value consumers weigh when they choose
+// an ISP: Φ, or Φ + σ·Ψ under rebates.
+type valueFunc func(isp ISP, eq *ClassEquilibrium) float64
+
+func surplus(_ ISP, eq *ClassEquilibrium) float64 { return eq.Phi() }
+
+// Solve computes the migration equilibrium of 1 ≤ K ≤ MaxISPs ISPs whose
+// capacity shares sum to 1: the shares at which the per-capita surplus Φ
+// is equal at every ISP holding consumers (Assumption 5). Boundary cases
+// clamp: if even an infinitesimal share of consumers at an ISP experiences
+// less surplus than the others provide, its share is 0 (the paper's
+// c_I = 1 corner where "all consumers move to ISP J"). The outcome keeps
+// its own copy of isps.
+func (mk *Market) Solve(isps []ISP) *MarketOutcome {
+	return mk.solve(isps, surplus)
+}
+
+// SolveDuopoly is Solve on the two ISPs a and b.
 func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
-	m := mk.migrate(a, b, func(_ ISP, eq *ClassEquilibrium) float64 { return eq.Phi() })
-	return &MarketOutcome{
-		ISPs:   []ISP{a, b},
-		NuBar:  mk.NuBar,
-		Shares: m.shares,
-		Eqs:    []*ClassEquilibrium{m.eqA, m.eqB},
-		Phi:    m.level,
-	}
+	return mk.Solve([]ISP{a, b})
 }
 
-// migration is the outcome of the two-ISP migration search.
-type migration struct {
-	shares   []float64
-	level    float64 // the equalized per-ISP value
-	eqA, eqB *ClassEquilibrium
-}
-
-// migrate is the one two-ISP migration search: it finds a share m of ISP
-// a at which the per-ISP values of the class equilibria at shares m and
-// 1−m equalize (Assumption 5 on the value consumers weigh — Φ, or Φ + σ·Ψ
-// under rebates).
-//
-// Theorem 2 (via ν_a = γ_a·ν̄/m) suggests the gap falls in m, but the class
-// game jumps: when CPs switch classes the value can move against the
-// trend, so the gap is not monotone and can change sign more than once.
-// (On fig8-c02's 120-CP parity ensemble it changes sign three times within
-// 0.0075 of share; see TestMigrationGapNotMonotone in internal/scenario.)
-// The search is numeric.BisectDecreasing on [minShare, 1−minShare], so the
-// selected equilibrium is the sign change its midpoint sequence reaches; a
-// different search could select a different one.
-//
-// The gap evaluations and the plateau test discard their equilibria and
-// run on the solver's pooled one; only the two final equilibria are
-// retained.
-func (mk *Market) migrate(a, b ISP, value func(isp ISP, eq *ClassEquilibrium) float64) migration {
-	for _, isp := range []ISP{a, b} {
-		if err := isp.Validate(); err != nil {
-			panic(err)
-		}
-	}
-	if a.Name == b.Name {
-		panic("core: duopoly ISPs must have distinct names")
-	}
-	if math.Abs(a.Gamma+b.Gamma-1) > 1e-9 {
-		panic(fmt.Sprintf("core: duopoly capacity shares must sum to 1, got %g", a.Gamma+b.Gamma))
-	}
-	// Each value is read before the next evaluation reuses the pooled
-	// equilibrium.
-	gap := func(m float64) float64 {
-		va := value(a, mk.eqAtShare(a, m))
-		vb := value(b, mk.eqAtShare(b, 1-m))
-		return va - vb
-	}
-	tol := mk.MigrationTol
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	// Equilibrium selection on indifference plateaus: when both ISPs
-	// already deliver equal value at the capacity-proportional split
-	// (typically because capacity is abundant and both saturate), every
-	// split is an equilibrium of Assumption 5 — there is no migration
-	// pressure at all. Select the capacity-proportional point, consistent
-	// with Lemma 4's homogeneous-strategy equilibrium; otherwise bisect.
-	var m float64
-	vGA := value(a, mk.eqAtShare(a, a.Gamma))
-	vGB := value(b, mk.eqAtShare(b, b.Gamma))
-	if math.Abs(vGA-vGB) <= 1e-9*math.Max(math.Max(vGA, vGB), 1) {
-		m = a.Gamma
-	} else {
-		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, tol)
-	}
-	eqA := mk.eqAtShare(a, m).Clone()
-	eqB := mk.eqAtShare(b, 1-m).Clone()
-	va, vb := value(a, eqA), value(b, eqB)
-	// The equalized level; at a clamped boundary the market level is the
-	// value of the ISP serving (essentially) everyone.
-	out := migration{shares: []float64{m, 1 - m}, level: math.Max(va, vb), eqA: eqA, eqB: eqB}
-	if m <= 2*minShare {
-		out.shares = []float64{0, 1}
-		out.level = vb
-	} else if m >= 1-2*minShare {
-		out.shares = []float64{1, 0}
-		out.level = va
-	}
-	return out
-}
-
-// shareCurvePoints is the resolution of the per-ISP share→surplus curves
-// SolveMarket precomputes.
-const shareCurvePoints = 96
-
-// SolveMarket computes the migration equilibrium for any number of ISPs by
-// surplus-level equalization: it precomputes each ISP's (non-increasing)
-// surplus-vs-share curve Φ_k(m), then bisects on the common surplus level
-// Φ* for Σ_k m_k(Φ*) = 1, where m_k(Φ*) is the largest share at which ISP k
-// still delivers Φ*. ISPs whose best achievable surplus is below Φ* hold no
-// consumers. Shares are finally renormalized to absorb interpolation error.
-//
-// Capacity shares must sum to 1 (within tolerance). The outcome keeps its
-// own copy of isps. For two ISPs, SolveDuopoly is exact and faster.
-func (mk *Market) SolveMarket(isps []ISP) *MarketOutcome {
+// solve validates isps and runs the migration search on the value
+// consumers weigh.
+func (mk *Market) solve(isps []ISP, value valueFunc) *MarketOutcome {
 	if len(isps) == 0 {
-		panic("core: SolveMarket needs at least one ISP")
+		panic("core: Solve needs at least one ISP")
+	}
+	if len(isps) > MaxISPs {
+		panic(fmt.Sprintf("core: Solve takes at most MaxISPs = %d ISPs, got %d", MaxISPs, len(isps)))
 	}
 	var gammaSum float64
-	names := make(map[string]bool, len(isps))
-	for _, isp := range isps {
+	for k, isp := range isps {
 		if err := isp.Validate(); err != nil {
 			panic(err)
 		}
-		if names[isp.Name] {
-			panic("core: ISPs must have distinct names, duplicate " + isp.Name)
+		for _, prev := range isps[:k] {
+			if prev.Name == isp.Name {
+				panic("core: ISPs must have distinct names, duplicate " + isp.Name)
+			}
 		}
-		names[isp.Name] = true
 		gammaSum += isp.Gamma
 	}
 	if math.Abs(gammaSum-1) > 1e-9 {
 		panic(fmt.Sprintf("core: capacity shares must sum to 1, got %g", gammaSum))
 	}
-	if len(isps) == 1 {
-		eq := mk.eqAtShare(isps[0], 1).Clone()
-		return &MarketOutcome{ISPs: []ISP{isps[0]}, NuBar: mk.NuBar, Shares: []float64{1}, Eqs: []*ClassEquilibrium{eq}, Phi: eq.Phi()}
+	out := &MarketOutcome{
+		ISPs:   append([]ISP(nil), isps...),
+		NuBar:  mk.NuBar,
+		Shares: make([]float64, len(isps)),
+		Eqs:    make([]*ClassEquilibrium, len(isps)),
 	}
-
-	// Precompute Φ_k over a share grid, dense near zero where the curve
-	// moves fastest (ν_k = γ_k·ν̄/m).
-	grid := shareGrid()
-	phiCurves := make([][]float64, len(isps))
-	var phiMax float64
-	for k, isp := range isps {
-		curve := make([]float64, len(grid))
-		for j, m := range grid {
-			curve[j] = mk.eqAtShare(isp, m).Phi()
-		}
-		// Enforce monotone non-increasing in m (solver noise and class-jump
-		// discontinuities can wiggle): take the running max from the right,
-		// which is the correct upper envelope for share inversion.
-		for j := len(curve) - 2; j >= 0; j-- {
-			if curve[j] < curve[j+1] {
-				curve[j] = curve[j+1]
-			}
-		}
-		phiCurves[k] = curve
-		if curve[0] > phiMax {
-			phiMax = curve[0]
-		}
-	}
-	// m_k(Φ*): largest share with Φ_k(m) >= Φ*.
-	shareAt := func(k int, phiStar float64) float64 {
-		curve := phiCurves[k]
-		if phiStar > curve[0] {
-			return 0 // cannot deliver this surplus at any share
-		}
-		if phiStar <= curve[len(curve)-1] {
-			return 1 // delivers it even serving everyone
-		}
-		// Binary search the first grid index with Φ < Φ*, then invert
-		// linearly inside the bracketing cell.
-		lo, hi := 0, len(curve)-1
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if curve[mid] >= phiStar {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		// A (near-)flat bracketing cell means the curve saturates there
-		// and the inversion below is ill-conditioned; snap to the cell's
-		// right edge instead of dividing by a vanishing difference.
-		if numeric.AlmostEqual(curve[lo], curve[hi], numeric.DefaultTol) {
-			return grid[hi]
-		}
-		t := (curve[lo] - phiStar) / (curve[lo] - curve[hi])
-		return grid[lo] + t*(grid[hi]-grid[lo])
-	}
-	total := func(phiStar float64) float64 {
-		var s float64
-		for k := range isps {
-			s += shareAt(k, phiStar)
-		}
-		return s
-	}
-	// Σ m_k(Φ*) is non-increasing in Φ*; find Σ = 1.
-	phiStar := numeric.BisectDecreasing(func(p float64) float64 { return total(p) - 1 }, 0, phiMax, 1e-12*math.Max(phiMax, 1))
-
-	out := &MarketOutcome{ISPs: append([]ISP(nil), isps...), NuBar: mk.NuBar, Phi: phiStar}
-	out.Shares = make([]float64, len(isps))
-	var sum float64
-	for k := range isps {
-		out.Shares[k] = shareAt(k, phiStar)
-		sum += out.Shares[k]
-	}
-	if sum > 0 {
-		for k := range out.Shares {
-			out.Shares[k] /= sum
-		}
-	}
-	out.Eqs = make([]*ClassEquilibrium, len(isps))
-	for k, isp := range isps {
-		out.Eqs[k] = mk.eqAtShare(isp, math.Max(out.Shares[k], minShare)).Clone()
-	}
+	out.Phi = mk.equalize(out.ISPs, 1, 1, value, out, 0)
 	return out
 }
 
-// shareGrid returns the market-share sample points for SolveMarket:
-// geometric spacing below 0.1 (where ν and hence Φ change fastest) and
-// linear spacing above. The grid is deterministic, so it is built once and
-// shared; callers must treat it as read-only.
-func shareGrid() []float64 {
-	shareGridOnce.Do(func() {
-		var grid []float64
-		m := 1e-4
-		for m < 0.1 {
-			grid = append(grid, m)
-			m *= 1.35
+// equalize is the one migration search. It splits consumer mass s among
+// isps, whose capacity shares sum to gamma, until the value consumers
+// weigh is equal at every ISP holding consumers, and returns that level.
+// With out non-nil it also records each ISP's share and a retained class
+// equilibrium in out, isps[0] at index k; otherwise every evaluation runs
+// on the solver's pooled equilibrium and is discarded.
+//
+// One ISP holds the whole mass. Two or more split it between the first
+// ISP, holding m, and the rest, whose value at mass s−m is the same search
+// on isps[1:]. Theorem 2 (via ν = γ·ν̄/m) suggests the gap between the two
+// falls in m, but the class game jumps: when CPs switch classes the value
+// can move against the trend, so the gap is not monotone and can change
+// sign more than once. (On fig8-c02's 120-CP parity ensemble it changes
+// sign three times within 0.0075 of share; see TestMigrationGapNotMonotone
+// in internal/scenario.) The search is numeric.BisectDecreasing on
+// [minShare, s−minShare], so the selected equilibrium is the sign change
+// its midpoint sequence reaches; a different search could select a
+// different one.
+//
+// Equilibrium selection on indifference plateaus: when the first ISP and
+// the rest already deliver equal value at the capacity-proportional split
+// (typically because capacity is abundant and both saturate), every split
+// is an equilibrium of Assumption 5 — there is no migration pressure at
+// all. The search selects the capacity-proportional point, consistent
+// with Lemma 4's homogeneous-strategy equilibrium; otherwise it bisects.
+func (mk *Market) equalize(isps []ISP, s, gamma float64, value valueFunc, out *MarketOutcome, k int) float64 {
+	a := isps[0]
+	if len(isps) == 1 {
+		eq := mk.eqAtShare(a, s)
+		if out != nil {
+			eq = eq.Clone()
+			out.Shares[k], out.Eqs[k] = s, eq
 		}
-		for _, m := range numeric.Linspace(0.1, 1, shareCurvePoints-len(grid)) {
-			grid = append(grid, m)
+		return value(a, eq)
+	}
+	rest := isps[1:]
+	var restGamma float64
+	for _, isp := range rest {
+		restGamma += isp.Gamma
+	}
+	m := s * a.Gamma / gamma
+	vA := mk.equalize(isps[:1], m, a.Gamma, value, nil, 0)
+	vR := mk.equalize(rest, s*restGamma/gamma, restGamma, value, nil, 0)
+	if math.Abs(vA-vR) > 1e-9*math.Max(math.Max(vA, vR), 1) {
+		tol := mk.MigrationTol
+		if tol <= 0 {
+			tol = 1e-8
 		}
-		shareGridCache = grid
-	})
-	return shareGridCache
+		m = numeric.BisectDecreasing(func(m float64) float64 {
+			va := mk.equalize(isps[:1], m, a.Gamma, value, nil, 0)
+			return va - mk.equalize(rest, s-m, restGamma, value, nil, 0)
+		}, minShare, s-minShare, tol)
+	}
+	vA = mk.equalize(isps[:1], m, a.Gamma, value, out, k)
+	vR = mk.equalize(rest, s-m, restGamma, value, out, k+1)
+	// The equalized level; at a clamped boundary it is the value of the
+	// side serving (essentially) the whole mass.
+	switch {
+	case m <= 2*minShare:
+		if out != nil {
+			// The rest was solved at mass s−m; it holds all of s.
+			out.Shares[k] = 0
+			for j := k + 1; j < k+len(isps); j++ {
+				out.Shares[j] = out.Shares[j] / (s - m) * s
+			}
+		}
+		return vR
+	case m >= s-2*minShare:
+		if out != nil {
+			out.Shares[k] = s
+			clear(out.Shares[k+1 : k+len(isps)])
+		}
+		return vA
+	}
+	return math.Max(vA, vR)
 }
-
-var (
-	shareGridOnce  sync.Once
-	shareGridCache []float64
-)

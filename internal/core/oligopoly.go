@@ -74,15 +74,6 @@ func (mk *Market) BestResponseForSurplus(isps []ISP, who int, grid StrategyGrid)
 	return bestS, bestOut, bestPhi
 }
 
-// Solve computes the migration equilibrium of any number of ISPs: two go
-// to SolveDuopoly's exact bisection, any other count to SolveMarket.
-func (mk *Market) Solve(isps []ISP) *MarketOutcome {
-	if len(isps) == 2 {
-		return mk.SolveDuopoly(isps[0], isps[1])
-	}
-	return mk.SolveMarket(isps)
-}
-
 // NashResult is the outcome of iterated best response over strategies.
 type NashResult struct {
 	ISPs      []ISP // final strategies

@@ -57,35 +57,76 @@ func sameEq(a, b *ClassEquilibrium) bool {
 		a.Iterations == b.Iterations && slices.Equal(a.InPremium, b.InPremium)
 }
 
-// lockstepMigration replays Market.migrate's game sequence (plateau test,
-// bisection, final pair) through the lockstep and returns a's share and
-// the final retained pair.
-func lockstepMigration(l *lockstep, a, b ISP, value func(ISP, *ClassEquilibrium) float64) (float64, *ClassEquilibrium, *ClassEquilibrium) {
-	gap := func(m float64) float64 {
-		va := value(a, l.share(a, m))
-		return va - value(b, l.share(b, 1-m))
+// lockstepMigration replays Market.equalize's game sequence (plateau
+// test, bisection, final evaluations, each recursing on the rest) through
+// the lockstep. It returns the equalized level and records each ISP's
+// share and final retained equilibrium in shares and eqs, indexed like
+// isps.
+func lockstepMigration(l *lockstep, isps []ISP, s, gamma float64, value valueFunc, shares []float64, eqs []*ClassEquilibrium) float64 {
+	a := isps[0]
+	if len(isps) == 1 {
+		eq := l.share(a, s)
+		shares[0], eqs[0] = s, eq
+		return value(a, eq)
 	}
-	m := a.Gamma
-	vGA, vGB := value(a, l.share(a, a.Gamma)), value(b, l.share(b, b.Gamma))
-	if math.Abs(vGA-vGB) > 1e-9*math.Max(math.Max(vGA, vGB), 1) {
-		m = numeric.BisectDecreasing(gap, minShare, 1-minShare, l.mk.MigrationTol)
+	rest := isps[1:]
+	var restGamma float64
+	for _, isp := range rest {
+		restGamma += isp.Gamma
 	}
-	eqA := l.share(a, m)
-	return m, eqA, l.share(b, 1-m)
+	eval := func(sub []ISP, s, gamma float64) float64 {
+		return lockstepMigration(l, sub, s, gamma, value, make([]float64, len(sub)), make([]*ClassEquilibrium, len(sub)))
+	}
+	m := s * a.Gamma / gamma
+	vA, vR := eval(isps[:1], m, a.Gamma), eval(rest, s*restGamma/gamma, restGamma)
+	if math.Abs(vA-vR) > 1e-9*math.Max(math.Max(vA, vR), 1) {
+		m = numeric.BisectDecreasing(func(m float64) float64 {
+			va := eval(isps[:1], m, a.Gamma)
+			return va - eval(rest, s-m, restGamma)
+		}, minShare, s-minShare, l.mk.MigrationTol)
+	}
+	vA = lockstepMigration(l, isps[:1], m, a.Gamma, value, shares[:1], eqs[:1])
+	vR = lockstepMigration(l, rest, s-m, restGamma, value, shares[1:], eqs[1:])
+	switch {
+	case m <= 2*minShare:
+		shares[0] = 0
+		for j := range shares[1:] {
+			shares[1+j] = shares[1+j] / (s - m) * s
+		}
+		return vR
+	case m >= s-2*minShare:
+		shares[0] = s
+		clear(shares[1:])
+		return vA
+	}
+	return math.Max(vA, vR)
+}
+
+// checkReplay runs Market.solve on a fresh market and requires its
+// outcome to be the lockstep replay's, bit for bit.
+func checkReplay(t *testing.T, pop traffic.Population, nuBar float64, isps []ISP, value valueFunc) {
+	t.Helper()
+	l := newLockstep(t, pop, nuBar)
+	shares, eqs := make([]float64, len(isps)), make([]*ClassEquilibrium, len(isps))
+	level := lockstepMigration(l, isps, 1, 1, value, shares, eqs)
+	out := NewMarket(nil, pop, nuBar).solve(isps, value)
+	if math.Float64bits(out.Phi) != math.Float64bits(level) {
+		t.Fatalf("level %v, retained chain %v", out.Phi, level)
+	}
+	for k, isp := range isps {
+		if math.Float64bits(out.Shares[k]) != math.Float64bits(shares[k]) || !sameEq(out.Eqs[k], eqs[k]) {
+			t.Fatalf("%s: share %v, retained chain %v", isp.Name, out.Shares[k], shares[k])
+		}
+	}
 }
 
 func TestScratchMatchesRetainedDuopoly(t *testing.T) {
 	pop := ensemble(21, 150)
 	nuBar := 0.3 * pop.TotalUnconstrainedPerCapita()
-	a := ISP{Name: "incumbent", Gamma: 0.5, Strategy: Strategy{Kappa: 0.5, C: 0.3}}
-	b := ISP{Name: "po", Gamma: 0.5, Strategy: PublicOption}
-
-	l := newLockstep(t, pop, nuBar)
-	m, eqA, eqB := lockstepMigration(l, a, b, func(_ ISP, eq *ClassEquilibrium) float64 { return eq.Phi() })
-	out := NewMarket(nil, pop, nuBar).SolveDuopoly(a, b)
-	if out.Shares[0] != m || !sameEq(out.Eqs[0], eqA) || !sameEq(out.Eqs[1], eqB) {
-		t.Fatalf("SolveDuopoly share %v, retained chain %v", out.Shares[0], m)
-	}
+	checkReplay(t, pop, nuBar, []ISP{
+		{Name: "incumbent", Gamma: 0.5, Strategy: Strategy{Kappa: 0.5, C: 0.3}},
+		{Name: "po", Gamma: 0.5, Strategy: PublicOption},
+	}, surplus)
 }
 
 func TestScratchMatchesRetainedRebateDuopoly(t *testing.T) {
@@ -93,43 +134,31 @@ func TestScratchMatchesRetainedRebateDuopoly(t *testing.T) {
 	nuBar := 0.3 * pop.TotalUnconstrainedPerCapita()
 	a := SubsidizedISP{ISP: ISP{Name: "incumbent", Gamma: 0.6, Strategy: Strategy{Kappa: 0.7, C: 0.4}}, Sigma: 0.8}
 	b := SubsidizedISP{ISP: ISP{Name: "po", Gamma: 0.4, Strategy: PublicOption}}
-
-	l := newLockstep(t, pop, nuBar)
-	m, eqA, eqB := lockstepMigration(l, a.ISP, b.ISP, func(isp ISP, eq *ClassEquilibrium) float64 {
+	value := func(isp ISP, eq *ClassEquilibrium) float64 {
 		sigma := b.Sigma
 		if isp.Name == a.Name {
 			sigma = a.Sigma
 		}
 		return eq.Phi() + sigma*eq.Psi()
-	})
+	}
+
+	l := newLockstep(t, pop, nuBar)
+	shares, eqs := make([]float64, 2), make([]*ClassEquilibrium, 2)
+	lockstepMigration(l, []ISP{a.ISP, b.ISP}, 1, 1, value, shares, eqs)
 	out := NewMarket(nil, pop, nuBar).SolveSubsidizedDuopoly(a, b)
-	if out.Shares[0] != m || !sameEq(out.Eqs[0], eqA) || !sameEq(out.Eqs[1], eqB) {
-		t.Fatalf("SolveSubsidizedDuopoly share %v, retained chain %v", out.Shares[0], m)
+	if out.Shares[0] != shares[0] || !sameEq(out.Eqs[0], eqs[0]) || !sameEq(out.Eqs[1], eqs[1]) {
+		t.Fatalf("SolveSubsidizedDuopoly share %v, retained chain %v", out.Shares[0], shares[0])
 	}
 }
 
 func TestScratchMatchesRetainedMarket(t *testing.T) {
 	pop := ensemble(23, 120)
 	nuBar := 0.35 * pop.TotalUnconstrainedPerCapita()
-	isps := []ISP{
+	checkReplay(t, pop, nuBar, []ISP{
 		{Name: "a", Gamma: 0.4, Strategy: Strategy{Kappa: 0.6, C: 0.3}},
 		{Name: "b", Gamma: 0.35, Strategy: Strategy{Kappa: 1, C: 0.5}},
 		{Name: "po", Gamma: 0.25, Strategy: PublicOption},
-	}
-	// SolveMarket's games: every ISP's share curve, then the final
-	// equilibrium of each ISP at its equilibrium share.
-	l := newLockstep(t, pop, nuBar)
-	for _, isp := range isps {
-		for _, m := range shareGrid() {
-			l.share(isp, m)
-		}
-	}
-	out := NewMarket(nil, pop, nuBar).SolveMarket(isps)
-	for k, isp := range isps {
-		if eq := l.share(isp, math.Max(out.Shares[k], minShare)); !sameEq(out.Eqs[k], eq) {
-			t.Fatalf("%s: SolveMarket equilibrium differs from the retained chain", isp.Name)
-		}
-	}
+	}, surplus)
 }
 
 func TestScratchMatchesRetainedEpsilonGap(t *testing.T) {

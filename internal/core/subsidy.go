@@ -49,11 +49,11 @@ type SubsidizedOutcome struct {
 
 // SolveSubsidizedDuopoly computes the migration equilibrium of two ISPs
 // when consumers weigh rebates alongside surplus. The equalized quantity is
-// Φ + σ·Ψ, through the same search as SolveDuopoly: like the surplus gap,
-// the value gap need not be monotone in the share (class jumps move Ψ as
-// well as Φ), and the search selects the sign change bisection reaches.
-// Plateau selection also follows SolveDuopoly: capacity-proportional shares
-// when consumers are indifferent at that split.
+// Φ + σ·Ψ, through Solve's search: like the surplus gap, the value gap need
+// not be monotone in the share (class jumps move Ψ as well as Φ), and the
+// search selects the sign change bisection reaches. Plateau selection also
+// follows Solve: capacity-proportional shares when consumers are
+// indifferent at that split.
 func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome {
 	for _, s := range []SubsidizedISP{a, b} {
 		if err := s.Validate(); err != nil {
@@ -61,7 +61,7 @@ func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome 
 		}
 	}
 	// Consumers weigh Φ + σ·Ψ, per subscriber of each ISP.
-	m := mk.migrate(a.ISP, b.ISP, func(isp ISP, eq *ClassEquilibrium) float64 {
+	out := mk.solve([]ISP{a.ISP, b.ISP}, func(isp ISP, eq *ClassEquilibrium) float64 {
 		sigma := b.Sigma
 		if isp.Name == a.Name {
 			sigma = a.Sigma
@@ -70,9 +70,9 @@ func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome 
 	})
 	return &SubsidizedOutcome{
 		ISPs:     []SubsidizedISP{a, b},
-		Shares:   m.shares,
-		Eqs:      []*ClassEquilibrium{m.eqA, m.eqB},
-		Value:    m.level,
-		GrossPhi: m.shares[0]*m.eqA.Phi() + m.shares[1]*m.eqB.Phi(),
+		Shares:   out.Shares,
+		Eqs:      out.Eqs,
+		Value:    out.Phi,
+		GrossPhi: out.Shares[0]*out.Eqs[0].Phi() + out.Shares[1]*out.Eqs[1].Phi(),
 	}
 }

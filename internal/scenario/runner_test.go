@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -285,5 +286,32 @@ func TestScenarioCSVSchema(t *testing.T) {
 	header := strings.SplitN(buf.String(), "\n", 2)[0]
 	if header != "series,nu,phi" {
 		t.Errorf("CSV header %q, want series,nu,phi", header)
+	}
+}
+
+// TestOligopolySymmetricSharesEqualGamma runs the Lemma 4 built-in: four
+// ISPs with one strategy hold exactly their capacity shares at every ν,
+// as printed (10 significant digits, the CSV's precision).
+func TestOligopolySymmetricSharesEqualGamma(t *testing.T) {
+	s, _ := Get("oligopoly-symmetric")
+	tables, err := s.Run(RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := tables[1]
+	if len(shares.Series) != len(s.Providers) {
+		t.Fatalf("want %d share series, got %d", len(s.Providers), len(shares.Series))
+	}
+	for k, p := range s.Providers {
+		series := shares.Series[k]
+		if series.Name != p.Name || len(series.Y) != s.Sweep.Points {
+			t.Fatalf("share series %d is %q with %d points, want %q with %d", k, series.Name, len(series.Y), p.Name, s.Sweep.Points)
+		}
+		want := strconv.FormatFloat(p.Gamma, 'g', 10, 64)
+		for i, y := range series.Y {
+			if got := strconv.FormatFloat(y, 'g', 10, 64); got != want {
+				t.Errorf("%s share at ν=%g is %s, want γ=%s (Lemma 4)", p.Name, series.X[i], got, want)
+			}
+		}
 	}
 }

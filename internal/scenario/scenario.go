@@ -408,6 +408,12 @@ func (s *Scenario) validateProviders() error {
 	if (rebates || s.sweepsAxis(AxisSigma)) && (len(s.Providers) != 2 || responders > 0) {
 		return fmt.Errorf("scenario %q: revenue rebates need exactly two fixed-strategy providers", s.Name)
 	}
+	// The migration search nests one bisection per provider after the
+	// first; batched neutral markets never reach it (Lemma 4 gives their
+	// shares).
+	if s.Population.Batch == 0 && len(s.Providers) > core.MaxISPs {
+		return fmt.Errorf("scenario %q: %d providers exceed the migration search's cap of %d (core.MaxISPs); only batched neutral markets may have more", s.Name, len(s.Providers), core.MaxISPs)
+	}
 	if s.Population.Batch > 0 {
 		if s.Sweep.Axis != AxisNu || s.Sweep.Grid != nil {
 			return fmt.Errorf("scenario %q: batched populations sweep capacity only (axes %s)", s.Name, s.axisList())

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/netecon-sim/publicoption/internal/core"
 )
 
 // Every built-in must survive marshal → unmarshal → deep-equal: scenarios
@@ -171,6 +173,12 @@ func TestValidateRejects(t *testing.T) {
 		{"batched non-ensemble population", func(s *Scenario) {
 			s.Population = PopulationSpec{Kind: "paper", Batch: 100}
 		}, "cannot be batched"},
+		{"providers over the migration search's cap", func(s *Scenario) {
+			s.Providers = nil
+			for i := range core.MaxISPs + 1 {
+				s.Providers = append(s.Providers, ProviderSpec{Name: string(rune('a' + i)), Gamma: 0.2})
+			}
+		}, "cap of 4 (core.MaxISPs)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -193,6 +201,15 @@ func TestValidateRejects(t *testing.T) {
 func TestValidAccepts(t *testing.T) {
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("minimal scenario rejected: %v", err)
+	}
+	// Batched neutral markets never reach the migration search, so the
+	// provider cap does not bind them.
+	s, _ := Get("oligopoly-large-n")
+	if len(s.Providers) <= core.MaxISPs {
+		t.Fatalf("oligopoly-large-n has %d providers; it should exceed the cap of %d", len(s.Providers), core.MaxISPs)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("oligopoly-large-n rejected: %v", err)
 	}
 }
 

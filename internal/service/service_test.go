@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netecon-sim/publicoption/internal/core"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/scenario"
 	"github.com/netecon-sim/publicoption/internal/sweep"
@@ -272,6 +273,29 @@ func TestRunValidation(t *testing.T) {
 				t.Fatal("error response has no error message")
 			}
 		})
+	}
+}
+
+// TestRunRejectsProvidersOverCap: an inline market of more providers than
+// the migration search accepts is a client error naming the cap, not a
+// solve that runs for hours.
+func TestRunRejectsProvidersOverCap(t *testing.T) {
+	s, calls := newStubServer(Options{})
+	body := `{"scenario_json": {"name": "five", "title": "five",
+		"population": {"kind": "ensemble", "n": 20, "seed": 1},
+		"providers": [{"name": "a", "gamma": 0.2}, {"name": "b", "gamma": 0.2}, {"name": "c", "gamma": 0.2},
+			{"name": "d", "gamma": 0.2}, {"name": "e", "gamma": 0.2}],
+		"sweep": {"axis": "nu", "values": [1]}}}`
+	w := do(t, s, "POST", "/v1/runs", body)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (body %s)", w.Code, w.Body)
+	}
+	want := fmt.Sprintf("cap of %d (core.MaxISPs)", core.MaxISPs)
+	if msg, _ := decode[map[string]any](t, w)["error"].(string); !strings.Contains(msg, want) {
+		t.Fatalf("error %q does not name the cap %q", msg, want)
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("rejected scenario reached the solver (%d solves)", calls.Load())
 	}
 }
 

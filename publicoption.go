@@ -202,10 +202,10 @@ func NewMarket(s *Solver, pop Population, nuBar float64) *Market {
 // the rest, on system per-capita capacity nuBar.
 func DuopolyWithPublicOption(s Strategy, gamma, nuBar float64, pop Population) *MarketOutcome {
 	mk := core.NewMarket(nil, pop, nuBar)
-	return mk.SolveDuopoly(
-		ISP{Name: "strategic", Gamma: gamma, Strategy: s},
-		ISP{Name: "public-option", Gamma: 1 - gamma, Strategy: core.PublicOption},
-	)
+	return mk.Solve([]ISP{
+		{Name: "strategic", Gamma: gamma, Strategy: s},
+		{Name: "public-option", Gamma: 1 - gamma, Strategy: core.PublicOption},
+	})
 }
 
 // SimulateTCP runs the fluid AIMD bottleneck simulator.
