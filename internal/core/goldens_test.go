@@ -63,7 +63,7 @@ func solverGoldens() []goldenCase {
 		{"triopoly/share1", tri.Shares[1], 0.32975938477522759},
 		{"triopoly/phi", tri.Phi, 19.969741849946232},
 		{"subsidy/share0", sub.Shares[0], 0.53106184670077172},
-		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753426},
+		{"subsidy/grossPhi", sub.GrossPhi, 19.703825041753419},
 	}
 }
 

@@ -128,9 +128,11 @@ func (mk *Market) nuAtShare(isp ISP, m float64) float64 {
 }
 
 // MaxISPs is the largest market Solve accepts. The migration search nests
-// one bisection per ISP after the first, so K ISPs whose strategies differ
-// cost about 26^(K−1) class games at MigrationTol 1e-7: some 17,000 at
-// K = 4 and 460,000 at K = 5.
+// one search per ISP after the first. A level holding an interior-κ ISP
+// bisects, some 26 steps at MigrationTol 1e-7, so K ISPs whose strategies
+// differ cost about 26^(K−1) class games when every level holds one: some
+// 17,000 at K = 4 and 460,000 at K = 5. A level of κ = 0 and κ = 1 ISPs
+// takes the secant search, about 6 steps.
 const MaxISPs = 4
 
 // valueFunc is the per-subscriber value consumers weigh when they choose
@@ -203,17 +205,19 @@ func (mk *Market) solve(isps []ISP, value valueFunc) *MarketOutcome {
 // can move against the trend, so the gap is not monotone and can change
 // sign more than once. (On fig8-c02's 120-CP parity ensemble it changes
 // sign three times within 0.0075 of share; see TestMigrationGapNotMonotone
-// in internal/scenario.) The search is numeric.BisectDecreasing on
-// [minShare, s−minShare], so the selected equilibrium is the sign change
-// its midpoint sequence reaches; a different search could select a
-// different one.
+// in internal/scenario.) split picks m, and the equilibrium it selects is
+// always the sign change numeric.BisectDecreasing's midpoint sequence on
+// [minShare, s−minShare] reaches: at a level whose ISPs all play κ = 0 or
+// κ = 1 the gap is monotone and a secant search returns that same share
+// in fewer class games; elsewhere split bisects. A different selection
+// rule could pick a different sign change.
 //
 // Equilibrium selection on indifference plateaus: when the first ISP and
 // the rest already deliver equal value at the capacity-proportional split
 // (typically because capacity is abundant and both saturate), every split
 // is an equilibrium of Assumption 5 — there is no migration pressure at
 // all. The search selects the capacity-proportional point, consistent
-// with Lemma 4's homogeneous-strategy equilibrium; otherwise it bisects.
+// with Lemma 4's homogeneous-strategy equilibrium.
 func (mk *Market) equalize(isps []ISP, s, gamma float64, value valueFunc, out *MarketOutcome, k int) float64 {
 	a := isps[0]
 	if len(isps) == 1 {
@@ -232,22 +236,17 @@ func (mk *Market) equalize(isps []ISP, s, gamma float64, value valueFunc, out *M
 	m := s * a.Gamma / gamma
 	vA := mk.equalize(isps[:1], m, a.Gamma, value, nil, 0)
 	vR := mk.equalize(rest, s*restGamma/gamma, restGamma, value, nil, 0)
-	if math.Abs(vA-vR) > 1e-9*math.Max(math.Max(vA, vR), 1) {
-		tol := mk.MigrationTol
-		if tol <= 0 {
-			tol = 1e-8
-		}
-		m = numeric.BisectDecreasing(func(m float64) float64 {
-			va := mk.equalize(isps[:1], m, a.Gamma, value, nil, 0)
-			return va - mk.equalize(rest, s-m, restGamma, value, nil, 0)
-		}, minShare, s-minShare, tol)
-	}
+	m = mk.split(isps, s, m, vA, vR, func(m float64) float64 {
+		va := mk.equalize(isps[:1], m, a.Gamma, value, nil, 0)
+		return va - mk.equalize(rest, s-m, restGamma, value, nil, 0)
+	})
 	vA = mk.equalize(isps[:1], m, a.Gamma, value, out, k)
 	vR = mk.equalize(rest, s-m, restGamma, value, out, k+1)
 	// The equalized level; at a clamped boundary it is the value of the
-	// side serving (essentially) the whole mass.
+	// side serving (essentially) the whole mass. (When split gives a tiny
+	// mass wholly to the first ISP, m = s may itself be below 2·minShare.)
 	switch {
-	case m <= 2*minShare:
+	case m <= 2*minShare && m < s:
 		if out != nil {
 			// The rest was solved at mass s−m; it holds all of s.
 			out.Shares[k] = 0
@@ -264,4 +263,41 @@ func (mk *Market) equalize(isps []ISP, s, gamma float64, value valueFunc, out *M
 		return vA
 	}
 	return math.Max(vA, vR)
+}
+
+// split returns the first ISP's share of the mass s that equalize
+// divides between isps[0] and the rest. At the capacity-proportional
+// share m0 the first ISP is worth vA and the rest vR; gap(m) is the
+// first's value minus the rest's at share m.
+//
+// When consumers are indifferent at m0 the answer is m0. A mass of at
+// most 4·minShare leaves both sides at most 2·minShare, where equalize's
+// clamps count either as holding nothing, and saturates both: the whole
+// mass goes to the side consumers value more, s or 0. (Searched, such a
+// mass went to the rest's last ISP whatever the values, so a three-ISP
+// market could clamp to one ISP while another offered more.) Otherwise
+// the answer is the sign change of gap that numeric.BisectDecreasing on
+// [minShare, s−minShare] selects. At a level whose ISPs all play κ = 0 or
+// κ = 1 no CP changes class as ν moves, so by Theorem 2 the gap falls in
+// m, and numeric.BisectDecreasingFrom, seeded with m0 and vA − vR,
+// returns the same sign change in a fraction of the class games.
+func (mk *Market) split(isps []ISP, s, m0, vA, vR float64, gap func(float64) float64) float64 {
+	switch {
+	case math.Abs(vA-vR) <= 1e-9*math.Max(math.Max(vA, vR), 1):
+		return m0
+	case s <= 4*minShare && vA > vR:
+		return s
+	case s <= 4*minShare:
+		return 0
+	}
+	tol := mk.MigrationTol
+	if tol <= 0 {
+		tol = 1e-8
+	}
+	for _, isp := range isps {
+		if !isp.Strategy.NoPremium() && !isp.Strategy.AllPremium() {
+			return numeric.BisectDecreasing(gap, minShare, s-minShare, tol)
+		}
+	}
+	return numeric.BisectDecreasingFrom(gap, minShare, s-minShare, m0, vA-vR, tol)
 }

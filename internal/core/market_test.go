@@ -291,13 +291,176 @@ func TestSolveIsAnAssumption5Equilibrium(t *testing.T) {
 	}
 }
 
+// TestSolveGivesATinySubMarketToItsBestSide pins a three-ISP market
+// whose rest, {b, c}, a bisection evaluates at masses below 4·minShare.
+// Bisecting such a mass gave it all to c, the rest's last ISP, so the rest
+// seemed worth c's saturated Φ of 1.17 while b alone offered 6.82; the
+// outer clamp then gave a every consumer at Φ = 3.31, a cold gap of 1.06.
+// The equilibrium lies near m_a = 0.112.
+func TestSolveGivesATinySubMarketToItsBestSide(t *testing.T) {
+	pop := ensemble(3013, 44)
+	nuBar := 0.546 * pop.TotalUnconstrainedPerCapita()
+	isps := []ISP{
+		{Name: "a", Gamma: 0.262, Strategy: Strategy{Kappa: 1, C: 0.76}},
+		{Name: "b", Gamma: 0.262, Strategy: Strategy{Kappa: 1, C: 0.628}},
+		{Name: "c", Gamma: 0.476, Strategy: Strategy{Kappa: 1, C: 0.89}},
+	}
+	mk := NewMarket(nil, pop, nuBar)
+	mk.MigrationTol = 1e-7
+	out := mk.Solve(isps)
+	if gap := coldGap(pop, nuBar, out); gap > 1e-6 {
+		t.Fatalf("%v: cold gap %.3g, want ≤ 1e-6", out, gap)
+	}
+	if m := out.Share("a"); m < 0.1 || m > 0.125 {
+		t.Errorf("%v: a holds %v, want about 0.112", out, m)
+	}
+
+	// The secant search above never values the rest at so small a mass,
+	// so value it there directly: all of it goes to b.
+	rest := isps[1:]
+	for _, s := range []float64{0, minShare / 2, minShare, 2 * minShare, 3 * minShare, 4 * minShare} {
+		sub := &MarketOutcome{Shares: make([]float64, 2), Eqs: make([]*ClassEquilibrium, 2)}
+		v := mk.equalize(rest, s, 0.738, surplus, sub, 0)
+		vb := mk.equalize(rest[:1], s, 0.262, surplus, nil, 0)
+		if math.Abs(v-vb) > 1e-9*vb || sub.Shares[0] != s || sub.Shares[1] != 0 {
+			t.Errorf("rest at mass %g: value %v, shares %v; want b's %v with all of it", s, v, sub.Shares, vb)
+		}
+	}
+}
+
+// bisectReplay is Market.equalize with numeric.BisectDecreasing at every
+// level: the search Market.split replaces with numeric.BisectDecreasingFrom
+// at levels of κ = 0 and κ = 1 ISPs. It records each ISP's share in
+// shares, indexed like isps, and returns the equalized level.
+func bisectReplay(mk *Market, isps []ISP, s, gamma float64, value valueFunc, shares []float64) float64 {
+	a := isps[0]
+	if len(isps) == 1 {
+		shares[0] = s
+		return value(a, mk.eqAtShare(a, s))
+	}
+	rest := isps[1:]
+	var restGamma float64
+	for _, isp := range rest {
+		restGamma += isp.Gamma
+	}
+	eval := func(sub []ISP, s, gamma float64) float64 {
+		return bisectReplay(mk, sub, s, gamma, value, make([]float64, len(sub)))
+	}
+	m := s * a.Gamma / gamma
+	vA, vR := eval(isps[:1], m, a.Gamma), eval(rest, s*restGamma/gamma, restGamma)
+	switch gap := vA - vR; {
+	case math.Abs(gap) <= 1e-9*math.Max(math.Max(vA, vR), 1):
+	case s <= 4*minShare && gap > 0:
+		m = s
+	case s <= 4*minShare:
+		m = 0
+	default:
+		m = numeric.BisectDecreasing(func(m float64) float64 {
+			return eval(isps[:1], m, a.Gamma) - eval(rest, s-m, restGamma)
+		}, minShare, s-minShare, mk.MigrationTol)
+	}
+	vA = bisectReplay(mk, isps[:1], m, a.Gamma, value, shares[:1])
+	vR = bisectReplay(mk, rest, s-m, restGamma, value, shares[1:])
+	switch {
+	case m <= 2*minShare && m < s:
+		shares[0] = 0
+		for j := range shares[1:] {
+			shares[1+j] = shares[1+j] / (s - m) * s
+		}
+		return vR
+	case m >= s-2*minShare:
+		shares[0] = s
+		clear(shares[1:])
+		return vA
+	}
+	return math.Max(vA, vR)
+}
+
+// partitionFixedMarket is randomMarket with every interior κ raised to 1,
+// so no ISP's class partition moves with ν.
+func partitionFixedMarket(seed uint64, k int) (traffic.Population, float64, []ISP) {
+	pop, nuBar, isps := randomMarket(seed, k)
+	for i := range isps {
+		if !isps[i].Strategy.NoPremium() {
+			isps[i].Strategy.Kappa = 1
+		}
+	}
+	return pop, nuBar, isps
+}
+
+// TestPartitionFixedSearchIsBisection is the equivalence the secant
+// migration search rests on. On seeded duopolies whose ISPs play κ = 0 or
+// κ = 1, with and without rebates, at three tolerances, Solve's shares are
+// a BisectDecreasing replay's bit for bit, and Φ agrees to 1e-11 (the
+// final class games warm-start from different games). With three or four
+// ISPs the outer gap is monotone only up to the inner searches' tolerance,
+// so shares agree within 2·MigrationTol.
+func TestPartitionFixedSearchIsBisection(t *testing.T) {
+	var interior int // markets whose first ISP ends strictly inside (0, 1)
+	check := func(t *testing.T, pop traffic.Population, nuBar, tol float64, isps []ISP, value valueFunc, exact bool) {
+		t.Helper()
+		mk := NewMarket(nil, pop, nuBar)
+		mk.MigrationTol = tol
+		out := mk.solve(isps, value)
+		ref := NewMarket(nil, pop, nuBar)
+		ref.MigrationTol = tol
+		shares := make([]float64, len(isps))
+		level := bisectReplay(ref, isps, 1, 1, value, shares)
+		for k := range isps {
+			if exact && out.Shares[k] != shares[k] || math.Abs(out.Shares[k]-shares[k]) > 2*tol {
+				t.Errorf("%v: shares %v, bisection %v", isps, out.Shares, shares)
+				break
+			}
+		}
+		if exact && math.Abs(out.Phi-level) > 1e-11*math.Abs(level) {
+			t.Errorf("%v: Φ %v, bisection %v", isps, out.Phi, level)
+		}
+		if out.Shares[0] > 0 && out.Shares[0] < 1 {
+			interior++
+		}
+	}
+	for _, tol := range []float64{1e-6, 1e-7, 1e-8} {
+		t.Run(fmt.Sprintf("tol=%g", tol), func(t *testing.T) {
+			for i := range 50 {
+				pop, nuBar, isps := partitionFixedMarket(uint64(5000+i), 2)
+				check(t, pop, nuBar, tol, isps, surplus, true)
+			}
+			for i := range 20 {
+				pop, nuBar, isps := partitionFixedMarket(uint64(6000+i), 2)
+				rng := numeric.NewRNG(uint64(6000 + i))
+				sigma := []float64{rng.Uniform(0, 1), rng.Uniform(0, 1)}
+				value := func(isp ISP, eq *ClassEquilibrium) float64 {
+					k := 1
+					if isp.Name == isps[0].Name {
+						k = 0
+					}
+					return eq.Phi() + sigma[k]*eq.Psi()
+				}
+				check(t, pop, nuBar, tol, isps, value, true)
+			}
+		})
+	}
+	for _, k := range []int{3, 4} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			for i := range 6 {
+				pop, nuBar, isps := partitionFixedMarket(uint64(7000+100*k+i), k)
+				check(t, pop, nuBar, 1e-7, isps, surplus, false)
+			}
+		})
+	}
+	t.Logf("%d of 222 markets split their first ISP's share", interior)
+}
+
 // TestSolveWorkBudget bounds the search's cost in kernel solves at
-// MigrationTol 1e-7 on a 300-CP ensemble. Four ISPs with differing
-// strategies nest three bisections, so the first ISP plays about 26 class
-// games, the second 26², the last two 26³ each; an interior-κ game costs
-// several times a κ = 1 or Public Option one, so the mixed market puts its
-// interior-κ ISP first. (Moved last, it costs about 470,000 solves.) Four
-// ISPs playing one strategy stop at the plateau test of every level.
+// MigrationTol 1e-7 on a 300-CP ensemble, at about 1.05× the measured
+// work. Four ISPs with differing strategies nest three searches. A level
+// holding an interior-κ ISP bisects, about 26 steps, and a level of κ = 0
+// and κ = 1 ISPs takes about 6 secant steps, so the mixed market puts its
+// interior-κ ISP first: its top level bisects over secant searches on the
+// other three. (Bisecting every level, it took 76,447 solves, and 75,534
+// with every ISP at κ = 0 or κ = 1; with its interior-κ ISP moved last,
+// about 470,000.) Four ISPs playing one strategy stop at the plateau test
+// of every level.
 func TestSolveWorkBudget(t *testing.T) {
 	pop := ensemble(63, 300)
 	nuBar := 0.4 * pop.TotalUnconstrainedPerCapita()
@@ -312,7 +475,13 @@ func TestSolveWorkBudget(t *testing.T) {
 			{Name: "b", Gamma: 0.3, Strategy: Strategy{Kappa: 1, C: 0.4}},
 			{Name: "c", Gamma: 0.2, Strategy: PublicOption},
 			{Name: "d", Gamma: 0.2, Strategy: Strategy{Kappa: 1, C: 0.2}},
-		}, 100_000},
+		}, 7_300},
+		{"partition-fixed", []ISP{
+			{Name: "a", Gamma: 0.3, Strategy: Strategy{Kappa: 1, C: 0.3}},
+			{Name: "b", Gamma: 0.3, Strategy: Strategy{Kappa: 1, C: 0.4}},
+			{Name: "c", Gamma: 0.2, Strategy: PublicOption},
+			{Name: "d", Gamma: 0.2, Strategy: Strategy{Kappa: 1, C: 0.2}},
+		}, 1_850},
 		{"one-strategy", []ISP{
 			{Name: "a", Gamma: 0.4, Strategy: same},
 			{Name: "b", Gamma: 0.3, Strategy: same},

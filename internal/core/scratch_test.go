@@ -58,10 +58,10 @@ func sameEq(a, b *ClassEquilibrium) bool {
 }
 
 // lockstepMigration replays Market.equalize's game sequence (plateau
-// test, bisection, final evaluations, each recursing on the rest) through
-// the lockstep. It returns the equalized level and records each ISP's
-// share and final retained equilibrium in shares and eqs, indexed like
-// isps.
+// test, Market.split's search, final evaluations, each recursing on the
+// rest) through the lockstep. It returns the equalized level and records
+// each ISP's share and final retained equilibrium in shares and eqs,
+// indexed like isps.
 func lockstepMigration(l *lockstep, isps []ISP, s, gamma float64, value valueFunc, shares []float64, eqs []*ClassEquilibrium) float64 {
 	a := isps[0]
 	if len(isps) == 1 {
@@ -79,16 +79,14 @@ func lockstepMigration(l *lockstep, isps []ISP, s, gamma float64, value valueFun
 	}
 	m := s * a.Gamma / gamma
 	vA, vR := eval(isps[:1], m, a.Gamma), eval(rest, s*restGamma/gamma, restGamma)
-	if math.Abs(vA-vR) > 1e-9*math.Max(math.Max(vA, vR), 1) {
-		m = numeric.BisectDecreasing(func(m float64) float64 {
-			va := eval(isps[:1], m, a.Gamma)
-			return va - eval(rest, s-m, restGamma)
-		}, minShare, s-minShare, l.mk.MigrationTol)
-	}
+	m = l.mk.split(isps, s, m, vA, vR, func(m float64) float64 {
+		va := eval(isps[:1], m, a.Gamma)
+		return va - eval(rest, s-m, restGamma)
+	})
 	vA = lockstepMigration(l, isps[:1], m, a.Gamma, value, shares[:1], eqs[:1])
 	vR = lockstepMigration(l, rest, s-m, restGamma, value, shares[1:], eqs[1:])
 	switch {
-	case m <= 2*minShare:
+	case m <= 2*minShare && m < s:
 		shares[0] = 0
 		for j := range shares[1:] {
 			shares[1+j] = shares[1+j] / (s - m) * s

@@ -65,3 +65,80 @@ func TestBisectFindsRootQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBisectDecreasingFromIsBisection pins BisectDecreasingFrom's
+// contract on non-increasing functions of every shape the migration search
+// meets and some it does not: the answer is BisectDecreasing's bit for
+// bit, wherever the seed lies, and the search never costs more than
+// BisectDecreasing plus secantCredit evaluations.
+func TestBisectDecreasingFromIsBisection(t *testing.T) {
+	const root = 0.3141592653589793
+	funcs := []struct {
+		name string
+		f    func(float64) float64
+	}{
+		{"smooth", func(x float64) float64 { return math.Exp(-3*x) - math.Exp(-3*root) }},
+		{"linear", func(x float64) float64 { return root - x }},
+		{"steep", func(x float64) float64 { return -math.Sinh(40 * (x - root)) }},
+		{"flat-root", func(x float64) float64 { d := root - x; return d * d * d }},
+		{"kinked", func(x float64) float64 {
+			if x < root {
+				return 50 * (root - x)
+			}
+			return 0.02 * (root - x)
+		}},
+		{"step", func(x float64) float64 {
+			if x < root {
+				return 1
+			}
+			return -1
+		}},
+		{"plateau", func(x float64) float64 { // zero on [root, root+0.1]
+			switch {
+			case x < root:
+				return root - x
+			case x > root+0.1:
+				return root + 0.1 - x
+			}
+			return 0
+		}},
+		{"exact-zero", func(float64) float64 { return 0 }},
+		{"positive", func(x float64) float64 { return 2 - x }},
+		{"negative", func(x float64) float64 { return -1 - x }},
+	}
+	brackets := []struct{ lo, hi, tol float64 }{
+		{0, 1, 1e-7},
+		{1e-9, 1 - 1e-9, 1e-8},
+		{1, 0, 1e-6},             // inverted
+		{-2, 3, 0},               // tol defaulted
+		{-1, 1, -1},              // negative tol defaulted
+		{root, root, 1e-9},       // degenerate
+		{0.2, 0.2 + 1e-12, 1e-7}, // narrower than tol
+	}
+	for _, fn := range funcs {
+		for _, br := range brackets {
+			var bisectEvals int
+			want := BisectDecreasing(func(x float64) float64 { bisectEvals++; return fn.f(x) }, br.lo, br.hi, br.tol)
+			for _, x0 := range []float64{root, br.lo, br.hi, (br.lo + br.hi) / 2, br.lo - 1, br.hi + 5, math.NaN()} {
+				var evals int
+				counted := func(x float64) float64 {
+					evals++
+					if x < math.Min(br.lo, br.hi) || x > math.Max(br.lo, br.hi) {
+						t.Errorf("%s on [%v, %v]: evaluated outside the bracket at %v", fn.name, br.lo, br.hi, x)
+					}
+					return fn.f(x)
+				}
+				got := BisectDecreasingFrom(counted, br.lo, br.hi, x0, fn.f(x0), br.tol)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s on [%v, %v] tol %v from x0=%v: %v, BisectDecreasing %v", fn.name, br.lo, br.hi, br.tol, x0, got, want)
+				}
+				if evals > bisectEvals+secantCredit {
+					t.Errorf("%s on [%v, %v] tol %v from x0=%v: %d evaluations, BisectDecreasing %d", fn.name, br.lo, br.hi, br.tol, x0, evals, bisectEvals)
+				}
+				if br.lo == 0 && br.hi == 1 && x0 == 0.5 {
+					t.Logf("%s: %d evaluations, BisectDecreasing %d", fn.name, evals, bisectEvals)
+				}
+			}
+		}
+	}
+}

@@ -4,20 +4,24 @@ import (
 	"testing"
 )
 
-// The work budget of a sizing cell. Before the kernels kept their warm
-// state across zero-capacity classes and predicted their warm probe, these
-// 16 cells took 2688 kernel solves (168 per cell) and 7171 aggregate
-// evaluations (448 per cell); after, 1792 solves and 4704 evaluations.
+// The work budget of a sizing cell, about 1.05× the measured work. Before
+// the kernels kept their warm state across zero-capacity classes and
+// predicted their warm probe, these 16 cells took 2688 kernel solves (168
+// per cell) and 7171 aggregate evaluations (448 per cell); after, 1792
+// solves and 4704 evaluations. Since the migration search between a κ = 1
+// incumbent and the Public Option takes secant steps instead of bisecting,
+// they take 528 solves (33 per cell) and 1369 evaluations.
 const (
-	budgetSolvesPerCell = 112
-	priorEvals          = 7171
+	budgetSolvesPerCell = 35
+	budgetEvals         = 1440
 )
 
 // TestSizingCellWorkBudget is the count-based regression gate of the
 // sizing cell: it reads kernel work from the worker's telemetry, so it
 // holds on any machine at any load. 16 cells of a seeded 1000-CP
 // po-sizing-gamma-nu grid on one fresh GridWorker must average at most
-// budgetSolvesPerCell kernel solves and at most 0.75× priorEvals.
+// budgetSolvesPerCell kernel solves and take at most budgetEvals aggregate
+// evaluations.
 func TestSizingCellWorkBudget(t *testing.T) {
 	sc, ok := Get("po-sizing-gamma-nu")
 	if !ok {
@@ -43,7 +47,7 @@ func TestSizingCellWorkBudget(t *testing.T) {
 	if st.Solves > budgetSolvesPerCell*cells {
 		t.Errorf("%d solves over %d cells, budget %d per cell", st.Solves, cells, budgetSolvesPerCell)
 	}
-	if 4*st.Evals > 3*priorEvals {
-		t.Errorf("%d evaluations over %d cells, budget 0.75 × %d", st.Evals, cells, priorEvals)
+	if st.Evals > budgetEvals {
+		t.Errorf("%d evaluations over %d cells, budget %d", st.Evals, cells, budgetEvals)
 	}
 }
