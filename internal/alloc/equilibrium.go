@@ -48,11 +48,17 @@ func (r *Result) Aggregate() float64 {
 // so the clone stays valid after the workspace that produced the original
 // rebinds its buffers. Results returned by Solve are already owned and do
 // not need cloning.
-func (r *Result) Clone() *Result {
-	c := *r
-	c.Theta = append([]float64(nil), r.Theta...)
-	c.Pop = append(traffic.Population(nil), r.Pop...)
-	return &c
+func (r *Result) Clone() *Result { return r.CopyInto(new(Result)) }
+
+// CopyInto makes dst a deep copy of r, as Clone does, reusing dst's θ and
+// population buffers when they are large enough, and returns dst. Once
+// those buffers have grown, copying an equilibrium allocates nothing.
+func (r *Result) CopyInto(dst *Result) *Result {
+	theta, pop := dst.Theta, dst.Pop
+	*dst = *r
+	dst.Theta = append(theta[:0], r.Theta...)
+	dst.Pop = append(pop[:0], r.Pop...)
+	return dst
 }
 
 // Utilization returns the fraction of capacity in use, Aggregate()/ν, or 1

@@ -19,7 +19,8 @@ import (
 // Solve returns a pointer to the workspace's own Result; the pointed-to
 // value (including its Theta slice) is valid only until the next call to
 // Solve on the same workspace. Callers that retain an equilibrium across
-// solves must Clone it. This is the deliberate trade: the games solve
+// solves must copy it: Clone, or CopyInto a Result whose buffers they
+// reuse. This is the deliberate trade: the games solve
 // thousands of intermediate equilibria per published point and read each
 // one immediately, so the hot path allocates nothing, and only the handful
 // of results that outlive an iteration pay for copies.

@@ -29,8 +29,10 @@ import (
 // are valid only until the next call on the solver. It serves the games
 // whose equilibrium is read once and discarded (the migration search's
 // gap evaluations, policy objectives). CompetitiveFrom runs
-// the same game and returns a Clone, which the caller owns. This is the
-// alloc.Workspace contract one rung up.
+// the same game and returns a Clone, which the caller owns, and
+// ClassEquilibrium.CopyInto copies a pooled equilibrium into buffers the
+// caller reuses. This is the alloc.Workspace contract one rung up;
+// Market.SolveInto carries it one rung further.
 type Solver struct {
 	Alloc   alloc.Allocator
 	MaxIter int // iteration budget for the competitive fixed point
@@ -117,7 +119,7 @@ func (s *Solver) Reset() {
 // splitScratch partitions pop by membership flags into the solver's
 // reusable class buffers, preserving order. The returned slices alias the
 // scratch and are valid until the next splitScratch call; equilibria that
-// outlive it are cloned (ClassEquilibrium.Clone).
+// outlive it are copied (ClassEquilibrium.CopyInto).
 func (s *Solver) splitScratch(pop traffic.Population, premium []bool) (ordinary, prem traffic.Population) {
 	s.ordBuf = s.ordBuf[:0]
 	s.premBuf = s.premBuf[:0]
@@ -162,15 +164,26 @@ type ClassEquilibrium struct {
 // that produced it: the partition, the θ profile and both intra-class
 // results are copied. The full population is shared, as the solver never
 // writes it.
-func (e *ClassEquilibrium) Clone() *ClassEquilibrium {
-	c := *e
-	c.InPremium = make([]bool, len(e.InPremium))
-	copy(c.InPremium, e.InPremium)
-	c.Theta = make([]float64, len(e.Theta))
-	copy(c.Theta, e.Theta)
-	c.Ordinary = e.Ordinary.Clone()
-	c.Premium = e.Premium.Clone()
-	return &c
+func (e *ClassEquilibrium) Clone() *ClassEquilibrium { return e.CopyInto(new(ClassEquilibrium)) }
+
+// CopyInto makes dst a deep copy of e, as Clone does, and returns dst. It
+// reuses dst's partition and θ buffers and its two intra-class results, so
+// once they have grown, retaining an equilibrium allocates nothing. dst
+// must not share buffers with e or with any solver.
+func (e *ClassEquilibrium) CopyInto(dst *ClassEquilibrium) *ClassEquilibrium {
+	inPremium, theta, ord, prem := dst.InPremium, dst.Theta, dst.Ordinary, dst.Premium
+	if ord == nil {
+		ord = new(alloc.Result)
+	}
+	if prem == nil {
+		prem = new(alloc.Result)
+	}
+	*dst = *e
+	dst.InPremium = append(inPremium[:0], e.InPremium...)
+	dst.Theta = append(theta[:0], e.Theta...)
+	dst.Ordinary = e.Ordinary.CopyInto(ord)
+	dst.Premium = e.Premium.CopyInto(prem)
+	return dst
 }
 
 // PremiumCount returns the number of premium CPs.
@@ -584,7 +597,7 @@ func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) 
 // the current partition: the last levels call's results when it solved
 // this partition, else solves on the warm kernels (κ = 0 solves the whole
 // population in place, it being the ordinary class). eq keeps the pooled
-// results: ClassEquilibrium.Clone copies them when a caller retains the
+// results: ClassEquilibrium.CopyInto copies them when a caller retains the
 // equilibrium.
 func (s *Solver) finalize(eq *ClassEquilibrium) {
 	switch {

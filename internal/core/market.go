@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/traffic"
@@ -11,6 +12,12 @@ import (
 // MarketOutcome is an equilibrium of the second-stage multi-ISP game
 // (M, µ, N, s_I) under Assumption 5: consumers have migrated until the
 // per-capita consumer surplus is equal across every ISP holding consumers.
+//
+// An outcome owns its buffers: its slices and equilibria share nothing
+// with the market or solver that produced it. Market.SolveInto reuses
+// them, overwriting every field, so a caller that keeps an equilibrium
+// past the next SolveInto on the same outcome copies it first
+// (ClassEquilibrium.Clone).
 type MarketOutcome struct {
 	ISPs   []ISP
 	NuBar  float64 // system per-capita capacity ν = µ/M
@@ -103,7 +110,8 @@ func (mk *Market) Reset() {
 // market share m, warm-started from the ISP's previous evaluation. The
 // result is the solver's pooled equilibrium, valid until its next call:
 // the migration search reads one value from each evaluation and drops it,
-// and an outcome Clones the equilibria it keeps.
+// and equalize copies the equilibria an outcome keeps into the outcome's
+// own buffers.
 func (mk *Market) eqAtShare(isp ISP, m float64) *ClassEquilibrium {
 	eq := mk.Solver.CompetitiveScratch(isp.Strategy, mk.nuAtShare(isp, m), mk.Pop, mk.warm[isp.Name])
 	mk.warm[isp.Name] = append(mk.warm[isp.Name][:0], eq.InPremium...)
@@ -146,10 +154,20 @@ func surplus(_ ISP, eq *ClassEquilibrium) float64 { return eq.Phi() }
 // is equal at every ISP holding consumers (Assumption 5). Boundary cases
 // clamp: if even an infinitesimal share of consumers at an ISP experiences
 // less surplus than the others provide, its share is 0 (the paper's
-// c_I = 1 corner where "all consumers move to ISP J"). The outcome keeps
-// its own copy of isps.
+// c_I = 1 corner where "all consumers move to ISP J"). The outcome is the
+// caller's: Solve is SolveInto on a fresh outcome.
 func (mk *Market) Solve(isps []ISP) *MarketOutcome {
-	return mk.solve(isps, surplus)
+	return mk.SolveInto(new(MarketOutcome), isps)
+}
+
+// SolveInto is Solve into out, whose ISPs, Shares and Eqs buffers (and
+// each equilibrium's per-CP buffers) it reuses, and returns out. This is
+// the solver's pooling contract one rung up: once out's buffers have grown
+// to the market, a solve retains its equilibria without allocating, and
+// the next SolveInto on out overwrites them. out keeps its own copy of
+// isps; it must not be shared with another goroutine's solve.
+func (mk *Market) SolveInto(out *MarketOutcome, isps []ISP) *MarketOutcome {
+	return mk.solve(out, isps, surplus)
 }
 
 // SolveDuopoly is Solve on the two ISPs a and b.
@@ -158,8 +176,8 @@ func (mk *Market) SolveDuopoly(a, b ISP) *MarketOutcome {
 }
 
 // solve validates isps and runs the migration search on the value
-// consumers weigh.
-func (mk *Market) solve(isps []ISP, value valueFunc) *MarketOutcome {
+// consumers weigh, into out's buffers.
+func (mk *Market) solve(out *MarketOutcome, isps []ISP, value valueFunc) *MarketOutcome {
 	if len(isps) == 0 {
 		panic("core: Solve needs at least one ISP")
 	}
@@ -181,12 +199,11 @@ func (mk *Market) solve(isps []ISP, value valueFunc) *MarketOutcome {
 	if math.Abs(gammaSum-1) > 1e-9 {
 		panic(fmt.Sprintf("core: capacity shares must sum to 1, got %g", gammaSum))
 	}
-	out := &MarketOutcome{
-		ISPs:   append([]ISP(nil), isps...),
-		NuBar:  mk.NuBar,
-		Shares: make([]float64, len(isps)),
-		Eqs:    make([]*ClassEquilibrium, len(isps)),
-	}
+	n := len(isps)
+	out.ISPs = append(out.ISPs[:0], isps...)
+	out.NuBar = mk.NuBar
+	out.Shares = slices.Grow(out.Shares[:0], n)[:n]
+	out.Eqs = slices.Grow(out.Eqs[:0], n)[:n] // equalize fills nil entries
 	out.Phi = mk.equalize(out.ISPs, 1, 1, value, out, 0)
 	return out
 }
@@ -194,9 +211,10 @@ func (mk *Market) solve(isps []ISP, value valueFunc) *MarketOutcome {
 // equalize is the one migration search. It splits consumer mass s among
 // isps, whose capacity shares sum to gamma, until the value consumers
 // weigh is equal at every ISP holding consumers, and returns that level.
-// With out non-nil it also records each ISP's share and a retained class
-// equilibrium in out, isps[0] at index k; otherwise every evaluation runs
-// on the solver's pooled equilibrium and is discarded.
+// With out non-nil it also records each ISP's share in out.Shares and
+// copies its class equilibrium into out.Eqs, isps[0] at index k; otherwise
+// every evaluation runs on the solver's pooled equilibrium and is
+// discarded.
 //
 // One ISP holds the whole mass. Two or more split it between the first
 // ISP, holding m, and the rest, whose value at mass s−m is the same search
@@ -223,8 +241,11 @@ func (mk *Market) equalize(isps []ISP, s, gamma float64, value valueFunc, out *M
 	if len(isps) == 1 {
 		eq := mk.eqAtShare(a, s)
 		if out != nil {
-			eq = eq.Clone()
-			out.Shares[k], out.Eqs[k] = s, eq
+			if out.Eqs[k] == nil {
+				out.Eqs[k] = new(ClassEquilibrium)
+			}
+			out.Shares[k] = s
+			eq = eq.CopyInto(out.Eqs[k])
 		}
 		return value(a, eq)
 	}

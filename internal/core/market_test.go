@@ -401,7 +401,7 @@ func TestPartitionFixedSearchIsBisection(t *testing.T) {
 		t.Helper()
 		mk := NewMarket(nil, pop, nuBar)
 		mk.MigrationTol = tol
-		out := mk.solve(isps, value)
+		out := mk.solve(new(MarketOutcome), isps, value)
 		ref := NewMarket(nil, pop, nuBar)
 		ref.MigrationTol = tol
 		shares := make([]float64, len(isps))

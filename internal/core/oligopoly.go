@@ -39,39 +39,36 @@ func (g StrategyGrid) Strategies() []Strategy {
 // and the share it achieves. Ties prefer earlier grid entries, and hence —
 // with DefaultStrategyGrid's ordering — more neutral strategies.
 func (mk *Market) BestResponse(isps []ISP, who int, grid StrategyGrid) (Strategy, *MarketOutcome, float64) {
-	var (
-		bestS   Strategy
-		bestOut *MarketOutcome
-		bestM   = math.Inf(-1)
-	)
-	cand := append([]ISP(nil), isps...)
-	for _, s := range grid.Strategies() {
-		cand[who].Strategy = s
-		out := mk.Solve(cand)
-		if m := out.Shares[who]; m > bestM+1e-12 {
-			bestS, bestOut, bestM = s, out, m
-		}
-	}
-	return bestS, bestOut, bestM
+	return mk.bestResponse(isps, who, grid, func(o *MarketOutcome) float64 { return o.Shares[who] })
 }
 
 // BestResponseForSurplus is BestResponse with the consumer-surplus objective
 // Φ instead of market share — the comparison object of Theorem 6.
 func (mk *Market) BestResponseForSurplus(isps []ISP, who int, grid StrategyGrid) (Strategy, *MarketOutcome, float64) {
+	return mk.bestResponse(isps, who, grid, func(o *MarketOutcome) float64 { return o.Phi })
+}
+
+// bestResponse maximizes objective over ISP who's grid strategies. Each
+// candidate is solved into the one of two outcomes that does not hold the
+// best so far, so the search retains only the best candidate's equilibria.
+func (mk *Market) bestResponse(isps []ISP, who int, grid StrategyGrid, objective func(*MarketOutcome) float64) (Strategy, *MarketOutcome, float64) {
 	var (
-		bestS   Strategy
-		bestOut *MarketOutcome
-		bestPhi = math.Inf(-1)
+		bestS     Strategy
+		bestOut   *MarketOutcome
+		bestValue = math.Inf(-1)
+		outs      = [2]*MarketOutcome{new(MarketOutcome), new(MarketOutcome)}
+		next      int // the outcome the next candidate is solved into
 	)
 	cand := append([]ISP(nil), isps...)
 	for _, s := range grid.Strategies() {
 		cand[who].Strategy = s
-		out := mk.Solve(cand)
-		if p := out.Phi; p > bestPhi+1e-12 {
-			bestS, bestOut, bestPhi = s, out, p
+		out := mk.SolveInto(outs[next], cand)
+		if v := objective(out); v > bestValue+1e-12 {
+			bestS, bestOut, bestValue = s, out, v
+			next = 1 - next
 		}
 	}
-	return bestS, bestOut, bestPhi
+	return bestS, bestOut, bestValue
 }
 
 // NashResult is the outcome of iterated best response over strategies.
@@ -125,9 +122,10 @@ func (mk *Market) DeltaGap(isps []ISP, who int, grid StrategyGrid) float64 {
 	type point struct{ m, phi float64 }
 	cand := append([]ISP(nil), isps...)
 	var pts []point
+	out := new(MarketOutcome)
 	for _, s := range grid.Strategies() {
 		cand[who].Strategy = s
-		out := mk.Solve(cand)
+		mk.SolveInto(out, cand)
 		pts = append(pts, point{m: out.Shares[who], phi: out.Phi})
 	}
 	var delta float64

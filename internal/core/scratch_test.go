@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -107,7 +108,7 @@ func checkReplay(t *testing.T, pop traffic.Population, nuBar float64, isps []ISP
 	l := newLockstep(t, pop, nuBar)
 	shares, eqs := make([]float64, len(isps)), make([]*ClassEquilibrium, len(isps))
 	level := lockstepMigration(l, isps, 1, 1, value, shares, eqs)
-	out := NewMarket(nil, pop, nuBar).solve(isps, value)
+	out := NewMarket(nil, pop, nuBar).solve(new(MarketOutcome), isps, value)
 	if math.Float64bits(out.Phi) != math.Float64bits(level) {
 		t.Fatalf("level %v, retained chain %v", out.Phi, level)
 	}
@@ -203,6 +204,43 @@ func TestScratchDoesNotAliasRetained(t *testing.T) {
 	}
 }
 
+// TestSolveIntoDoesNotAliasSolve pins the pooling contract from the owned
+// side: later solves into another outcome on the same market leave an
+// earlier Solve outcome untouched and share no buffer with it.
+func TestSolveIntoDoesNotAliasSolve(t *testing.T) {
+	pop := ensemble(36, 100)
+	nuBar := 0.3 * pop.TotalUnconstrainedPerCapita()
+	isps := firstISPs(2)
+	mk := NewMarket(nil, pop, nuBar)
+	kept := mk.Solve(isps)
+	snap := NewMarket(nil, pop, nuBar).Solve(isps)
+
+	out := new(MarketOutcome)
+	other := firstISPs(3)
+	other[0].Strategy = Strategy{Kappa: 0.8, C: 0.6}
+	for range 2 {
+		mk.SolveInto(out, other)
+	}
+	if slices.Equal(out.Eqs[0].InPremium, kept.Eqs[0].InPremium) {
+		t.Fatal("the two markets should differ in partition; pick other strategies")
+	}
+	if d := outcomeDiff(kept, snap); d != "" {
+		t.Fatalf("later SolveInto calls changed a Solve outcome: %s", d)
+	}
+	shares := func(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	if &kept.ISPs[0] == &out.ISPs[0] || shares(kept.Shares, out.Shares) || &kept.Eqs[0] == &out.Eqs[0] {
+		t.Fatal("a Solve outcome shares a slice with a SolveInto outcome")
+	}
+	for k := range kept.Eqs {
+		kq, oq := kept.Eqs[k], out.Eqs[k]
+		if kq == oq || &kq.InPremium[0] == &oq.InPremium[0] || shares(kq.Theta, oq.Theta) ||
+			kq.Ordinary == oq.Ordinary || kq.Premium == oq.Premium ||
+			shares(kq.Ordinary.Theta, oq.Ordinary.Theta) || shares(kq.Premium.Theta, oq.Premium.Theta) {
+			t.Fatalf("%s: a Solve equilibrium shares a buffer with a SolveInto one", kept.ISPs[k].Name)
+		}
+	}
+}
+
 // TestCompetitiveScratchWarmAllocatesNothing is the class-game rung of the
 // zero-allocation contract: once the solver's buffers have grown, a warm
 // scratch game on the 1000-CP paper population allocates nothing.
@@ -240,4 +278,52 @@ func TestSolveDuopolyWarmAllocs(t *testing.T) {
 			}
 		}
 	}
+}
+
+// solveIntoBudget is the byte budget of a warm SolveInto on a reused
+// outcome. Measured: 0 B per solve at 200 and at 1000 CPs, with the
+// incumbent at κ = 1 and at κ = 0.5. The budget leaves room for a few
+// small allocations, and for a stray allocation of the runtime's during
+// the measurement, but not for one per-CP buffer: a 200-CP θ profile
+// alone takes 1,600 B, and cloning the two kept equilibria 36,240 B.
+const solveIntoBudget = 1 << 10
+
+// TestSolveIntoWarmBytes is the market rung of the zero-allocation
+// contract: once an outcome's buffers have grown, a warm SolveInto
+// retains its equilibria without allocating per-CP buffers, so its bytes
+// do not grow with the population.
+func TestSolveIntoWarmBytes(t *testing.T) {
+	for _, n := range []int{200, 1000} {
+		pop := ensemble(37, n)
+		sat := pop.TotalUnconstrainedPerCapita()
+		for _, a := range []ISP{
+			{Name: "incumbent", Gamma: 0.5, Strategy: Strategy{Kappa: 1, C: 0.3}},
+			{Name: "incumbent", Gamma: 0.5, Strategy: Strategy{Kappa: 0.5, C: 0.3}},
+		} {
+			isps := []ISP{a, {Name: "po", Gamma: 0.5, Strategy: PublicOption}}
+			mk := NewMarket(nil, pop, 0.3*sat)
+			out := new(MarketOutcome)
+			bytes := bytesPerRun(10, func() { mk.SolveInto(out, isps) })
+			t.Logf("%d CPs, κ=%v: %d B per warm SolveInto", n, a.Strategy.Kappa, bytes)
+			if bytes > solveIntoBudget {
+				t.Errorf("%d CPs, κ=%v: %d B per warm SolveInto, budget %d", n, a.Strategy.Kappa, bytes, solveIntoBudget)
+			}
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates per call, averaged over runs calls after one warm-up call,
+// with GOMAXPROCS at 1 so that other goroutines allocate as little as
+// possible meanwhile.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

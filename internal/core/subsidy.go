@@ -55,13 +55,20 @@ type SubsidizedOutcome struct {
 // follows Solve: capacity-proportional shares when consumers are
 // indifferent at that split.
 func (mk *Market) SolveSubsidizedDuopoly(a, b SubsidizedISP) *SubsidizedOutcome {
+	return mk.SolveSubsidizedDuopolyInto(new(MarketOutcome), a, b)
+}
+
+// SolveSubsidizedDuopolyInto is SolveSubsidizedDuopoly into out's buffers,
+// as SolveInto is Solve: the result's Shares and Eqs are out's, valid until
+// the next solve into out.
+func (mk *Market) SolveSubsidizedDuopolyInto(out *MarketOutcome, a, b SubsidizedISP) *SubsidizedOutcome {
 	for _, s := range []SubsidizedISP{a, b} {
 		if err := s.Validate(); err != nil {
 			panic(err)
 		}
 	}
 	// Consumers weigh Φ + σ·Ψ, per subscriber of each ISP.
-	out := mk.solve([]ISP{a.ISP, b.ISP}, func(isp ISP, eq *ClassEquilibrium) float64 {
+	mk.solve(out, []ISP{a.ISP, b.ISP}, func(isp ISP, eq *ClassEquilibrium) float64 {
 		sigma := b.Sigma
 		if isp.Name == a.Name {
 			sigma = a.Sigma

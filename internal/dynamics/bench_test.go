@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/netecon-sim/publicoption/internal/scenario"
@@ -51,5 +52,44 @@ func TestTickHotPathZeroAlloc(t *testing.T) {
 		e.advanceShares(target)
 	}); allocs != 0 {
 		t.Fatalf("tick hot path allocates %v times per run, want 0", allocs)
+	}
+}
+
+// budgetTickBytes is the byte budget of a warm dyn-convergence tick (160
+// CPs, two providers), averaged over its last 44 ticks. Measured: 1,456 B
+// per tick, the TickRecord's slices among them. The budget is about 2.8×
+// that, room for a few small allocations but not for one per-CP buffer:
+// cloning one 160-CP class equilibrium costs about 14 KiB.
+const budgetTickBytes = 4 << 10
+
+// TestTickWarmBytes bounds the heap bytes of a warm Engine.Step: the
+// market is solved into the engine's own outcome and each provider is
+// observed on the solver's pooled equilibrium, so a tick allocates no
+// per-CP buffer.
+func TestTickWarmBytes(t *testing.T) {
+	sc, ok := scenario.Get("dyn-convergence")
+	if !ok {
+		t.Fatal("built-in scenario dyn-convergence missing")
+	}
+	e, err := New(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm = 4
+	for range warm {
+		e.Step()
+	}
+	ticks := uint64(e.Ticks() - warm)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for e.Tick() < e.Ticks() {
+		e.Step()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / ticks
+	t.Logf("%d ticks: %d B per warm tick", ticks, bytes)
+	if bytes > budgetTickBytes {
+		t.Errorf("%d B per warm dyn-convergence tick, budget %d", bytes, budgetTickBytes)
 	}
 }

@@ -116,8 +116,9 @@ type Engine struct {
 
 	solver  *core.Solver
 	market  *core.Market
-	obsWarm [][]bool // per-provider warm partitions for the observe phase
-	polWarm [][]bool // per-provider warm partitions for policy probes
+	out     core.MarketOutcome // every market solve's outcome buffer
+	obsWarm [][]bool           // per-provider warm partitions for the observe phase
+	polWarm [][]bool           // per-provider warm partitions for policy probes
 
 	// scratch reused across ticks
 	nextPrices []float64
@@ -276,11 +277,12 @@ func (e *Engine) buildISPs(nuBar float64) []core.ISP {
 }
 
 // solveMarket computes the instantaneous migration equilibrium at the
-// current prices, capacities, and (scaled) demand.
+// current prices, capacities, and (scaled) demand, into the engine's
+// outcome buffer: valid until the next market solve.
 func (e *Engine) solveMarket() *core.MarketOutcome {
 	nuBar := e.nuBar()
 	e.market.NuBar = nuBar
-	return e.market.Solve(e.buildISPs(nuBar))
+	return e.market.SolveInto(&e.out, e.buildISPs(nuBar))
 }
 
 // perCapita is provider k's per-capita capacity at its current share,
@@ -297,9 +299,10 @@ func (e *Engine) perCapita(k int) float64 {
 
 // observe solves provider k's realized class equilibrium at its adjusted
 // share, warm-started from the previous tick's observation of the same
-// provider.
+// provider. The result is the solver's pooled equilibrium, valid until
+// its next game: Step reads Φ, Ψ and utilization off it at once.
 func (e *Engine) observe(k int) *core.ClassEquilibrium {
-	eq := e.solver.CompetitiveFrom(e.strats[k], e.perCapita(k), e.workPop, e.obsWarm[k])
+	eq := e.solver.CompetitiveScratch(e.strats[k], e.perCapita(k), e.workPop, e.obsWarm[k])
 	e.obsWarm[k] = append(e.obsWarm[k][:0], eq.InPremium...)
 	return eq
 }

@@ -91,7 +91,7 @@ func (e *Engine) objective(k int, p scenario.PolicySpec, c float64) float64 {
 		e.market.NuBar = nuBar
 		isps := e.buildISPs(nuBar)
 		isps[k].Strategy = cand
-		return e.market.Solve(isps).Shares[k]
+		return e.market.SolveInto(&e.out, isps).Shares[k]
 	default: // scenario.ObjectiveRevenue
 		// Per-subscriber premium revenue Ψ at the provider's current share:
 		// the myopic "what do my existing subscribers pay" view. The share

@@ -78,6 +78,9 @@ const secantCredit = 6
 //     decided, evaluates the replay's own midpoint instead: an evaluation
 //     BisectDecreasing makes too. The search therefore never costs more
 //     than BisectDecreasing plus secantCredit evaluations.
+//   - A secant point with f exactly 0 also evaluates the midpoint: on a
+//     zero plateau the secant through it returns that point, and the
+//     tol/128 minimum step would crawl along the plateau.
 //
 // For an f that is not non-increasing the answer is still inside
 // [lo, hi], but it may differ from BisectDecreasing's.
@@ -134,7 +137,7 @@ func BisectDecreasingFrom(f func(float64) float64, lo, hi, x0, f0, tol float64) 
 		decided := true // the bracket decides mid without evaluating it
 		for mid > a && mid < b {
 			x, secant := mid, false
-			if credit > 0 {
+			if credit > 0 && fp != 0 && fq != 0 { //pubopt:allow(floatcmp): an exact zero is a plateau point, where the secant stalls
 				if s := q - fq*(q-p)/(fq-fp); s >= a && s <= b {
 					if s = min(max(s, a+h), b-h); s > a && s < b {
 						x, secant = s, true

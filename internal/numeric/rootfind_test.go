@@ -135,6 +135,11 @@ func TestBisectDecreasingFromIsBisection(t *testing.T) {
 				if evals > bisectEvals+secantCredit {
 					t.Errorf("%s on [%v, %v] tol %v from x0=%v: %d evaluations, BisectDecreasing %d", fn.name, br.lo, br.hi, br.tol, x0, evals, bisectEvals)
 				}
+				// A secant point on the zero plateau evaluates the midpoint
+				// instead of crawling along the plateau in tol/128 steps.
+				if fn.name == "plateau" && evals > bisectEvals {
+					t.Errorf("plateau on [%v, %v] tol %v from x0=%v: %d evaluations, more than BisectDecreasing's %d", br.lo, br.hi, br.tol, x0, evals, bisectEvals)
+				}
 				if br.lo == 0 && br.hi == 1 && x0 == 0.5 {
 					t.Logf("%s: %d evaluations, BisectDecreasing %d", fn.name, evals, bisectEvals)
 				}

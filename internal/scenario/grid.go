@@ -158,7 +158,8 @@ func (j *GridJob) NewGrid() *sweep.Grid {
 }
 
 // GridWorker is a pooled set of solver buffers: one market, its class-game
-// solver and their allocation-free kernel workspaces. Every solve first
+// solver and their allocation-free kernel workspaces, and the market
+// outcome every cell is solved into. Every solve first
 // resets their warm state (the migration search inside one cell still
 // warm-starts itself), so a cell is a pure function of its coordinates —
 // the same bits on a fresh worker as on one that solved any other cells,
@@ -167,6 +168,7 @@ func (j *GridJob) NewGrid() *sweep.Grid {
 type GridWorker struct {
 	job *GridJob
 	mk  *core.Market
+	out core.MarketOutcome
 }
 
 // NewWorker returns a worker with its own, not yet grown, buffers.
@@ -201,7 +203,9 @@ func (w *GridWorker) SolveAt(x, y float64) map[string]float64 {
 }
 
 // solve is SolveAt returning the metric point and the solved per-provider
-// class equilibria.
+// class equilibria. The equilibria may live in the worker's outcome
+// buffer: they are valid until the worker's next solve, and a caller that
+// keeps them clones them first.
 func (w *GridWorker) solve(x, y float64) (point, []providerEq) {
 	j := w.job
 	nu := j.fixedNu
@@ -222,7 +226,7 @@ func (w *GridWorker) solve(x, y float64) (point, []providerEq) {
 		w.mk.NuBar = nu
 		w.mk.Reset()
 	}
-	return j.scenario.solveAt(w.mk, axes)
+	return j.scenario.solveAt(w.mk, &w.out, axes)
 }
 
 // cellValues flattens a solved point into the job's layer map.

@@ -141,10 +141,13 @@ type providerEq struct {
 
 // solveAt solves the declared market with every listed strategic axis
 // assignment applied; the "nu" axis is positional, and callers encode it in
-// mk.NuBar before the call. It returns the metric point and the solved
-// per-provider class equilibria (safe to retain: the market solvers clone
-// equilibria out of their workspaces before publishing them).
-func (s *Scenario) solveAt(mk *core.Market, axes []axisValue) (point, []providerEq) {
+// mk.NuBar before the call. The market is solved into out, whose buffers
+// the caller owns and reuses from call to call (a best-response search
+// keeps its own pair of outcomes). It returns the metric point, which is
+// the caller's, and the solved per-provider class equilibria, which may
+// alias out: they are valid only until the next solveAt on it, and a
+// caller that keeps them clones them.
+func (s *Scenario) solveAt(mk *core.Market, out *core.MarketOutcome, axes []axisValue) (point, []providerEq) {
 	isps := make([]core.ISP, len(s.Providers))
 	for i, p := range s.Providers {
 		st := core.Strategy{Kappa: p.Kappa, C: p.C}
@@ -170,21 +173,20 @@ func (s *Scenario) solveAt(mk *core.Market, axes []axisValue) (point, []provider
 		}
 	}
 	if subsidized {
-		out := mk.SolveSubsidizedDuopoly(
+		sub := mk.SolveSubsidizedDuopolyInto(out,
 			core.SubsidizedISP{ISP: isps[0], Sigma: sigma0},
 			core.SubsidizedISP{ISP: isps[1], Sigma: s.Providers[1].Sigma},
 		)
-		return marketPoint(out.GrossPhi, isps, out.Shares, out.Eqs)
+		return marketPoint(sub.GrossPhi, isps, sub.Shares, sub.Eqs)
 	}
 
-	var out *core.MarketOutcome
 	if who := bestResponder(s.Providers); who >= 0 {
 		prev := mk.MigrationTol
 		mk.MigrationTol = 1e-6
 		_, out, _ = mk.BestResponse(isps, who, bestResponseGrid())
 		mk.MigrationTol = prev
 	} else {
-		out = mk.Solve(isps)
+		mk.SolveInto(out, isps)
 	}
 	return marketPoint(out.Phi, out.ISPs, out.Shares, out.Eqs)
 }

@@ -125,10 +125,17 @@ func (s *Scenario) SampleEquilibria(opt SampleOptions) ([]LinkEquilibrium, error
 
 	// The picked cells through the grid executor's pooled workers: each
 	// cell's equilibria are the ones RunGrid solves at its coordinates.
+	// They live in the worker's outcome buffer, which its next cell
+	// overwrites, so each is cloned before the worker moves on.
 	eqs := make([][]providerEq, len(picked))
 	job.each(nil, RunOptions{}.workers(), len(picked), func(w *GridWorker, k int) {
 		row, col := picked[k]/len(job.Xs), picked[k]%len(job.Xs)
 		_, eqs[k] = w.solve(job.Xs[col], job.Ys[row])
+		for i := range eqs[k] {
+			if eqs[k][i].eq != nil {
+				eqs[k][i].eq = eqs[k][i].eq.Clone()
+			}
+		}
 	})
 	for k, ci := range picked {
 		for _, pe := range eqs[k] {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -49,5 +50,51 @@ func TestSizingCellWorkBudget(t *testing.T) {
 	}
 	if st.Evals > budgetEvals {
 		t.Errorf("%d evaluations over %d cells, budget %d", st.Evals, cells, budgetEvals)
+	}
+}
+
+// budgetCellBytes is the byte budget of a warm cell: the cells of a
+// seeded 1000-CP grid at 4 columns (16 sizing, 12 rebate) solved again on
+// the worker that solved them once. Measured: 512 B per sizing cell, the
+// cell's layer map, metric point and ISP list, and 704 B per rebate cell.
+// The budget is about 3× the larger,
+// room for a few small allocations but not for one per-CP buffer: cloning
+// a cell's two kept equilibria costs about 166 KiB.
+const budgetCellBytes = 2 << 10
+
+// TestSizingCellWarmBytes bounds the heap bytes of a warm sizing cell,
+// and of a rebate cell, on one GridWorker: the worker solves every cell
+// into its own market outcome, so a cell allocates no per-CP buffer.
+func TestSizingCellWarmBytes(t *testing.T) {
+	for _, name := range []string{"po-sizing-gamma-nu", "po-rebate-sigma-nu"} {
+		sc, ok := Get(name)
+		if !ok {
+			t.Fatal("missing built-in " + name)
+		}
+		sc.Sweep.Points = 4
+		if err := sc.ApplyEnsembleOverrides(1, 1000); err != nil {
+			t.Fatal(err)
+		}
+		job, err := sc.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := job.NewWorker()
+		for i := range job.Cells() {
+			w.SolveCell(i/len(job.Xs), i%len(job.Xs))
+		}
+		prev := runtime.GOMAXPROCS(1) // as testing.AllocsPerRun does
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range job.Cells() {
+			w.SolveCell(i/len(job.Xs), i%len(job.Xs))
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(job.Cells())
+		t.Logf("%s: %d B per warm cell over %d cells", name, bytes, job.Cells())
+		if bytes > budgetCellBytes {
+			t.Errorf("%s: %d B per warm cell, budget %d", name, bytes, budgetCellBytes)
+		}
 	}
 }
