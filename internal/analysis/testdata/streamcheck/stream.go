@@ -17,6 +17,11 @@ func (nw *ndjsonWriter) frame(v any) error {
 	return nw.enc.Encode(v)
 }
 
+// bufferedFrame is frame without a flush: a frame all the same.
+func (nw *ndjsonWriter) bufferedFrame(v any) error {
+	return nw.enc.Encode(v)
+}
+
 type cell struct {
 	Row, Col int
 	Value    float64
@@ -34,6 +39,25 @@ func badLoop(nw *ndjsonWriter, cells []cell) {
 	for _, c := range cells { // want "streaming loop writes frames without consulting the request context"
 		nw.frame(c) // want "frame error discarded"
 	}
+}
+
+func badBufferedLoop(nw *ndjsonWriter, cells []cell) {
+	for _, c := range cells { // want "streaming loop writes frames without consulting the request context"
+		_ = nw.bufferedFrame(c) // want "bufferedFrame error assigned to _"
+	}
+	nw.bufferedFrame(cells[0]) // want "bufferedFrame error discarded"
+}
+
+func goodBufferedLoop(ctx context.Context, nw *ndjsonWriter, cells []cell) error {
+	for _, c := range cells {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := nw.bufferedFrame(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func goodLoop(ctx context.Context, nw *ndjsonWriter, cells []cell) error {

@@ -39,24 +39,32 @@ func (g StrategyGrid) Strategies() []Strategy {
 // and the share it achieves. Ties prefer earlier grid entries, and hence —
 // with DefaultStrategyGrid's ordering — more neutral strategies.
 func (mk *Market) BestResponse(isps []ISP, who int, grid StrategyGrid) (Strategy, *MarketOutcome, float64) {
-	return mk.bestResponse(isps, who, grid, func(o *MarketOutcome) float64 { return o.Shares[who] })
+	return mk.BestResponseInto(new(MarketOutcome), new(MarketOutcome), isps, who, grid)
+}
+
+// BestResponseInto is BestResponse solving every candidate into a or b,
+// whose buffers the caller owns and may reuse from call to call, as
+// SolveInto's. The returned outcome is one of the two; it is valid until
+// the next solve into either.
+func (mk *Market) BestResponseInto(a, b *MarketOutcome, isps []ISP, who int, grid StrategyGrid) (Strategy, *MarketOutcome, float64) {
+	return mk.bestResponse(a, b, isps, who, grid, func(o *MarketOutcome) float64 { return o.Shares[who] })
 }
 
 // BestResponseForSurplus is BestResponse with the consumer-surplus objective
 // Φ instead of market share — the comparison object of Theorem 6.
 func (mk *Market) BestResponseForSurplus(isps []ISP, who int, grid StrategyGrid) (Strategy, *MarketOutcome, float64) {
-	return mk.bestResponse(isps, who, grid, func(o *MarketOutcome) float64 { return o.Phi })
+	return mk.bestResponse(new(MarketOutcome), new(MarketOutcome), isps, who, grid, func(o *MarketOutcome) float64 { return o.Phi })
 }
 
 // bestResponse maximizes objective over ISP who's grid strategies. Each
-// candidate is solved into the one of two outcomes that does not hold the
-// best so far, so the search retains only the best candidate's equilibria.
-func (mk *Market) bestResponse(isps []ISP, who int, grid StrategyGrid, objective func(*MarketOutcome) float64) (Strategy, *MarketOutcome, float64) {
+// candidate is solved into the one of a and b that does not hold the best
+// so far, so the search retains only the best candidate's equilibria.
+func (mk *Market) bestResponse(a, b *MarketOutcome, isps []ISP, who int, grid StrategyGrid, objective func(*MarketOutcome) float64) (Strategy, *MarketOutcome, float64) {
 	var (
 		bestS     Strategy
 		bestOut   *MarketOutcome
 		bestValue = math.Inf(-1)
-		outs      = [2]*MarketOutcome{new(MarketOutcome), new(MarketOutcome)}
+		outs      = [2]*MarketOutcome{a, b}
 		next      int // the outcome the next candidate is solved into
 	)
 	cand := append([]ISP(nil), isps...)

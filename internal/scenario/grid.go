@@ -139,6 +139,9 @@ func (s *Scenario) layers() []string {
 // Cells returns the total cell count (rows × columns).
 func (j *GridJob) Cells() int { return len(j.Xs) * len(j.Ys) }
 
+// CPs returns the size of the job's materialized population.
+func (j *GridJob) CPs() int { return len(j.pop) }
+
 // UnitSpec returns the content address of the job's cells; a cell adds its
 // resolved (x, y).
 func (j *GridJob) UnitSpec() UnitSpec {
@@ -158,17 +161,18 @@ func (j *GridJob) NewGrid() *sweep.Grid {
 }
 
 // GridWorker is a pooled set of solver buffers: one market, its class-game
-// solver and their allocation-free kernel workspaces, and the market
-// outcome every cell is solved into. Every solve first
+// solver and their allocation-free kernel workspaces, and the pair of
+// market outcomes every cell is solved into (a best-responding provider's
+// search alternates between them). Every solve first
 // resets their warm state (the migration search inside one cell still
 // warm-starts itself), so a cell is a pure function of its coordinates —
 // the same bits on a fresh worker as on one that solved any other cells,
 // in any order — while the buffers stay grown. Workers are not safe for
 // concurrent use; the executor gives each goroutine its own.
 type GridWorker struct {
-	job *GridJob
-	mk  *core.Market
-	out core.MarketOutcome
+	job  *GridJob
+	mk   *core.Market
+	outs [2]core.MarketOutcome
 }
 
 // NewWorker returns a worker with its own, not yet grown, buffers.
@@ -226,7 +230,7 @@ func (w *GridWorker) solve(x, y float64) (point, []providerEq) {
 		w.mk.NuBar = nu
 		w.mk.Reset()
 	}
-	return j.scenario.solveAt(w.mk, &w.out, axes)
+	return j.scenario.solveAt(w.mk, &w.outs, axes)
 }
 
 // cellValues flattens a solved point into the job's layer map.

@@ -141,13 +141,13 @@ type providerEq struct {
 
 // solveAt solves the declared market with every listed strategic axis
 // assignment applied; the "nu" axis is positional, and callers encode it in
-// mk.NuBar before the call. The market is solved into out, whose buffers
-// the caller owns and reuses from call to call (a best-response search
-// keeps its own pair of outcomes). It returns the metric point, which is
-// the caller's, and the solved per-provider class equilibria, which may
-// alias out: they are valid only until the next solveAt on it, and a
-// caller that keeps them clones them.
-func (s *Scenario) solveAt(mk *core.Market, out *core.MarketOutcome, axes []axisValue) (point, []providerEq) {
+// mk.NuBar before the call. The market is solved into outs, whose buffers
+// the caller owns and reuses from call to call: outs[0] takes a plain
+// solve, and a best-response search alternates between both. It returns
+// the metric point, which is the caller's, and the solved per-provider
+// class equilibria, which may alias outs: they are valid only until the
+// next solveAt on them, and a caller that keeps them clones them.
+func (s *Scenario) solveAt(mk *core.Market, outs *[2]core.MarketOutcome, axes []axisValue) (point, []providerEq) {
 	isps := make([]core.ISP, len(s.Providers))
 	for i, p := range s.Providers {
 		st := core.Strategy{Kappa: p.Kappa, C: p.C}
@@ -172,6 +172,7 @@ func (s *Scenario) solveAt(mk *core.Market, out *core.MarketOutcome, axes []axis
 			subsidized = true
 		}
 	}
+	out := &outs[0]
 	if subsidized {
 		sub := mk.SolveSubsidizedDuopolyInto(out,
 			core.SubsidizedISP{ISP: isps[0], Sigma: sigma0},
@@ -183,7 +184,7 @@ func (s *Scenario) solveAt(mk *core.Market, out *core.MarketOutcome, axes []axis
 	if who := bestResponder(s.Providers); who >= 0 {
 		prev := mk.MigrationTol
 		mk.MigrationTol = 1e-6
-		_, out, _ = mk.BestResponse(isps, who, bestResponseGrid())
+		_, out, _ = mk.BestResponseInto(&outs[0], &outs[1], isps, who, bestResponseGrid())
 		mk.MigrationTol = prev
 	} else {
 		mk.SolveInto(out, isps)

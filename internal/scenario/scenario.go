@@ -735,7 +735,7 @@ func (p *PopulationSpec) Materialize() (traffic.Population, error) {
 			}
 			name := cp.Name
 			if name == "" {
-				name = fmt.Sprintf("cp-%04d", i)
+				name = traffic.CPName(i)
 			}
 			pop[i] = traffic.CP{
 				Name: name, Alpha: cp.Alpha, ThetaHat: cp.ThetaHat,

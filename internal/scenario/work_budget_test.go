@@ -54,25 +54,36 @@ func TestSizingCellWorkBudget(t *testing.T) {
 }
 
 // budgetCellBytes is the byte budget of a warm cell: the cells of a
-// seeded 1000-CP grid at 4 columns (16 sizing, 12 rebate) solved again on
-// the worker that solved them once. Measured: 512 B per sizing cell, the
-// cell's layer map, metric point and ISP list, and 704 B per rebate cell.
-// The budget is about 3× the larger,
-// room for a few small allocations but not for one per-CP buffer: cloning
-// a cell's two kept equilibria costs about 166 KiB.
+// seeded 1000-CP grid at 4 columns (16 sizing, 12 rebate), and the 6 cells
+// of the best-responding ablation sweep at 200 CPs (each cell is a
+// 33-candidate strategy search), solved again on the worker that solved
+// them once. Measured: 512 B per sizing cell, the cell's layer map, metric
+// point and ISP list, 704 B per rebate cell, and 1,264 B per ablation
+// cell, which adds its candidate list and alternates between the worker's
+// two outcomes. The budget is about 1.6× the largest, room for a few
+// small allocations but not for one per-CP buffer: cloning a cell's two
+// kept equilibria costs about 166 KiB at 1000 CPs, and a best response on
+// two outcomes of its own about 95 KiB at 200 CPs.
 const budgetCellBytes = 2 << 10
 
-// TestSizingCellWarmBytes bounds the heap bytes of a warm sizing cell,
-// and of a rebate cell, on one GridWorker: the worker solves every cell
-// into its own market outcome, so a cell allocates no per-CP buffer.
+// TestSizingCellWarmBytes bounds the heap bytes of a warm sizing cell, a
+// rebate cell and a best-response cell on one GridWorker: the worker
+// solves every cell into its own market outcomes, so a cell allocates no
+// per-CP buffer.
 func TestSizingCellWarmBytes(t *testing.T) {
-	for _, name := range []string{"po-sizing-gamma-nu", "po-rebate-sigma-nu"} {
+	for _, c := range []struct {
+		name string
+		cps  int
+	}{{"po-sizing-gamma-nu", 1000}, {"po-rebate-sigma-nu", 1000}, {"ablation-pubopt-capacity", 200}} {
+		name := c.name
 		sc, ok := Get(name)
 		if !ok {
 			t.Fatal("missing built-in " + name)
 		}
-		sc.Sweep.Points = 4
-		if err := sc.ApplyEnsembleOverrides(1, 1000); err != nil {
+		if sc.IsGrid() {
+			sc.Sweep.Points = 4
+		}
+		if err := sc.ApplyEnsembleOverrides(1, c.cps); err != nil {
 			t.Fatal(err)
 		}
 		job, err := sc.compile()

@@ -20,8 +20,9 @@ import (
 //
 // Grid requests are cached cell by cell: the unit is a cell, a pure
 // function of its coordinates. Every cell's content address (cellKeys: a
-// digest of the grid's physics, then the cell's resolved (x, y); nothing
-// cosmetic) is probed first, cached cells stream immediately, and only the
+// digest of the grid's physics, computed once per resolved grid, then the
+// cell's resolved (x, y); nothing cosmetic) is probed first, cached cells
+// are written at once and flushed together before any solve, and only the
 // missing cells are solved. Renaming, resizing or refining a grid therefore
 // re-solves only cells it has not seen, re-running it unchanged solves
 // zero, and no cell depends on what the cache held.
@@ -145,16 +146,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	job, err := res.sc.CompileGrid()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if req.Refine {
-		s.batchGridRefined(w, r, res, job, workers)
+		s.batchGridRefined(w, r, res, workers)
 		return
 	}
-	s.batchGrid(w, r, res.sc, job, workers)
+	s.batchGrid(w, r, res, workers)
 }
 
 // ---------------------------------------------------------------------------
@@ -222,14 +218,11 @@ func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage,
 // (one map probe each), then the solved cells in completion order, each
 // banked as it lands. Solving spreads the missing cells over workers by
 // work stealing.
-func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.Scenario, job *scenario.GridJob, workers int) {
-	key, err := cellKeys(job)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "hashing grid: %v", err)
-		return
-	}
-	s.serveStream(w, r, "grid", sc.Name, gridHeader(sc, job, false), func(st *stream) (any, error) {
-		// Probe phase: stream cached cells immediately, collect the misses.
+func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, res *resolved, workers int) {
+	job, key := res.job, res.cellKey
+	s.serveStream(w, r, "grid", res.sc.Name, gridHeader(res.sc, job, false), func(st *stream) (any, error) {
+		// Probe phase: write cached cells (buffered: reserve flushes them
+		// before the first solve), collect the misses.
 		var miss []int
 		for i := 0; i < job.Cells(); i++ {
 			row, col := i/len(job.Xs), i%len(job.Xs)
@@ -243,7 +236,7 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, sc *scenario.
 			}
 			st.hits++
 			cell := scenario.Cell{Row: row, Col: col, X: job.Xs[col], Y: job.Ys[row], Values: job.ValuesMap(val.([]float64))}
-			if err := st.frame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+			if err := st.bufferedFrame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
 				return nil, err
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"github.com/netecon-sim/publicoption/internal/cache"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/refine"
-	"github.com/netecon-sim/publicoption/internal/scenario"
 )
 
 // POST /v1/batch with "refine": true — the adaptive-refinement stream. The
@@ -70,13 +69,14 @@ type refineDoneFrame struct {
 // Unlike the dense path, frames are emitted straight from the engine's
 // sequential merge on this goroutine — the engine's own worker pool solves
 // points in parallel underneath.
-func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, res *resolved, job *scenario.GridJob, workers int) {
+func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, res *resolved, workers int) {
+	job := res.job
 	s.serveStream(w, r, "grid", res.sc.Name, gridHeader(res.sc, job, true), func(st *stream) (any, error) {
 		if err := st.reserve(); err != nil {
 			return nil, err
 		}
 		var sink obs.Counters
-		surr, err := s.refineGrid(st.ctx, job, &sink, refine.Options{
+		surr, err := s.refineGrid(st.ctx, res, &sink, refine.Options{
 			Workers: workers,
 			OnPoint: func(p refine.Point) error {
 				outcome := cache.Miss.String()

@@ -16,8 +16,9 @@ import (
 var solveBuckets = []float64{1e-5, 1e-4, 0.001, 0.005, 0.025, 0.1, 0.25, 1, 2.5, 10}
 
 // frameBuckets are the batch NDJSON frame write+flush latency bounds in
-// seconds: a frame is one JSON marshal plus one flushed write, so the
-// histogram is dominated by client backpressure, not solving.
+// seconds: a frame is one JSON marshal plus one write, flushed unless the
+// frame was served from the cache, so the histogram is dominated by client
+// backpressure, not solving.
 var frameBuckets = []float64{1e-5, 1e-4, 1e-3, 0.01, 0.1, 1}
 
 // solveOutcomes orders the outcome label values of the solve-duration

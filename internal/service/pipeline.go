@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"container/list"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"github.com/netecon-sim/publicoption/internal/cache"
@@ -24,7 +27,7 @@ const (
 	nsRun       = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
 	nsCell      = "grid/cell/v1"        // []float64, one value per layer; content: GridJob.UnitSpec, then the cell's (x, y) (cellKeys)
 	nsSurrogate = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
-	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: simTickAddress
+	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: the canonical JSON, then the tick index (tickKeys)
 )
 
 // scenarioKind is what a scenario declares and what an endpoint solves.
@@ -63,19 +66,32 @@ type ref struct {
 	entry  bool
 }
 
-// resolved is a scenario ready to solve. Registered scenarios are resolved
-// once, at startup, so a warm named request never re-derives anything.
+// resolved is a scenario compiled for serving. Registered scenarios are
+// resolved once, at startup, and repeated inline grid and simulation
+// definitions once per memo entry (inlineMemo), so a warm request never
+// re-derives anything.
 type resolved struct {
 	// sc is read-only: for registered names it is the registry copy every
 	// request shares.
 	sc    *scenario.Scenario
 	named bool
-	// canon is the canonical JSON every key of the scenario derives from.
-	canon json.RawMessage
-	// key is the content key of the scenario's result: under nsRun for 1-D
-	// sweeps, nsSurrogate for grids, and empty for simulations, which are
-	// keyed per tick.
+	// key is the content key of the scenario's result, the digest of its
+	// canonical JSON: under nsRun for 1-D sweeps and nsSurrogate for grids.
+	// For simulations it is the digest under nsTick that every tick key
+	// extends (tickKeys).
 	key string
+
+	// The compiled form, built by compile under once and read-only after
+	// it: a grid's job, its cell key space and a pool of its GridWorkers
+	// for /v1/query fallbacks; a simulation's tick keys. code and err are
+	// compile's failure.
+	once     sync.Once
+	code     int
+	err      error
+	job      *scenario.GridJob
+	cellKey  func(x, y float64) string
+	workers  sync.Pool
+	tickKeys []string
 }
 
 func newResolved(sc *scenario.Scenario, named bool) (*resolved, error) {
@@ -83,19 +99,58 @@ func newResolved(sc *scenario.Scenario, named bool) (*resolved, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serializing scenario: %v", err)
 	}
-	res := &resolved{sc: sc, named: named, canon: canon}
+	res := &resolved{sc: sc, named: named}
+	ns := nsRun
 	switch kindOf(sc) {
-	case kindRun:
-		res.key, err = cache.Key(nsRun, res.canon)
 	case kindGrid:
-		res.key, err = cache.Key(nsSurrogate, res.canon)
+		ns = nsSurrogate
+	case kindSim:
+		ns = nsTick
 	}
+	res.key, err = cache.Key(ns, canon)
 	return res, err
 }
 
-// resolve maps ref to a scenario of the wanted kind, or to an error and the
-// HTTP status it maps to: 400 for a malformed reference or a scenario of
-// another kind, 404 for an unknown name.
+// compile builds the scenario's compiled form on first need and returns
+// its failure, if any, with the HTTP status it maps to: 400 for a grid
+// that does not compile. A 1-D sweep has nothing to compile.
+func (res *resolved) compile() (int, error) {
+	res.once.Do(func() {
+		switch kindOf(res.sc) {
+		case kindGrid:
+			job, err := res.sc.CompileGrid()
+			if err != nil {
+				res.code, res.err = http.StatusBadRequest, err
+				return
+			}
+			key, err := cellKeys(job)
+			if err != nil {
+				res.code, res.err = http.StatusInternalServerError, fmt.Errorf("hashing grid: %v", err)
+				return
+			}
+			res.job, res.cellKey = job, key
+			res.workers.New = func() any { return job.NewWorker() }
+		case kindSim:
+			res.tickKeys = tickKeys(res.key, res.sc.Dynamics.Ticks)
+		}
+	})
+	return res.code, res.err
+}
+
+// weight is what a compiled scenario holds in memory, in the units the
+// inline memo bounds: a grid's materialised CPs; a simulation's tick keys
+// and explicit CPs.
+func (res *resolved) weight() int {
+	if res.job != nil {
+		return res.job.CPs()
+	}
+	return len(res.tickKeys) + len(res.sc.Population.CPs)
+}
+
+// resolve maps ref to a compiled scenario of the wanted kind, or to an
+// error and the HTTP status it maps to: 400 for a malformed reference, a
+// scenario of another kind or a grid that does not compile, 404 for an
+// unknown name.
 func (s *Server) resolve(want scenarioKind, r ref) (*resolved, int, error) {
 	inline := len(r.inline) > 0
 	if !r.entry && (r.name == "") == !inline {
@@ -110,7 +165,31 @@ func (s *Server) resolve(want scenarioKind, r ref) (*resolved, int, error) {
 		if err := wrongKind(want, r, res.sc); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
+		if code, err := res.compile(); err != nil {
+			return nil, code, err
+		}
 		return res, 0, nil
+	}
+	return s.resolveInline(want, r)
+}
+
+// resolveInline resolves an inline definition. A grid or simulation body
+// that resolves and compiles is memoized by the SHA-256 of its bytes, so a
+// repeated body skips parsing, validation, canonicalisation, hashing and
+// compiling; a memo hit still answers wrongKind's 400 at an endpoint of
+// another kind. 1-D bodies, which serve-style traffic sends once each, and
+// failed resolutions are never stored.
+func (s *Server) resolveInline(want scenarioKind, r ref) (*resolved, int, error) {
+	memo := want != kindRun
+	var sum [sha256.Size]byte
+	if memo {
+		sum = sha256.Sum256(r.inline)
+		if res := s.inline.get(sum); res != nil {
+			if err := wrongKind(want, r, res.sc); err != nil {
+				return nil, http.StatusBadRequest, err
+			}
+			return res, 0, nil
+		}
 	}
 	sc, err := scenario.Load(bytes.NewReader(r.inline))
 	if err != nil {
@@ -123,7 +202,73 @@ func (s *Server) resolve(want scenarioKind, r ref) (*resolved, int, error) {
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
+	if code, err := res.compile(); err != nil {
+		return nil, code, err
+	}
+	if memo {
+		s.inline.put(sum, res)
+	}
 	return res, 0, nil
+}
+
+// The inline memo's bounds. They are constants, not options: the memo
+// exists for clients that replay a few definitions, and beyond these a
+// body is resolved per request as if there were no memo.
+const (
+	memoBodies = 64      // memoized definitions
+	memoWeight = 1 << 16 // total weight (resolved.weight) of the memoized definitions
+)
+
+// inlineMemo maps the SHA-256 of an inline definition to its compiled
+// scenario: an LRU bounded by memoBodies entries and memoWeight in total.
+// A definition heavier than memoWeight on its own is never stored.
+type inlineMemo struct {
+	mu     sync.Mutex
+	lru    list.List // of *memoEntry, most recently used first
+	byHash map[[sha256.Size]byte]*list.Element
+	weight int
+}
+
+type memoEntry struct {
+	sum    [sha256.Size]byte
+	res    *resolved
+	weight int
+}
+
+func newInlineMemo() *inlineMemo {
+	return &inlineMemo{byHash: make(map[[sha256.Size]byte]*list.Element)}
+}
+
+func (m *inlineMemo) get(sum [sha256.Size]byte) *resolved {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.byHash[sum]
+	if !ok {
+		return nil
+	}
+	m.lru.MoveToFront(el)
+	return el.Value.(*memoEntry).res
+}
+
+// put stores res under sum, evicting the least recently used entries
+// until both bounds hold again.
+func (m *inlineMemo) put(sum [sha256.Size]byte, res *resolved) {
+	w := res.weight()
+	if w > memoWeight {
+		return
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.byHash[sum]; ok {
+		return // a concurrent request stored the same body first
+	}
+	m.byHash[sum] = m.lru.PushFront(&memoEntry{sum: sum, res: res, weight: w})
+	m.weight += w
+	for m.lru.Len() > memoBodies || m.weight > memoWeight {
+		e := m.lru.Remove(m.lru.Back()).(*memoEntry)
+		delete(m.byHash, e.sum)
+		m.weight -= e.weight
+	}
 }
 
 // wrongKind rejects a scenario the wanted kind of solve cannot take,
@@ -230,7 +375,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, kind, name 
 		trace: obs.TraceID(r.Context()), echo: s.echo(r.Context()),
 		kind: kind, name: name, start: time.Now(),
 	}
-	if err := st.nw.frame(header); err != nil {
+	if err := st.nw.bufferedFrame(header); err != nil {
 		return
 	}
 	terminal, err := st.run(body)
@@ -281,9 +426,11 @@ func (st *stream) run(body func(st *stream) (any, error)) (done any, err error) 
 
 // reserve claims a worker-pool slot for the stream's solve phase: its
 // internal parallelism plays the role of a solve's, so concurrent cold
-// streams queue instead of oversubscribing the CPU. It fails only when the
-// client leaves while queued.
+// streams queue instead of oversubscribing the CPU. It first flushes the
+// frames buffered so far, so the client holds them while the stream waits.
+// It fails only when the client leaves while queued.
 func (st *stream) reserve() error {
+	st.nw.flush()
 	release, err := st.s.store.ReserveContext(st.ctx)
 	if err != nil {
 		return err
@@ -293,9 +440,17 @@ func (st *stream) reserve() error {
 	return nil
 }
 
-// frame writes one unit frame.
+// frame writes one unit frame and flushes it.
 func (st *stream) frame(v any) error {
 	if err := st.nw.frame(v); err != nil {
+		return errClientGone
+	}
+	return nil
+}
+
+// bufferedFrame writes one cache-served unit's frame without flushing it.
+func (st *stream) bufferedFrame(v any) error {
+	if err := st.nw.bufferedFrame(v); err != nil {
 		return errClientGone
 	}
 	return nil
@@ -314,8 +469,11 @@ func (st *stream) bank(kind, key string, val any, solver obs.SolveStats) {
 func (st *stream) elapsedMS() float64 { return ms(time.Since(st.start)) }
 
 // ndjsonWriter serializes frames to the response, one JSON object per
-// line, flushing after every frame so results stream instead of buffering.
-// Each frame's serialize+write+flush time feeds the
+// line. A frame that cost a solve is flushed on its own, so results stream
+// instead of buffering; frames that cost none (a stream's header, cached
+// units) are buffered and go out together at the stream's next flush: before
+// it waits for a pool slot or a solve, or with its terminal frame. Each
+// frame's serialize+write(+flush) time feeds the
 // pubopt_batch_frame_write_seconds histogram.
 type ndjsonWriter struct {
 	w       http.ResponseWriter
@@ -329,10 +487,15 @@ func newNDJSONWriter(w http.ResponseWriter, m *metrics) *ndjsonWriter {
 	return &ndjsonWriter{w: w, flusher: flusher, metrics: m}
 }
 
-// frame writes one NDJSON frame. The first frame commits the 200 status
-// and the x-ndjson content type; errors after that point must travel as
-// error frames, not status codes.
-func (nw *ndjsonWriter) frame(v any) error {
+// frame writes one NDJSON frame and flushes it. The first frame commits
+// the 200 status and the x-ndjson content type; errors after that point
+// must travel as error frames, not status codes.
+func (nw *ndjsonWriter) frame(v any) error { return nw.write(v, true) }
+
+// bufferedFrame is frame without the flush.
+func (nw *ndjsonWriter) bufferedFrame(v any) error { return nw.write(v, false) }
+
+func (nw *ndjsonWriter) write(v any, flush bool) error {
 	start := time.Now()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -346,11 +509,18 @@ func (nw *ndjsonWriter) frame(v any) error {
 	if _, err := nw.w.Write(append(b, '\n')); err != nil {
 		return err
 	}
-	if nw.flusher != nil {
-		nw.flusher.Flush()
+	if flush {
+		nw.flush()
 	}
 	nw.metrics.observeFrame(time.Since(start).Seconds())
 	return nil
+}
+
+// flush sends the frames written so far to the client.
+func (nw *ndjsonWriter) flush() {
+	if nw.flusher != nil {
+		nw.flusher.Flush()
+	}
 }
 
 // errorFrame reports one failed unit without tearing down the stream:
@@ -393,6 +563,17 @@ func cellKeys(job *scenario.GridJob) (func(x, y float64) string, error) {
 	return func(x, y float64) string {
 		return space + "@" + strconv.FormatFloat(x, 'x', -1, 64) + "," + strconv.FormatFloat(y, 'x', -1, 64)
 	}, nil
+}
+
+// tickKeys returns the cache address of a simulation's ticks in the scheme
+// cellKeys uses: one digest of the scenario (its canonical JSON under
+// nsTick), then the tick index.
+func tickKeys(space string, ticks int) []string {
+	keys := make([]string, ticks)
+	for t := range keys {
+		keys[t] = space + "#" + strconv.Itoa(t)
+	}
+	return keys
 }
 
 // shortKey abbreviates a cache key for logs and events: enough hex to

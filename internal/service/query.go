@@ -112,13 +112,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 		writeError(w, code, "%v", err)
 		return
 	}
-	job, err := res.sc.CompileGrid()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	job := res.job
 	start := time.Now()
-	surr, status, err := s.surrogate(r.Context(), res, job, s.workers(req.Workers))
+	surr, status, err := s.surrogate(r.Context(), res, s.workers(req.Workers))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "building surrogate: %v", err)
 		return
@@ -141,7 +137,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 		// The error bound does not hold (verification failed or was
 		// disabled): answer with one cached point solve instead of
 		// unverified interpolation.
-		vals, status, err := s.solvePoint(r.Context(), res.sc.Name, job, req.X, req.Y)
+		vals, status, err := s.solvePoint(r.Context(), res, req.X, req.Y)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "fallback solve: %v", err)
 			return
@@ -158,9 +154,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, req *queryRe
 
 // surrogate returns the grid's refined surrogate, building it through the
 // cache on first need.
-func (s *Server) surrogate(ctx context.Context, res *resolved, job *scenario.GridJob, workers int) (*refine.Result, cache.Status, error) {
+func (s *Server) surrogate(ctx context.Context, res *resolved, workers int) (*refine.Result, cache.Status, error) {
 	val, status, _, err := s.cached(ctx, "query", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
-		return s.refineGrid(ctx, job, stats, refine.Options{Workers: workers})
+		return s.refineGrid(ctx, res, stats, refine.Options{Workers: workers})
 	})
 	if err != nil {
 		return nil, status, err
@@ -171,11 +167,8 @@ func (s *Server) surrogate(ctx context.Context, res *resolved, job *scenario.Gri
 // refineGrid runs the grid's adaptive refinement with its points on the
 // equilibrium cache, so it shares cells with dense POST /v1/batch runs and
 // query fallbacks, and adds its stats to the server's refine counters.
-func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *obs.Counters, opts refine.Options) (*refine.Result, error) {
-	key, err := cellKeys(job)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) refineGrid(ctx context.Context, res *resolved, stats *obs.Counters, opts refine.Options) (*refine.Result, error) {
+	job, key := res.job, res.cellKey
 	// The engine calls both hooks on its Run goroutine and never mutates
 	// the values it is handed.
 	opts.Lookup = func(x, y float64) ([]float64, bool) {
@@ -196,17 +189,19 @@ func (s *Server) refineGrid(ctx context.Context, job *scenario.GridJob, stats *o
 	return surr, nil
 }
 
-// solvePoint solves the cell of grid name at (x, y) through the equilibrium
-// cache — the unverified-surrogate fallback of /v1/query.
-func (s *Server) solvePoint(ctx context.Context, name string, job *scenario.GridJob, x, y float64) (map[string]float64, cache.Status, error) {
-	key, err := cellKeys(job)
-	if err != nil {
-		return nil, 0, err
-	}
-	val, status, _, err := s.cached(ctx, "cell", name, key(x, y), func(stats *obs.Counters) (any, error) {
-		w := job.NewWorker()
+// solvePoint solves the grid's cell at (x, y) through the equilibrium
+// cache — the unverified-surrogate fallback of /v1/query. A miss solves on
+// a GridWorker from the grid's pool, whose buffers stay grown from earlier
+// misses; a worker resets its warm state before every cell, so the values
+// are a fresh worker's.
+func (s *Server) solvePoint(ctx context.Context, res *resolved, x, y float64) (map[string]float64, cache.Status, error) {
+	job := res.job
+	val, status, _, err := s.cached(ctx, "cell", res.sc.Name, res.cellKey(x, y), func(stats *obs.Counters) (any, error) {
+		w := res.workers.Get().(*scenario.GridWorker)
+		defer res.workers.Put(w)
+		before := w.Stats()
 		vals, _ := job.ValuesSlice(w.SolveAt(x, y))
-		stats.Add(w.Stats())
+		stats.Add(w.Stats().Since(before))
 		return vals, nil
 	})
 	if err != nil {

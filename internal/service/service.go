@@ -5,9 +5,9 @@
 // Every solving endpoint is a thin view over one request pipeline
 // (pipeline.go). The resolver maps the request's scenario — a registered
 // name or an inline definition — and the kind of solve the endpoint does
-// (1-D sweep, 2-D grid, dynamics) to the scenario and its content key: the
-// SHA-256 of its canonical JSON, so a name and an identical inline copy
-// share cache entries. Single results then take one cached call through the
+// (1-D sweep, 2-D grid, dynamics) to the compiled scenario and its content
+// key: the SHA-256 of its canonical JSON, so a name and an identical
+// inline copy share cache entries. Single results then take one cached call through the
 // content-addressed equilibrium cache (internal/cache), where identical
 // concurrent requests coalesce onto one solve and a bounded worker pool
 // keeps distinct solves from oversubscribing the CPU; NDJSON streams (grids
@@ -124,6 +124,9 @@ type Server struct {
 	// through JSON on every call.
 	scenarioInfos []ScenarioInfo
 	named         map[string]*resolved // every registered scenario, resolved
+	// inline memoizes recently resolved inline grid and simulation
+	// definitions (resolveInline).
+	inline *inlineMemo
 
 	// Runner indirection, overridable in tests to count or stub solves.
 	// stats receives the run's solver telemetry (nil-safe).
@@ -167,7 +170,8 @@ func New(opts Options) *Server {
 		runScenario: func(sc *scenario.Scenario, workers int, stats *obs.Counters) ([]*sweep.Table, error) {
 			return sc.Run(scenario.RunOptions{Workers: workers, Stats: stats})
 		},
-		named: make(map[string]*resolved),
+		named:  make(map[string]*resolved),
+		inline: newInlineMemo(),
 	}
 	for _, sc := range scenario.All() {
 		s.scenarioInfos = append(s.scenarioInfos, ScenarioInfo{Name: sc.Name, Title: sc.Title, Reference: sc.Reference, Grid: sc.IsGrid(), Dynamic: sc.IsDynamic()})

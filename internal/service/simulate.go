@@ -11,13 +11,15 @@ import (
 
 // POST /v1/simulate — the streaming dynamics runner. One request simulates
 // one dynamics scenario (named or inline) tick by tick, and the response is
-// NDJSON: a header frame with the run's geometry, one frame per tick
-// written and flushed as the tick completes, and a summary frame.
+// NDJSON: a header frame with the run's geometry, one frame per tick (a
+// solved tick's written and flushed as the tick completes), and a summary
+// frame.
 //
-// Ticks are cached individually under their content address — the
-// scenario's canonical JSON plus the tick index — and a trajectory is a
-// pure function of the scenario, so a replay streams the cached prefix
-// without solving anything. At the first missing tick the engine is
+// Ticks are cached individually under their content address — a digest of
+// the scenario's canonical JSON plus the tick index (tickKeys), computed
+// once per resolved scenario — and a trajectory is a pure function of the
+// scenario, so a replay streams the cached prefix without solving anything,
+// buffered and flushed together. At the first missing tick the engine is
 // restored from the last cached record and the remainder of the trajectory
 // is solved live (a restored warm start can differ from an uninterrupted
 // one by ~1e-9 per solve; see dynamics.Engine.Restore). The summary frame's
@@ -64,14 +66,6 @@ type simDoneFrame struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-// simTickAddress is the content a tick's cache key hashes: the scenario's
-// canonical JSON (physics and dynamics; nothing cosmetic survives
-// canonicalization that would change the trajectory) plus the tick index.
-type simTickAddress struct {
-	Spec json.RawMessage `json:"spec"`
-	Tick int             `json:"tick"`
-}
-
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req simulateRequest
 	if err := decodeJSONBody(w, r, &req); err != nil {
@@ -83,26 +77,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	sc := res.sc
-
-	// Content-address every tick up front.
-	ticks := sc.Dynamics.Ticks
-	keys := make([]string, ticks)
-	for t := range keys {
-		k, err := cache.Key(nsTick, simTickAddress{Spec: res.canon, Tick: t})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "hashing tick %d: %v", t, err)
-			return
-		}
-		keys[t] = k
-	}
+	sc, keys := res.sc, res.tickKeys
+	ticks := len(keys)
 	header := &simHeaderFrame{Sim: simInfo{
 		Name: sc.Name, Title: sc.Title,
 		Providers: providerNames(sc), Metrics: sc.Sweep.Metrics, Ticks: ticks,
 	}}
 	s.serveStream(w, r, "sim", sc.Name, header, func(st *stream) (any, error) {
-		// Probe phase: stream the contiguous cached prefix from tick 0. The
-		// last prefix record is the exact state the next tick starts from
+		// Probe phase: stream the contiguous cached prefix from tick 0,
+		// buffered: reserve flushes it before the first solve. The last
+		// prefix record is the exact state the next tick starts from
 		// (TickRecord doubles as resume state), so the solve phase continues
 		// from it; cached ticks beyond the first hole are ignored and simply
 		// overwritten by the fresh solve.
@@ -116,7 +100,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			rec := val.(dynamics.TickRecord)
-			if err := st.frame(&simTickFrame{Tick: rec, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+			if err := st.bufferedFrame(&simTickFrame{Tick: rec, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
 				return nil, err
 			}
 			st.hits++

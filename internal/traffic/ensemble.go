@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/netecon-sim/publicoption/internal/demand"
 	"github.com/netecon-sim/publicoption/internal/numeric"
@@ -85,7 +86,7 @@ func (cfg EnsembleConfig) Generate(rng *numeric.RNG) Population {
 			panic(fmt.Sprintf("traffic: unknown phi setting %v", cfg.Phi))
 		}
 		pop[i] = CP{
-			Name:     fmt.Sprintf("cp-%04d", i),
+			Name:     CPName(i),
 			Alpha:    alpha,
 			ThetaHat: thetaHat,
 			V:        v,
@@ -94,6 +95,18 @@ func (cfg EnsembleConfig) Generate(rng *numeric.RNG) Population {
 		}
 	}
 	return pop
+}
+
+// CPName is the default name of a population's i-th CP: "cp-" and i
+// zero-padded to four digits, the string fmt.Sprintf("cp-%04d", i) gives,
+// built without fmt because an ensemble names every one of its CPs.
+func CPName(i int) string {
+	var buf [24]byte
+	b := append(buf[:0], "cp-"...)
+	for pad := 1000; pad > 1 && i < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // DefaultSeed is the seed used by all published experiments in this

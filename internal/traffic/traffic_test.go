@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -193,6 +194,20 @@ func TestSubsetAndNames(t *testing.T) {
 	names := pop.Names()
 	if strings.Join(names, ",") != "google,netflix,skype" {
 		t.Fatalf("Names = %v", names)
+	}
+}
+
+func TestCPNameIsSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 999, 9999, 10000, 123456} {
+		if got, want := CPName(i), fmt.Sprintf("cp-%04d", i); got != want {
+			t.Errorf("CPName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	pop := PaperEnsemble(PhiCorrelated).Generate(numeric.NewRNG(1))
+	for _, i := range []int{0, 9, 999} {
+		if want := fmt.Sprintf("cp-%04d", i); pop[i].Name != want {
+			t.Errorf("Generate named CP %d %q, want %q", i, pop[i].Name, want)
+		}
 	}
 }
 
