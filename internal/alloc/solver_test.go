@@ -51,6 +51,19 @@ func randomPopulation(rng *rand.Rand, n int) traffic.Population {
 	return pop
 }
 
+// goldenPopulations are the populations the kernel goldens solve: empty,
+// single, pair, small and 120 CPs.
+func goldenPopulations() []traffic.Population {
+	rng := rand.New(rand.NewSource(41))
+	return []traffic.Population{
+		nil, // empty
+		randomPopulation(rng, 1),
+		randomPopulation(rng, 2),
+		randomPopulation(rng, 17),
+		randomPopulation(rng, 120),
+	}
+}
+
 // nuGridFor returns the capacity stations every population is solved at:
 // ν = 0, a ν → 0 sliver, interior points, the saturation boundary and an
 // uncongested excess.
@@ -95,14 +108,7 @@ func assertGolden(t *testing.T, ref, got *Result, hi float64, label string) {
 // kernel against the reference bisection point by point. The workspace is
 // reused across the whole sweep, so every solve after the first is warm.
 func TestWorkspaceGoldenEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	pops := []traffic.Population{
-		nil, // empty
-		randomPopulation(rng, 1),
-		randomPopulation(rng, 2),
-		randomPopulation(rng, 17),
-		randomPopulation(rng, 120),
-	}
+	pops := goldenPopulations()
 	for _, mech := range goldenMechanisms() {
 		w := NewWorkspace(mech)
 		for pi, pop := range pops {
