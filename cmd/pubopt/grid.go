@@ -56,7 +56,7 @@ flags for run:
   -out DIR                  also write the grid as long-form CSV under DIR
   -seed N                   override the population's ensemble seed
   -cps N                    override the population's ensemble size
-  -workers N                parallel rows, work-stealing (0 = GOMAXPROCS)
+  -workers N                parallel cells, work-stealing (0 = GOMAXPROCS)
   -refine                   adaptive refinement: treat the declared grid as
                             a seed, split only cells where the surface
                             bends, and interpolate the rest (sub-linear in
@@ -77,7 +77,7 @@ func gridRunCmd(args []string) error {
 	outDir := fs.String("out", "", "directory for long-form CSV output")
 	seed := fs.Uint64("seed", 0, "ensemble seed override (0 = scenario value)")
 	cps := fs.Int("cps", 0, "ensemble size override (0 = scenario value)")
-	workers := fs.Int("workers", 0, "parallel rows (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel cells (0 = GOMAXPROCS)")
 	refineFlag := fs.Bool("refine", false, "adaptive refinement instead of dense solving")
 	tol := fs.Float64("tol", 0, "refinement tolerance override (0 = scenario value or default)")
 	depth := fs.Int("depth", 0, "refinement depth cap override (0 = scenario value or default)")

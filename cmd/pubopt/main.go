@@ -140,7 +140,7 @@ flags for serve:
   -addr HOST:PORT           listen address (default :8080)
   -workers N                max concurrent solves (default GOMAXPROCS)
   -cache-entries N          equilibrium cache LRU bound (default 2048;
-                            a dense grid row is one entry;
+                            a dense grid cell is one entry;
                             negative disables caching)
   -log-level LEVEL          debug, info, warn or error (default info;
                             debug adds per-request access lines)

@@ -22,7 +22,7 @@ func queryCmd(args []string) error {
 	y := fs.Float64("y", 0, "row-axis coordinate (resolved model units)")
 	seed := fs.Uint64("seed", 0, "ensemble seed override (0 = scenario value)")
 	cps := fs.Int("cps", 0, "ensemble size override (0 = scenario value)")
-	workers := fs.Int("workers", 0, "parallel rows (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "parallel cells (0 = GOMAXPROCS)")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: pubopt query --name <name> | --json <file>  -x X -y Y [flags]")
 		fs.PrintDefaults()

@@ -75,41 +75,18 @@ func (MaxMin) LevelHi(pop traffic.Population) float64 { return pop.MaxThetaHat()
 // Name implements Allocator.
 func (MaxMin) Name() string { return "maxmin" }
 
-// AggregateAt implements BulkAllocator with a concrete-type loop: one
-// min() and one devirtualized demand evaluation per CP, no interface
-// dispatch.
-func (MaxMin) AggregateAt(level float64, pop traffic.Population) float64 {
-	if level <= 0 {
-		return 0
-	}
-	var sum float64
+// flatten implements flattener: max-min is the unit-gain water fill.
+//
+//pubopt:hotpath
+func (MaxMin) flatten(w *Workspace, pop traffic.Population) (hi float64, linear bool) {
 	for i := range pop {
-		sum += EvalPerCapitaRate(&pop[i], math.Min(level, pop[i].ThetaHat))
-	}
-	return sum
-}
-
-// RatesAt implements BulkAllocator.
-func (MaxMin) RatesAt(level float64, pop traffic.Population, out []float64) {
-	for i := range pop {
-		if level <= 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = math.Min(level, pop[i].ThetaHat)
-	}
-}
-
-// gains implements levelLinear: max-min is the unit-gain water fill.
-func (MaxMin) gains(pop traffic.Population, out []float64) float64 {
-	var hi float64
-	for i := range pop {
-		out[i] = 1
+		w.gain[i] = 1
 		if pop[i].ThetaHat > hi {
 			hi = pop[i].ThetaHat
 		}
 	}
-	return hi
+	w.flattenCPs(pop)
+	return hi, true
 }
 
 // WeightFunc assigns a positive fairness weight to a CP. Weights model
@@ -182,50 +159,22 @@ func (a AlphaFair) LevelHi(pop traffic.Population) float64 {
 	return hi
 }
 
-// AggregateAt implements BulkAllocator. The per-CP weight exponent
-// w_i^(1/α) is recomputed per call, so repeated evaluations at many levels
-// should go through a Workspace, which hoists it out of the loop; the win
-// here is removing the double interface dispatch (mechanism + demand).
-func (a AlphaFair) AggregateAt(level float64, pop traffic.Population) float64 {
-	if level <= 0 {
-		return 0
-	}
-	exp := a.exponent()
-	var sum float64
-	for i := range pop {
-		x := math.Pow(a.weight(&pop[i]), exp) * level
-		sum += EvalPerCapitaRate(&pop[i], math.Min(x, pop[i].ThetaHat))
-	}
-	return sum
-}
-
-// RatesAt implements BulkAllocator.
-func (a AlphaFair) RatesAt(level float64, pop traffic.Population, out []float64) {
-	exp := a.exponent()
-	for i := range pop {
-		if level <= 0 {
-			out[i] = 0
-			continue
-		}
-		x := math.Pow(a.weight(&pop[i]), exp) * level
-		out[i] = math.Min(x, pop[i].ThetaHat)
-	}
-}
-
-// gains implements levelLinear: g_i = w_i^(1/α), the KKT gain of the
+// flatten implements flattener: g_i = w_i^(1/α), the KKT gain of the
 // weighted α-fair level form. Weight validation (positivity) happens here,
 // exactly as in RateAt.
-func (a AlphaFair) gains(pop traffic.Population, out []float64) float64 {
+//
+//pubopt:hotpath
+func (a AlphaFair) flatten(w *Workspace, pop traffic.Population) (hi float64, linear bool) {
 	exp := a.exponent()
-	var hi float64
 	for i := range pop {
 		g := math.Pow(a.weight(&pop[i]), exp)
-		out[i] = g
+		w.gain[i] = g
 		if need := pop[i].ThetaHat / g; need > hi {
 			hi = need
 		}
 	}
-	return hi
+	w.flattenCPs(pop)
+	return hi, true
 }
 
 // Name implements Allocator.

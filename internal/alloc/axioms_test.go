@@ -105,10 +105,9 @@ func TestAxiom4ScaleInvarianceDirect(t *testing.T) {
 }
 
 // TestZeroLevelGrantsNothing pins the Allocator contract that a level ≤ 0
-// grants every CP rate 0, through every entry point: RateAt, EvalRate and
-// the BulkAllocator methods RatesAt and AggregateAt, which every built-in
-// mechanism implements. Workspace.Solve's ν = 0 exit and the class
-// game's κ = 1 shortcut return zero rates without asking the mechanism.
+// grants every CP rate 0, through both entry points: RateAt and EvalRate.
+// Workspace.Solve's ν = 0 exit and the class game's κ = 1 shortcut return
+// zero rates without asking the mechanism.
 func TestZeroLevelGrantsNothing(t *testing.T) {
 	pop := randomPopulation(rand.New(rand.NewSource(17)), 70) // every demand family
 	mechanisms := []Allocator{
@@ -118,12 +117,7 @@ func TestZeroLevelGrantsNothing(t *testing.T) {
 		AlphaFair{Alpha: 1, Weights: WeightByThetaHat},
 		PerCPMaxMin{},
 	}
-	out := make([]float64, len(pop))
 	for _, mech := range mechanisms {
-		bulk, ok := mech.(BulkAllocator)
-		if !ok {
-			t.Fatalf("%s: built-in mechanism must implement BulkAllocator", mech.Name())
-		}
 		for _, level := range []float64{0, math.Copysign(0, -1), -1e-300, -1, math.Inf(-1)} {
 			for i := range pop {
 				if r := mech.RateAt(level, &pop[i]); r != 0 {
@@ -132,18 +126,6 @@ func TestZeroLevelGrantsNothing(t *testing.T) {
 				if r := EvalRate(mech, level, &pop[i]); r != 0 {
 					t.Fatalf("%s: EvalRate(%g, cp %d) = %g, want 0", mech.Name(), level, i, r)
 				}
-			}
-			for i := range out {
-				out[i] = 1
-			}
-			bulk.RatesAt(level, pop, out)
-			for i, r := range out {
-				if r != 0 {
-					t.Fatalf("%s: RatesAt(%g) gives cp %d rate %g, want 0", mech.Name(), level, i, r)
-				}
-			}
-			if agg := bulk.AggregateAt(level, pop); agg != 0 {
-				t.Fatalf("%s: AggregateAt(%g) = %g, want 0", mech.Name(), level, agg)
 			}
 		}
 	}

@@ -78,3 +78,20 @@ func BenchmarkKernelWarmSolveAlphaFair1000(b *testing.B) {
 		w.Solve(nus[i%len(nus)], pop)
 	}
 }
+
+// BenchmarkKernelWarmSolvePerCP1000 is the warm path of PerCPMaxMin: the
+// root search runs on the flattened arrays like max-min's, and each solve
+// then inverts every CP's rate once through RateAt. CI asserts 0 allocs/op
+// on it too.
+func BenchmarkKernelWarmSolvePerCP1000(b *testing.B) {
+	pop := benchPopulation()
+	total := pop.TotalUnconstrainedPerCapita()
+	nus := []float64{0.49 * total, 0.5 * total, 0.51 * total}
+	w := NewWorkspace(PerCPMaxMin{})
+	w.Solve(nus[0], pop)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Solve(nus[i%len(nus)], pop)
+	}
+}

@@ -13,45 +13,36 @@ import (
 // d_i(θ)·θ — and both are interface calls in the generic formulation. The
 // helpers here recover the concrete types of the built-in mechanisms and
 // demand families so the inner loops run as straight-line float code: the
-// Workspace kernel flattens level-linear mechanisms into float arrays and
-// runs the rest through their BulkAllocator methods, and the class game's
+// Workspace kernel flattens every built-in mechanism into float arrays and
+// evaluates its aggregate map down one loop, and the class game's
 // screening dynamics evaluate single CPs through EvalRate and EvalRho.
+// Only a user-supplied mechanism takes the generic per-CP RateAt loop.
 //
 // Semantics are pinned to the generic path: every fast branch replicates
 // the corresponding method (RateAt, Curve.At, CP.Rho) expression for
 // expression, so a fast evaluation and a generic evaluation of the same
 // quantity agree bit for bit. The golden-equivalence tests in
-// solver_test.go enforce this across mechanisms and demand families.
+// solver_test.go and the kernel golden enforce this across mechanisms and
+// demand families.
 
-// BulkAllocator is the optional whole-population fast path of a mechanism.
-// Implementations evaluate the level map for every CP in one call with a
-// concrete receiver, removing the per-CP interface dispatch of
-// Allocator.RateAt from the solver's inner loop. All built-in mechanisms
-// implement it; the Workspace falls back to the generic per-CP loop for
-// mechanisms that do not.
-type BulkAllocator interface {
-	// AggregateAt returns Σ_i α_i·d_i(θ_i(level))·θ_i(level), the aggregate
-	// per-capita rate of the population at the given operating level.
-	AggregateAt(level float64, pop traffic.Population) float64
-	// RatesAt fills out[i] with θ_i(level) for every CP in pop. out must
-	// have length len(pop).
-	RatesAt(level float64, pop traffic.Population, out []float64)
-}
-
-// levelLinear is implemented by mechanisms whose level form is
+// flattener is implemented by every built-in mechanism. Its aggregate map
+// is the flattened sum
 //
-//	θ_i(ℓ) = min(g_i·ℓ, θ̂_i)
+//	Σ_i w_i·d_i(x_i/c_i)·x_i,  x_i(ℓ) = min(g_i·ℓ, c_i)
 //
-// for per-CP gains g_i that depend only on the CP (not the level). The
-// Workspace kernel flattens such mechanisms into plain float arrays and
-// solves with zero interface calls in the inner loop. The paper's max-min
-// mechanism (g_i = 1) and the whole Mo–Walrand α-fair family
-// (g_i = w_i^(1/α)) are level-linear; PerCPMaxMin is not (its level map
-// needs an inner inversion) and takes the BulkAllocator path instead.
-type levelLinear interface {
-	// gains fills out[i] = g_i for every CP in pop and returns the level at
-	// which every CP is unconstrained (identical to LevelHi).
-	gains(pop traffic.Population, out []float64) (hi float64)
+// over per-CP gains g_i, weights w_i, caps c_i and demand curves d_i that
+// depend only on the CP (not the level), so the Workspace kernel solves it
+// with zero interface calls in the inner loop. For the level-linear
+// mechanisms — the paper's max-min (g_i = 1) and the whole Mo–Walrand
+// α-fair family (g_i = w_i^(1/α)) — w_i = α_i, c_i = θ̂_i, d_i is the
+// CP's demand curve and x_i is its rate θ_i. PerCPMaxMin water-fills the
+// aggregate rates themselves: g_i = w_i = 1, c_i = α_i·θ̂_i and a constant
+// d_i, and its rates invert x_i through RateAt.
+type flattener interface {
+	// flatten fills w's per-CP arrays for pop and returns the level at
+	// which every CP is unconstrained (identical to LevelHi) and whether
+	// x_i is CP i's rate.
+	flatten(w *Workspace, pop traffic.Population) (hi float64, linear bool)
 }
 
 // demand-curve kinds of the flattened fast path. Families not listed fall
@@ -139,23 +130,17 @@ func EvalPerCapitaRate(cp *traffic.CP, theta float64) float64 {
 	return cp.Alpha * EvalRho(cp, theta)
 }
 
-// EvalRate is Allocator.RateAt with the built-in mechanisms devirtualized:
-// a concrete-type dispatch replaces the interface call for MaxMin,
-// AlphaFair and PerCPMaxMin, and unknown mechanisms fall back to the
+// EvalRate is Allocator.RateAt with max-min devirtualized: the paper's
+// mechanism is evaluated inline, and every other mechanism through the
 // interface.
 //
 //pubopt:hotpath
 func EvalRate(a Allocator, level float64, cp *traffic.CP) float64 {
-	switch m := a.(type) {
-	case MaxMin:
+	if _, ok := a.(MaxMin); ok {
 		if level <= 0 {
 			return 0
 		}
 		return math.Min(level, cp.ThetaHat)
-	case AlphaFair:
-		return m.RateAt(level, cp)
-	case PerCPMaxMin:
-		return m.RateAt(level, cp)
 	}
 	return a.RateAt(level, cp)
 }

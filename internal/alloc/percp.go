@@ -37,7 +37,7 @@ func (PerCPMaxMin) RateAt(level float64, cp *traffic.CP) float64 {
 	}
 	// Invert θ ↦ α·d(θ)·θ at target. The function is non-decreasing and
 	// continuous (Assumption 1), hitting target somewhere in [0, θ̂].
-	//pubopt:allow(hotpathalloc): bisection callback closure; inversions run once per final RatesAt, not per root-search evaluation
+	//pubopt:allow(hotpathalloc): bisection callback closure; the kernel inverts once per CP when it reads a solve's final rates, never per root-search evaluation
 	f := func(theta float64) float64 { return cp.PerCapitaRate(theta) - target }
 	return numeric.Bisect(f, 0, cp.ThetaHat, 1e-12*cp.ThetaHat)
 }
@@ -56,31 +56,22 @@ func (PerCPMaxMin) LevelHi(pop traffic.Population) float64 {
 // Name implements Allocator.
 func (PerCPMaxMin) Name() string { return "percp-maxmin" }
 
-// AggregateAt implements BulkAllocator. For this mechanism the aggregate
-// needs no inner inversion at all: by construction CP i's aggregate
-// per-capita rate at level ℓ is exactly y_i(ℓ) = min(ℓ, α_i·θ̂_i) — the
-// water-filled quantity itself — so the sum is closed form. This turns the
-// solver's root search from O(n·inner-bisections) per evaluation into a
-// plain O(n) sum; only the final RatesAt pays for the θ inversions, once.
+// flatten implements flattener. The aggregate needs no inner inversion at
+// all: by construction CP i's aggregate per-capita rate at level ℓ is
+// exactly y_i(ℓ) = min(ℓ, α_i·θ̂_i) — the water-filled quantity itself —
+// which is the flattened sum with unit gain and weight, cap α_i·θ̂_i and
+// constant demand. The root search is a plain O(n) sum per evaluation;
+// only the final rates pay for the θ inversions, once, through RateAt.
 //
 //pubopt:hotpath
-func (PerCPMaxMin) AggregateAt(level float64, pop traffic.Population) float64 {
-	if level <= 0 {
-		return 0
-	}
-	var sum float64
+func (PerCPMaxMin) flatten(w *Workspace, pop traffic.Population) (hi float64, linear bool) {
 	for i := range pop {
-		sum += math.Min(level, pop[i].Alpha*pop[i].ThetaHat)
+		c := pop[i].UnconstrainedPerCapitaRate()
+		w.gain[i], w.weight[i], w.ceil[i] = 1, 1, c
+		w.dkind[i], w.dparam[i] = dConstant, 0
+		if c > hi {
+			hi = c
+		}
 	}
-	return sum
-}
-
-// RatesAt implements BulkAllocator: the per-CP inversion of α·d(θ)·θ at the
-// water-filled target, with a concrete receiver.
-//
-//pubopt:hotpath
-func (p PerCPMaxMin) RatesAt(level float64, pop traffic.Population, out []float64) {
-	for i := range pop {
-		out[i] = p.RateAt(level, &pop[i])
-	}
+	return hi, false
 }

@@ -55,19 +55,21 @@ import (
 // distributes).
 type Workspace struct {
 	a    Allocator
-	bulk BulkAllocator // non-nil when a implements the bulk fast path
-	lin  levelLinear   // non-nil when a is level-linear (flattened path)
+	flat flattener // non-nil for the built-in mechanisms (flattened path)
+	// linear marks the level-linear mechanisms, whose flattened x_i are
+	// the rates; the others' rates come from RateAt.
+	linear bool
 
-	// Flattened per-CP state, rebound on every Solve (level-linear path
-	// only). Binding is one pass over the population — the same order of
-	// work as a single aggregate evaluation — and buys back dozens of
-	// interface dispatches per root-search iteration.
-	gain     []float64 // g_i: θ_i(ℓ) = min(g_i·ℓ, θ̂_i)
-	alpha    []float64
-	thetaHat []float64
-	dkind    []uint8   // demand family tag (dExponential, ...)
-	dparam   []float64 // demand family parameter (β, floor, γ)
-	pop      traffic.Population
+	// Flattened per-CP state, rebound on every Solve (built-in mechanisms
+	// only; see flattener). Binding is one pass over the population — the
+	// same order of work as a single aggregate evaluation — and buys back
+	// dozens of interface dispatches per root-search iteration.
+	gain   []float64 // g_i: x_i(ℓ) = min(g_i·ℓ, c_i)
+	weight []float64 // w_i
+	ceil   []float64 // c_i
+	dkind  []uint8   // demand family tag (dExponential, ...)
+	dparam []float64 // demand family parameter (β, floor, γ)
+	pop    traffic.Population
 
 	res   Result
 	theta []float64
@@ -97,12 +99,7 @@ func NewWorkspace(a Allocator) *Workspace {
 		a = MaxMin{}
 	}
 	w := &Workspace{a: a}
-	if b, ok := a.(BulkAllocator); ok {
-		w.bulk = b
-	}
-	if l, ok := a.(levelLinear); ok {
-		w.lin = l
-	}
+	w.flat, _ = a.(flattener)
 	return w
 }
 
@@ -134,50 +131,54 @@ func (w *Workspace) ensure(n int) {
 	if cap(w.theta) < n {
 		w.theta = make([]float64, n)
 		w.gain = make([]float64, n)
-		w.alpha = make([]float64, n)
-		w.thetaHat = make([]float64, n)
+		w.weight = make([]float64, n)
+		w.ceil = make([]float64, n)
 		w.dkind = make([]uint8, n)
 		w.dparam = make([]float64, n)
 	}
 	w.theta = w.theta[:n]
 	w.gain = w.gain[:n]
-	w.alpha = w.alpha[:n]
-	w.thetaHat = w.thetaHat[:n]
+	w.weight = w.weight[:n]
+	w.ceil = w.ceil[:n]
 	w.dkind = w.dkind[:n]
 	w.dparam = w.dparam[:n]
 }
 
-// bind flattens the population for the level-linear fast path and returns
-// the mechanism's unconstrained level (LevelHi). For non-level-linear
-// mechanisms it only records the population and asks the mechanism.
+// bind flattens the population for a built-in mechanism and returns the
+// mechanism's unconstrained level (LevelHi). For other mechanisms it only
+// records the population and asks the mechanism.
 //
 //pubopt:hotpath
 func (w *Workspace) bind(pop traffic.Population) (hi float64) {
 	w.pop = pop
-	if w.lin == nil {
+	if w.flat == nil {
 		return w.a.LevelHi(pop)
 	}
-	hi = w.lin.gains(pop, w.gain)
-	for i := range pop {
-		cp := &pop[i]
-		w.alpha[i] = cp.Alpha
-		w.thetaHat[i] = cp.ThetaHat
-		w.dkind[i], w.dparam[i] = classifyCurve(cp.Curve)
-	}
+	hi, w.linear = w.flat.flatten(w, pop)
 	return hi
 }
 
-// aggregateAt evaluates the aggregate per-capita rate map at level through
-// the fastest path the mechanism supports.
+// flattenCPs fills the weight, cap and demand arrays of a level-linear
+// mechanism from the CPs: w_i = α_i, c_i = θ̂_i and d_i the CP's curve.
+//
+//pubopt:hotpath
+func (w *Workspace) flattenCPs(pop traffic.Population) {
+	for i := range pop {
+		cp := &pop[i]
+		w.weight[i] = cp.Alpha
+		w.ceil[i] = cp.ThetaHat
+		w.dkind[i], w.dparam[i] = classifyCurve(cp.Curve)
+	}
+}
+
+// aggregateAt evaluates the aggregate per-capita rate map at level: the
+// flattened sum for a built-in mechanism, else the per-CP RateAt loop.
 //
 //pubopt:hotpath
 func (w *Workspace) aggregateAt(level float64) float64 {
 	w.stats.Evals++
-	if w.lin != nil {
+	if w.flat != nil {
 		return w.flatAggregate(level)
-	}
-	if w.bulk != nil {
-		return w.bulk.AggregateAt(level, w.pop)
 	}
 	var sum float64
 	for i := range w.pop {
@@ -195,7 +196,7 @@ func (w *Workspace) flatAggregate(level float64) float64 {
 	var sum float64
 	for i, g := range w.gain {
 		th := g * level
-		if hat := w.thetaHat[i]; th > hat {
+		if hat := w.ceil[i]; th > hat {
 			th = hat
 		}
 		if th <= 0 {
@@ -203,33 +204,30 @@ func (w *Workspace) flatAggregate(level float64) float64 {
 		}
 		var d float64
 		if kind := w.dkind[i]; kind != dGeneric {
-			d = demandAtKind(kind, w.dparam[i], th/w.thetaHat[i])
+			d = demandAtKind(kind, w.dparam[i], th/w.ceil[i])
 		} else {
-			d = w.pop[i].Curve.At(th / w.thetaHat[i])
+			d = w.pop[i].Curve.At(th / w.ceil[i])
 		}
-		sum += w.alpha[i] * d * th
+		sum += w.weight[i] * d * th
 	}
 	return sum
 }
 
-// ratesAt fills out[i] = θ_i(level) through the fastest supported path.
+// ratesAt fills out[i] = θ_i(level): from the flattened arrays for a
+// level-linear mechanism, else through RateAt.
 //
 //pubopt:hotpath
 func (w *Workspace) ratesAt(level float64, out []float64) {
-	if w.lin != nil {
+	if w.linear {
 		for i, g := range w.gain {
 			th := g * level
 			if level <= 0 {
 				th = 0
-			} else if hat := w.thetaHat[i]; th > hat {
+			} else if hat := w.ceil[i]; th > hat {
 				th = hat
 			}
 			out[i] = th
 		}
-		return
-	}
-	if w.bulk != nil {
-		w.bulk.RatesAt(level, w.pop, out)
 		return
 	}
 	for i := range w.pop {
@@ -281,6 +279,11 @@ func (w *Workspace) Solve(nu float64, pop traffic.Population) *Result {
 	level := w.findLevel(nu, hi, total)
 	res.Level = level
 	w.ratesAt(level, w.theta)
+	if w.flat != nil && !w.linear {
+		// The rates invert the flattened map, whose bracket does not see
+		// the inversion's error: measure the returned rates' error too.
+		w.stats.Residual = max(w.stats.Residual, math.Abs(res.Aggregate()-nu))
+	}
 	w.warmLevel, w.warmHi, w.hasWarm, w.warmNu = level, hi, true, nu
 	return res
 }

@@ -131,6 +131,46 @@ func TestWorkspaceGoldenEquivalence(t *testing.T) {
 	}
 }
 
+// opaqueMaxMin is max-min behind a type the kernel does not recognize, so
+// a workspace solves it down the per-CP RateAt path that every
+// user-supplied mechanism takes. It holds MaxMin in a named field rather
+// than embedding it, which would promote MaxMin's flatten.
+type opaqueMaxMin struct{ inner MaxMin }
+
+func (o opaqueMaxMin) RateAt(level float64, cp *traffic.CP) float64 {
+	return o.inner.RateAt(level, cp)
+}
+func (o opaqueMaxMin) LevelHi(pop traffic.Population) float64 { return o.inner.LevelHi(pop) }
+func (opaqueMaxMin) Name() string                             { return "opaque-maxmin" }
+
+// TestWorkspaceGenericPath runs a mechanism the kernel cannot flatten over
+// the golden populations and capacity stations, warm in sequence, and
+// requires the reference Solve's answers and a residual that bounds the
+// returned rates' work-conservation error.
+func TestWorkspaceGenericPath(t *testing.T) {
+	mech := opaqueMaxMin{}
+	w := NewWorkspace(mech)
+	if w.flat != nil {
+		t.Fatal("opaque mechanism took the flattened path")
+	}
+	for pi, pop := range goldenPopulations() {
+		hi := 1.0
+		if len(pop) > 0 {
+			hi = mech.LevelHi(pop)
+		}
+		total := pop.TotalUnconstrainedPerCapita()
+		ulp := math.Nextafter(total, math.Inf(1)) - total
+		for _, nu := range nuGridFor(pop) {
+			label := fmt.Sprintf("%s/pop%d/ν=%g", mech.Name(), pi, nu)
+			got := w.Solve(nu, pop)
+			assertGolden(t, Solve(mech, nu, pop), got, hi, label)
+			if r, err := w.Stats().Residual, math.Abs(got.Aggregate()-math.Min(nu, total)); r+16*ulp < err {
+				t.Fatalf("%s: recorded residual %g < true error %g", label, r, err)
+			}
+		}
+	}
+}
+
 // TestWorkspaceWarmMatchesCold solves a fine monotone capacity sweep twice —
 // once with a single warm workspace, once with a cold workspace per point —
 // and requires identical-to-tolerance answers plus a smaller evaluation
@@ -190,12 +230,13 @@ func TestWorkspaceResultPooling(t *testing.T) {
 
 // TestWorkspaceZeroAllocWarm is the kernel's headline property, also gated
 // in CI through the -benchmem microbenchmarks: a warm solve of a bound-size
-// system performs zero heap allocations for every level-linear mechanism.
+// system performs zero heap allocations for every built-in mechanism,
+// PerCPMaxMin's rate inversions included.
 func TestWorkspaceZeroAllocWarm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pop := randomPopulation(rng, 200)
 	total := pop.TotalUnconstrainedPerCapita()
-	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2, Weights: WeightByThetaHat}} {
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2, Weights: WeightByThetaHat}, PerCPMaxMin{}} {
 		w := NewWorkspace(mech)
 		w.Solve(0.4*total, pop) // warm up: buffers grown, level seeded
 		nus := []float64{0.41 * total, 0.43 * total, 0.45 * total}
@@ -228,37 +269,6 @@ func TestWorkspacePanicsMatchSolve(t *testing.T) {
 	badWeights := NewWorkspace(AlphaFair{Alpha: 1, Weights: func(*traffic.CP) float64 { return -1 }})
 	pop := traffic.Population{{Name: "x", Alpha: 0.5, ThetaHat: 1, Curve: demand.Constant{}}}
 	mustPanic("negative weight", func() { badWeights.Solve(0.1, pop) })
-}
-
-// TestBulkMatchesGeneric pins each mechanism's BulkAllocator batch
-// implementations to the per-CP interface loop they devirtualize.
-func TestBulkMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	pop := randomPopulation(rng, 40)
-	for _, mech := range goldenMechanisms() {
-		bulk, ok := mech.(BulkAllocator)
-		if !ok {
-			t.Fatalf("%s: built-in mechanism must implement BulkAllocator", mech.Name())
-		}
-		hi := mech.LevelHi(pop)
-		out := make([]float64, len(pop))
-		for _, frac := range []float64{0, 1e-9, 0.2, 0.5, 0.999, 1, 1.7} {
-			level := frac * hi
-			var want float64
-			for i := range pop {
-				want += pop[i].PerCapitaRate(mech.RateAt(level, &pop[i]))
-			}
-			if got := bulk.AggregateAt(level, pop); math.Abs(got-want) > 1e-9*math.Max(want, 1) {
-				t.Fatalf("%s: AggregateAt(%g) = %g, generic %g", mech.Name(), level, got, want)
-			}
-			bulk.RatesAt(level, pop, out)
-			for i := range pop {
-				if want := mech.RateAt(level, &pop[i]); math.Abs(out[i]-want) > 1e-9*math.Max(want, 1) {
-					t.Fatalf("%s: RatesAt(%g)[%d] = %g, generic %g", mech.Name(), level, i, out[i], want)
-				}
-			}
-		}
-	}
 }
 
 // TestEvalHelpersMatchInterfaces pins the devirtualized scalar helpers to

@@ -231,19 +231,20 @@ func TestWorkspaceResetMatchesFresh(t *testing.T) {
 }
 
 // TestResidualBoundsTrueError pins SolveStats.Residual as a bound: over
-// random 200-CP congested solves, cold and warm, under the level-linear
-// mechanisms, the recorded residual is at least the work-conservation error
+// random 200-CP congested solves, cold and warm, under every built-in
+// mechanism, the recorded residual is at least the work-conservation error
 // |Σ α_i·d_i(θ_i)·θ_i − ν| of the returned rates, recomputed through the
 // generic CP methods with a compensated sum. The allowance of 16 ulps of
 // the total covers the roundoff of the solver's own 200-term sum. (When
 // the smaller, Illinois-halved endpoint residual was recorded, 7–10% of
 // such solves understated the error beyond that allowance, the worst by
-// 5e4×.)
-// PerCPMaxMin is left out: its rates invert the level map by an inner
-// bisection whose own error the level search does not see.
+// 5e4×.) PerCPMaxMin's rates invert the level map by an inner bisection
+// whose own error the level search does not see, so its residual also
+// measures the returned rates (without that, solve 0 records 0 against a
+// true error of 6.7e-13).
 func TestResidualBoundsTrueError(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}, AlphaFair{Alpha: 1, Weights: WeightByThetaHat}} {
+	for _, mech := range []Allocator{MaxMin{}, AlphaFair{Alpha: 2}, AlphaFair{Alpha: 1, Weights: WeightByThetaHat}, PerCPMaxMin{}} {
 		w := NewWorkspace(mech)
 		var pop traffic.Population
 		var total, ulp float64

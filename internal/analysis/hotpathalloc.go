@@ -16,7 +16,7 @@ import (
 const HotPathMarker = "//pubopt:hotpath"
 
 // HotPathAlloc enforces the 0 allocs/op contract of the warm solve path
-// (internal/alloc.Workspace, the BulkAllocator fast paths, core.Solver's
+// (internal/alloc.Workspace's flattened kernel loop, core.Solver's
 // class-game iteration, sweep.RunRows's per-cell work, internal/refine's
 // curvature screen and surrogate evaluation) at vet time, before the CI
 // benchmark gate can even run.

@@ -13,8 +13,8 @@ import (
 )
 
 // Solver computes CP class-choice equilibria. The zero value is not usable;
-// construct with NewSolver. Alloc must not be mutated after the first
-// solve: the solver binds reusable equilibrium workspaces to it.
+// construct with NewSolver. Alloc must not be mutated: NewSolver binds the
+// solver's reusable equilibrium workspaces to it.
 //
 // A Solver owns warm-started alloc.Workspace kernels (one per class, one
 // for post-join verification) plus the split/join scratch buffers of the
@@ -75,18 +75,9 @@ func NewSolver(a alloc.Allocator) *Solver {
 	if a == nil {
 		a = alloc.MaxMin{}
 	}
-	s := &Solver{Alloc: a, MaxIter: 600, EpsUtil: 1e-9}
-	s.kernels()
-	return s
-}
-
-// kernels creates the equilibrium workspaces (lazily, so hand-rolled
-// Solver literals keep working).
-func (s *Solver) kernels() {
-	if s.wsO == nil {
-		s.wsO = alloc.NewWorkspace(s.Alloc)
-		s.wsP = alloc.NewWorkspace(s.Alloc)
-		s.wsJoin = alloc.NewWorkspace(s.Alloc)
+	return &Solver{
+		Alloc: a, MaxIter: 600, EpsUtil: 1e-9,
+		wsO: alloc.NewWorkspace(a), wsP: alloc.NewWorkspace(a), wsJoin: alloc.NewWorkspace(a),
 	}
 }
 
@@ -96,11 +87,9 @@ func (s *Solver) kernels() {
 // callers aggregating across workers go through an obs.Counters sink.
 func (s *Solver) Stats() obs.SolveStats {
 	var st obs.SolveStats
-	if s.wsO != nil {
-		st.Accumulate(s.wsO.Stats())
-		st.Accumulate(s.wsP.Stats())
-		st.Accumulate(s.wsJoin.Stats())
-	}
+	st.Accumulate(s.wsO.Stats())
+	st.Accumulate(s.wsP.Stats())
+	st.Accumulate(s.wsJoin.Stats())
 	st.CycleRestarts += s.cycles
 	return st
 }
@@ -109,11 +98,9 @@ func (s *Solver) Stats() obs.SolveStats {
 // buffers and telemetry: the next game solves bit for bit as on a fresh
 // solver.
 func (s *Solver) Reset() {
-	if s.wsO != nil {
-		s.wsO.Reset()
-		s.wsP.Reset()
-		s.wsJoin.Reset()
-	}
+	s.wsO.Reset()
+	s.wsP.Reset()
+	s.wsJoin.Reset()
 }
 
 // splitScratch partitions pop by membership flags into the solver's
@@ -264,7 +251,6 @@ func (s *Solver) classLevel(res *alloc.Result, capacity, hiFull float64) float64
 // population lives in the solver's reusable join buffer, and the solve runs
 // on the warm post-join kernel.
 func (s *Solver) postJoinTheta(cp *traffic.CP, capacity float64, members traffic.Population) float64 {
-	s.kernels()
 	s.joinBuf = append(s.joinBuf[:0], members...)
 	s.joinBuf = append(s.joinBuf, *cp)
 	res := s.wsJoin.Solve(capacity, s.joinBuf)
@@ -485,7 +471,6 @@ func (s *Solver) dynamics(eq *ClassEquilibrium, hiFull, eps, lO, lP float64) {
 // it fits pop, else affordability (v_i > c). warm may alias the pooled
 // partition: copy then moves nothing.
 func (s *Solver) begin(strategy Strategy, nu float64, pop traffic.Population, warm []bool) *ClassEquilibrium {
-	s.kernels()
 	n := len(pop)
 	in := slices.Grow(s.eq.InPremium[:0], n)[:n]
 	switch {
@@ -579,18 +564,15 @@ func (s *Solver) screen(eq *ClassEquilibrium, eps, lO, lP float64) []mover {
 
 // Trivial computes the degenerate strategy profiles of the paper without
 // iteration: for κ = 0 it is (N, ∅); for κ = 1 it is ({i : v_i ≤ c}, rest)
-// (§III-C). For interior κ it falls back to Competitive.
+// (§III-C). Every κ but 1 goes through Competitive, which starts κ = 0 at
+// (N, ∅) and moves no CP.
 func (s *Solver) Trivial(strategy Strategy, nu float64, pop traffic.Population) *ClassEquilibrium {
-	switch {
-	case strategy.NoPremium():
-		return s.Competitive(strategy, nu, pop)
-	case strategy.AllPremium():
+	if strategy.AllPremium() {
 		eq := s.begin(strategy, nu, pop, nil)
 		s.finalize(eq)
 		return eq.Clone()
-	default:
-		return s.Competitive(strategy, nu, pop)
 	}
+	return s.Competitive(strategy, nu, pop)
 }
 
 // finalize computes the exact intra-class equilibria and the per-CP θ for

@@ -234,3 +234,52 @@ func TestTrivialMatchesCompetitiveAtExtremes(t *testing.T) {
 		}
 	}
 }
+
+// opaqueMaxMin is max-min behind a type the kernels do not recognize, so
+// every workspace of a solver takes the per-CP RateAt path of a
+// user-supplied mechanism. It holds MaxMin in a named field rather than
+// embedding it, which would promote MaxMin's unexported flattening.
+type opaqueMaxMin struct{ inner alloc.MaxMin }
+
+func (o opaqueMaxMin) RateAt(level float64, cp *traffic.CP) float64 {
+	return o.inner.RateAt(level, cp)
+}
+func (o opaqueMaxMin) LevelHi(pop traffic.Population) float64 { return o.inner.LevelHi(pop) }
+func (opaqueMaxMin) Name() string                             { return "opaque-maxmin" }
+
+// TestSolverGenericMechanism plays class games under a mechanism the
+// kernels cannot flatten: every game must converge with no CP wanting to
+// switch at the band it accepted, and each class's rate equilibrium must
+// match the reference Solve on that class.
+func TestSolverGenericMechanism(t *testing.T) {
+	pop := ensemble(6, 60)
+	sat := pop.TotalUnconstrainedPerCapita()
+	mech := opaqueMaxMin{}
+	s := NewSolver(mech)
+	for _, st := range []Strategy{{Kappa: 0, C: 0.3}, {Kappa: 0.5, C: 0.3}, {Kappa: 1, C: 0.4}} {
+		for _, frac := range []float64{0.3, 0.8, 1.5} {
+			nu := frac * sat
+			eq := s.Competitive(st, nu, pop)
+			if !eq.Converged {
+				t.Fatalf("κ=%v, ν=%v·sat: not converged", st.Kappa, frac)
+			}
+			if v := s.VerifyCompetitive(eq, 0); v != 0 {
+				t.Fatalf("κ=%v, ν=%v·sat: %d violations at ε=%v", st.Kappa, frac, v, eq.EpsUsed)
+			}
+			for _, class := range []struct {
+				res *alloc.Result
+				nu  float64
+			}{{eq.Ordinary, (1 - st.Kappa) * nu}, {eq.Premium, st.Kappa * nu}} {
+				ref := alloc.Solve(mech, class.nu, class.res.Pop)
+				if d := math.Abs(class.res.Level - ref.Level); d > 1e-9*math.Max(ref.Level, 1) {
+					t.Fatalf("κ=%v, ν=%v·sat: class level %v, reference %v", st.Kappa, frac, class.res.Level, ref.Level)
+				}
+				for i := range ref.Theta {
+					if d := math.Abs(class.res.Theta[i] - ref.Theta[i]); d > 1e-9*math.Max(ref.Pop[i].ThetaHat, 1) {
+						t.Fatalf("κ=%v, ν=%v·sat: θ_%d = %v, reference %v", st.Kappa, frac, i, class.res.Theta[i], ref.Theta[i])
+					}
+				}
+			}
+		}
+	}
+}

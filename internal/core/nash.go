@@ -11,7 +11,6 @@ import (
 // premium (including CP i's own congestion externality — the Nash
 // counterfactual of Lemma 2, as opposed to the throughput-taking estimate).
 func (s *Solver) nashUtility(strategy Strategy, nu float64, pop traffic.Population, premium []bool, i int, joinPremium bool) float64 {
-	s.kernels()
 	old := premium[i]
 	premium[i] = joinPremium
 	o, p := s.splitScratch(pop, premium)

@@ -6,9 +6,8 @@ import "testing"
 // three kernels' counters, grows monotonically across solves, and stays
 // safe on a solver that has not yet built its kernels.
 func TestSolverStats(t *testing.T) {
-	var bare Solver
-	if !bare.Stats().Zero() {
-		t.Fatalf("zero-value solver stats %+v, want zero", bare.Stats())
+	if fresh := NewSolver(nil).Stats(); !fresh.Zero() {
+		t.Fatalf("fresh solver stats %+v, want zero", fresh)
 	}
 
 	pop := ensemble(4, 60)

@@ -156,15 +156,28 @@ func figureLayer(t *testing.T, golden, metric string) []sweep.Series {
 	return out
 }
 
+// parityTable is a golden table as the file spells it: sweep.Table's
+// fields under their Go names, not the wire names of its JSON tags.
+type parityTable struct {
+	Title, XLabel, YLabel string
+	Series                []sweep.Series
+}
+
 func loadParityGolden(t *testing.T) map[string][]*sweep.Table {
 	t.Helper()
 	b, err := os.ReadFile(filepath.FromSlash(parityGolden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var golden map[string][]*sweep.Table
-	if err := json.Unmarshal(b, &golden); err != nil {
+	var file map[string][]parityTable
+	if err := json.Unmarshal(b, &file); err != nil {
 		t.Fatal(err)
+	}
+	golden := make(map[string][]*sweep.Table, len(file))
+	for name, tables := range file {
+		for _, pt := range tables {
+			golden[name] = append(golden[name], &sweep.Table{Title: pt.Title, XLabel: pt.XLabel, YLabel: pt.YLabel, Series: pt.Series})
+		}
 	}
 	return golden
 }

@@ -195,7 +195,7 @@ func TestCrossRouteDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := mustJSON(t, tablesToWire(tables))
+				got := mustJSON(t, tables)
 				if want[i] == nil {
 					want[i] = got
 				} else if !bytes.Equal(got, want[i]) {

@@ -60,10 +60,10 @@ import (
 )
 
 // DefaultCacheEntries is the LRU bound used when Options.CacheEntries is 0.
-// A dense grid row from /v1/batch occupies one entry, so the bound holds
-// many built-in grids' rows alongside full run results; a deployment
-// replaying more rows than this should raise it to at least the working
-// set's row count, or warm re-runs re-solve evicted rows.
+// A dense grid cell from /v1/batch occupies one entry, so the bound holds
+// many built-in grids' cells alongside full run results; a deployment
+// replaying more cells than this should raise it to at least the working
+// set's cell count, or warm re-runs re-solve evicted cells.
 const DefaultCacheEntries = 2048
 
 // DefaultFlightEvents is the flight recorder's ring capacity when
@@ -277,27 +277,12 @@ type ScenarioInfo struct {
 	Dynamic bool `json:"dynamic,omitempty"`
 }
 
-// Series is one curve of a result table.
-type Series struct {
-	Name string    `json:"name"`
-	X    []float64 `json:"x"`
-	Y    []float64 `json:"y"`
-}
-
-// Table is one result table (a reproduced figure) in wire form.
-type Table struct {
-	Title  string   `json:"title"`
-	XLabel string   `json:"x_label"`
-	YLabel string   `json:"y_label"`
-	Series []Series `json:"series"`
-}
-
 // RunResult is the cacheable outcome of one solve.
 type RunResult struct {
-	Kind   string  `json:"kind"` // always "scenario"
-	Name   string  `json:"name"`
-	Title  string  `json:"title"`
-	Tables []Table `json:"tables"`
+	Kind   string         `json:"kind"` // always "scenario"
+	Name   string         `json:"name"`
+	Title  string         `json:"title"`
+	Tables []*sweep.Table `json:"tables"`
 }
 
 // RunResponse is what run endpoints return: the (possibly cached) result
@@ -309,22 +294,6 @@ type RunResponse struct {
 	Cache     string  `json:"cache"` // "hit", "miss" or "coalesced"
 	ElapsedMS float64 `json:"elapsed_ms"`
 	Trace     string  `json:"trace,omitempty"`
-}
-
-func tablesToWire(tables []*sweep.Table) []Table {
-	out := make([]Table, len(tables))
-	for i, t := range tables {
-		wt := Table{Title: t.Title, XLabel: t.XLabel, YLabel: t.YLabel}
-		for _, sr := range t.Series {
-			wt.Series = append(wt.Series, Series{
-				Name: sr.Name,
-				X:    append([]float64(nil), sr.X...),
-				Y:    append([]float64(nil), sr.Y...),
-			})
-		}
-		out[i] = wt
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -391,7 +360,7 @@ func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers i
 		if err != nil {
 			return nil, err
 		}
-		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tablesToWire(tables)}, nil
+		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tables}, nil
 	})
 	if err != nil {
 		return RunResponse{}, err

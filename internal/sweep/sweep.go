@@ -22,8 +22,9 @@ import (
 // units (X is typically a sweep axis such as per-capita capacity ν or the
 // premium price c; Y a surplus Φ/Ψ, a market share, or a utilization).
 type Series struct {
-	Name string
-	X, Y []float64
+	Name string    `json:"name"`
+	X    []float64 `json:"x"`
+	Y    []float64 `json:"y"`
 }
 
 // Append adds a point.
@@ -38,12 +39,13 @@ func (s *Series) Len() int { return len(s.X) }
 // Table is a reproduced figure: a set of series over a common x-axis
 // quantity. XLabel names the swept axis ("nu", "price", ...), YLabel the
 // recorded metric ("phi", "share", ...); both flow into CSV headers and
-// chart legends unchanged.
+// chart legends unchanged. The JSON tags are the wire form of the
+// service's run results.
 type Table struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []Series
+	Title  string   `json:"title"`
+	XLabel string   `json:"x_label"`
+	YLabel string   `json:"y_label"`
+	Series []Series `json:"series"`
 }
 
 // Add appends a series to the table.

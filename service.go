@@ -23,10 +23,10 @@ type (
 	ServiceRunResponse = service.RunResponse
 	// ServiceRunResult is the cacheable part of a run response.
 	ServiceRunResult = service.RunResult
-	// ServiceTable is one result table in wire form.
-	ServiceTable = service.Table
-	// ServiceSeries is one curve of a wire-form table.
-	ServiceSeries = service.Series
+	// ServiceTable is one result table in wire form: a ResultTable.
+	ServiceTable = ResultTable
+	// ServiceSeries is one curve of a wire-form table: a ResultSeries.
+	ServiceSeries = ResultSeries
 	// ServiceScenarioInfo is one row of GET /v1/scenarios.
 	ServiceScenarioInfo = service.ScenarioInfo
 	// ServiceCacheStats snapshots the equilibrium cache's counters.
