@@ -7,10 +7,6 @@
 //	go build -o /tmp/pubopt-vet ./cmd/pubopt-vet
 //	go vet -vettool=/tmp/pubopt-vet ./...
 //
-// or, letting the go build cache keep the binary warm:
-//
-//	go vet -vettool=$(go run ./cmd/pubopt-vet -print-path) ./...
-//
 // The tool speaks the unit-checker protocol the go command drives:
 //
 //	pubopt-vet -V=full        print a version fingerprint (build caching)
@@ -54,16 +50,6 @@ func main() {
 			return
 		case arg == "-flags" || arg == "--flags":
 			printFlagDefs()
-			return
-		case arg == "-print-path" || arg == "--print-path":
-			// Convenience for `go vet -vettool=$(go run ./cmd/pubopt-vet
-			// -print-path)`: go run caches the build, and the binary
-			// reports where it lives.
-			exe, err := os.Executable()
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Println(exe)
 			return
 		case arg == "-json" || arg == "--json":
 			jsonOut = true
@@ -115,7 +101,6 @@ func printFlagDefs() {
 		{Name: "V", Bool: false, Usage: "print version and exit"},
 		{Name: "flags", Bool: true, Usage: "print flags in JSON"},
 		{Name: "json", Bool: true, Usage: "emit JSON output"},
-		{Name: "print-path", Bool: true, Usage: "print the path of this executable and exit"},
 	}
 	out, err := json.Marshal(defs)
 	if err != nil {
@@ -126,7 +111,7 @@ func printFlagDefs() {
 
 func printHelp(progname string) {
 	fmt.Printf("%s: pubopt's repo-specific static-analysis suite\n\n", progname)
-	fmt.Printf("Run it over the module with:\n\n\tgo vet -vettool=$(go run ./cmd/pubopt-vet -print-path) ./...\n\n")
+	fmt.Printf("Build it, then run it over the module with:\n\n\tgo build -o /tmp/pubopt-vet ./cmd/pubopt-vet\n\tgo vet -vettool=/tmp/pubopt-vet ./...\n\n")
 	fmt.Printf("Registered analyzers:\n\n")
 	for _, a := range analysis.Suite() {
 		fmt.Printf("\t%-14s %s\n", a.Name, a.Doc)

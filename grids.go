@@ -49,7 +49,7 @@ type (
 	// error bound (Verified/MaxError).
 	RefinedGrid = refine.Result
 	// GridRefineStats is the refinement telemetry block: points solved vs
-	// reused, cells split vs interpolated, and the leaf-depth histogram.
+	// reused, cells split vs center-verified, and the leaf-depth histogram.
 	GridRefineStats = obs.RefineStats
 )
 

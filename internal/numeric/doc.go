@@ -1,7 +1,7 @@
 // Package numeric provides the small, deterministic numerical toolbox that
 // the rest of the repository is built on: seeded pseudo-random number
-// generation, scalar root finding, one- and two-dimensional optimization,
-// monotone interpolation and summary statistics.
+// generation, scalar root finding, one- and two-dimensional optimization
+// and summary statistics.
 //
 // The Go standard library deliberately ships no general numerics package, so
 // everything here is hand-rolled against the needs of the Ma–Misra "Public

@@ -24,11 +24,14 @@ type RefineStats struct {
 	// CellsSplit counts cells whose curvature or indicator test forced a
 	// split into four children.
 	CellsSplit uint64 `json:"cells_split,omitempty"`
-	// CellsInterpolated counts leaf cells accepted by the cheap interpolant
-	// screen alone — no center solve was spent on them.
+	// CellsInterpolated is always 0: refinement accepts every leaf by its
+	// center test. The field stays until the benchmark drops its
+	// refine.screen_frac metric, which reads it.
 	CellsInterpolated uint64 `json:"cells_interpolated,omitempty"`
-	// CellsVerified counts leaf cells accepted the expensive way: a solved
+	// CellsVerified counts leaf cells accepted by the center test: a solved
 	// center point agreed with the bilinear prediction within tolerance.
+	// Every other leaf is a cell the run's depth cap finalized untested,
+	// so CellsVerified plus the leaves at that depth is Leaves().
 	CellsVerified uint64 `json:"cells_verified,omitempty"`
 	// ProbeSolves counts the off-knot verification probes that actually
 	// solved (probes served by Lookup count into PointsReused).
@@ -52,7 +55,6 @@ func (s *RefineStats) Accumulate(d RefineStats) {
 	s.PointsSolved += d.PointsSolved
 	s.PointsReused += d.PointsReused
 	s.CellsSplit += d.CellsSplit
-	s.CellsInterpolated += d.CellsInterpolated
 	s.CellsVerified += d.CellsVerified
 	s.ProbeSolves += d.ProbeSolves
 	for i := range s.LeafDepths {
@@ -65,13 +67,12 @@ func (s *RefineStats) Accumulate(d RefineStats) {
 // service and rendered as pubopt_refine_* Prometheus counters. The zero
 // value is ready to use; a nil *RefineCounters is a valid no-op sink.
 type RefineCounters struct {
-	pointsSolved      atomic.Uint64
-	pointsReused      atomic.Uint64
-	cellsSplit        atomic.Uint64
-	cellsInterpolated atomic.Uint64
-	cellsVerified     atomic.Uint64
-	probeSolves       atomic.Uint64
-	leafDepths        [MaxRefineDepth + 1]atomic.Uint64
+	pointsSolved  atomic.Uint64
+	pointsReused  atomic.Uint64
+	cellsSplit    atomic.Uint64
+	cellsVerified atomic.Uint64
+	probeSolves   atomic.Uint64
+	leafDepths    [MaxRefineDepth + 1]atomic.Uint64
 }
 
 // Add publishes a stats delta into the sink. Safe for concurrent use; a
@@ -88,9 +89,6 @@ func (c *RefineCounters) Add(d RefineStats) {
 	}
 	if d.CellsSplit > 0 {
 		c.cellsSplit.Add(d.CellsSplit)
-	}
-	if d.CellsInterpolated > 0 {
-		c.cellsInterpolated.Add(d.CellsInterpolated)
 	}
 	if d.CellsVerified > 0 {
 		c.cellsVerified.Add(d.CellsVerified)
@@ -111,12 +109,11 @@ func (c *RefineCounters) Snapshot() RefineStats {
 		return RefineStats{}
 	}
 	s := RefineStats{
-		PointsSolved:      c.pointsSolved.Load(),
-		PointsReused:      c.pointsReused.Load(),
-		CellsSplit:        c.cellsSplit.Load(),
-		CellsInterpolated: c.cellsInterpolated.Load(),
-		CellsVerified:     c.cellsVerified.Load(),
-		ProbeSolves:       c.probeSolves.Load(),
+		PointsSolved:  c.pointsSolved.Load(),
+		PointsReused:  c.pointsReused.Load(),
+		CellsSplit:    c.cellsSplit.Load(),
+		CellsVerified: c.cellsVerified.Load(),
+		ProbeSolves:   c.probeSolves.Load(),
 	}
 	for i := range s.LeafDepths {
 		s.LeafDepths[i] = c.leafDepths[i].Load()

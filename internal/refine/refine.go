@@ -1,7 +1,7 @@
 // Package refine is the adaptive 2-D grid engine: it solves a coarse seed
-// grid, estimates local curvature per metric layer from internal/numeric
-// interpolants, and recursively splits only the cells where curvature (or a
-// sign change in a designated indicator layer) exceeds tolerance, down to a
+// grid, tests each cell's bilinear patch against a solved center point, and
+// recursively splits only the cells where that center error (or a sign
+// change in a designated indicator layer) exceeds tolerance, down to a
 // depth cap. The refined quadtree doubles as an interpolating surrogate —
 // bilinear patches over leaf cells with a solver-verified error bound — so
 // grid cost scales with the number of *interesting* cells instead of the
@@ -31,11 +31,11 @@
 //
 // # Error contract
 //
-// A cell is accepted as a leaf either by the cheap screen (the PCHIP and
-// linear interpolants through its bounding rows and columns agree to well
-// within tolerance and no indicator sign change is visible at its corners)
-// or by the center test (a solved center point agrees with the bilinear
-// prediction within Tol/2). After refinement, a budgeted sample of off-knot
+// A cell is accepted as a leaf by the center test alone: its solved center
+// point agrees with the bilinear prediction within Tol/2 in every layer, and
+// the indicator layer (if any) does not cross its level over the five
+// samples. A cell that fails is split, until the depth cap finalizes it
+// untested. After refinement, a budgeted sample of off-knot
 // probe points is solved and compared against the surrogate; MaxError
 // reports the worst normalized error observed anywhere, and Verified is
 // true only when probing ran and stayed within Tol. Errors are normalized
@@ -49,7 +49,6 @@ import (
 	"runtime"
 	"sort"
 
-	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/obs"
 	"github.com/netecon-sim/publicoption/internal/sweep"
 )
@@ -61,14 +60,10 @@ const (
 	DefaultProbes   = 32
 )
 
-// Refinement thresholds, as fractions of Spec.Tol. Splitting at Tol/2
-// leaves headroom so off-center surrogate errors inside an accepted leaf
-// stay within Tol; the screen accepts only cells an order of magnitude
-// flatter than that.
-const (
-	splitFrac  = 0.5
-	screenFrac = 0.125
-)
+// splitFrac is the center-test threshold as a fraction of Spec.Tol.
+// Splitting at Tol/2 leaves headroom so off-center surrogate errors inside
+// an accepted leaf stay within Tol.
+const splitFrac = 0.5
 
 // PointSolver produces the metric layers at one grid point. Implementations
 // are single-goroutine (the engine gives each of its solve goroutines one,
@@ -163,9 +158,6 @@ type Leaf struct {
 	// Corners holds, per layer, the corner values [v00, v10, v01, v11] at
 	// (X0,Y0), (X1,Y0), (X0,Y1), (X1,Y1).
 	Corners [][4]float64
-	// Screened reports the cell was accepted by the interpolant screen
-	// alone, without spending a center solve.
-	Screened bool
 }
 
 // Options carries the run environment: parallelism, cache hooks, and
@@ -193,11 +185,10 @@ type Options struct {
 // are stored contiguously in quadrant order: +0 = (lo x, lo y), +1 = (hi x,
 // lo y), +2 = (lo x, hi y), +3 = (hi x, hi y).
 type cellNode struct {
-	ix, iy   int32 // lattice coords of the lower-left corner
-	span     int32 // lattice steps per side
-	depth    int32
-	child    int32 // index of the first child in Result.cells; -1 = leaf
-	screened bool
+	ix, iy int32 // lattice coords of the lower-left corner
+	span   int32 // lattice steps per side
+	depth  int32
+	child  int32 // index of the first child in Result.cells; -1 = leaf
 }
 
 // Result is the refined quadtree plus its interpolating surrogate.
@@ -229,10 +220,6 @@ type engine struct {
 	// solvers holds one point solver per solve goroutine, built on first
 	// use and reused for every point that goroutine claims.
 	solvers []PointSolver
-	// rows and cols index solved lattice points: rows[iy] is the sorted
-	// list of lattice columns with a solved point in lattice row iy.
-	rows map[int][]int
-	cols map[int][]int
 }
 
 // Run refines prob under spec and returns the surrogate.
@@ -320,8 +307,6 @@ func newEngine(r *Result, opt Options) *engine {
 		r:       r,
 		opt:     opt,
 		solvers: make([]PointSolver, opt.Workers),
-		rows:    make(map[int][]int),
-		cols:    make(map[int][]int),
 	}
 }
 
@@ -441,9 +426,8 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 		return err
 	}
 
-	// Sequential merge in sorted order: the only place points, rows/cols
-	// indexes, stats, and callbacks are touched, so the run is
-	// worker-count independent.
+	// Sequential merge in sorted order: the only place points, stats, and
+	// callbacks are touched, so the run is worker-count independent.
 	for k, p := range todo {
 		if reused[k] {
 			r.stats.PointsReused++
@@ -451,8 +435,6 @@ func (e *engine) solveWave(ctx context.Context, reqs []latticePt) error {
 			r.stats.PointsSolved++
 		}
 		r.points[r.key(p.ix, p.iy)] = vals[k]
-		e.rows[p.iy] = insertSorted(e.rows[p.iy], p.ix)
-		e.cols[p.ix] = insertSorted(e.cols[p.ix], p.iy)
 		if e.opt.OnPoint != nil {
 			if err := e.opt.OnPoint(Point{X: xs[k], Y: ys[k], Values: vals[k], Reused: reused[k]}); err != nil {
 				return err
@@ -498,138 +480,16 @@ func (e *engine) solvePoints(ctx context.Context, xs, ys []float64) (vals [][]fl
 	return vals, reused, nil
 }
 
-// insertSorted inserts v into ascending slice s (no duplicates expected —
-// solveWave only merges unsolved points).
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// axisFit caches the curvature evidence along one lattice row or column for
-// the duration of a wave: the per-layer PCHIP and linear interpolants
-// through its solved points, plus a per-knot second-difference estimate of
-// the local linear-interpolation error. The two signals are complementary —
-// the interpolant disagreement tracks smooth curvature, while the secant
-// slope change catches kinks that a shape-preserving cubic flattens over.
-type axisFit struct {
-	ok    bool // enough knots to measure curvature (≥ 3)
-	knots []float64
-	pch   []*numeric.PCHIP
-	lin   []*numeric.LinearInterp
-	est   [][]float64 // per layer, per knot: |Δsecant|·max(h)/8 at that knot
-}
-
-// fitAxis builds (or returns the cached) curvature evidence for one lattice
-// row (horizontal) or column at lattice index at.
-func (e *engine) fitAxis(cache map[int]*axisFit, idx []int, horizontal bool, at int) *axisFit {
-	if f, ok := cache[at]; ok {
-		return f
-	}
-	f := &axisFit{}
-	cache[at] = f
-	if len(idx) < 3 {
-		return f
-	}
-	r := e.r
-	knots := make([]float64, len(idx))
-	for k, i := range idx {
-		if horizontal {
-			knots[k] = r.coordX(i)
-		} else {
-			knots[k] = r.coordY(i)
-		}
-	}
-	n := len(r.prob.Layers)
-	f.knots = knots
-	f.pch = make([]*numeric.PCHIP, n)
-	f.lin = make([]*numeric.LinearInterp, n)
-	f.est = make([][]float64, n)
-	ys := make([]float64, len(idx))
-	for li := 0; li < n; li++ {
-		for k, i := range idx {
-			var key int64
-			if horizontal {
-				key = r.key(i, at)
-			} else {
-				key = r.key(at, i)
-			}
-			ys[k] = r.points[key][li]
-		}
-		f.pch[li] = numeric.NewPCHIP(knots, ys)
-		f.lin[li] = numeric.NewLinearInterp(knots, ys)
-		est := make([]float64, len(idx))
-		for j := 1; j < len(idx)-1; j++ {
-			h0 := knots[j] - knots[j-1]
-			h1 := knots[j+1] - knots[j]
-			ds := (ys[j+1]-ys[j])/h1 - (ys[j]-ys[j-1])/h0
-			if ds < 0 {
-				ds = -ds
-			}
-			h := h0
-			if h1 > h {
-				h = h1
-			}
-			est[j] = ds * h / 8
-		}
-		f.est[li] = est
-	}
-	f.ok = true
-	return f
-}
-
-// screenDev is the curvature estimator's inner kernel: how far the
-// shape-preserving cubic departs from the linear interpolant at the probe
-// abscissa. This is evaluated 4×layers times per frontier cell per wave,
-// so it must not allocate.
-//
-//pubopt:hotpath
-func screenDev(p *numeric.PCHIP, l *numeric.LinearInterp, at float64) float64 {
-	d := p.At(at) - l.At(at)
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-// refineWave screens, center-tests, and splits one depth level of the
-// frontier, returning the next frontier.
+// refineWave solves the centers of one depth level of the frontier, tests
+// each cell against its center, and splits the cells that fail, returning
+// the next frontier.
 func (e *engine) refineWave(ctx context.Context, frontier []int32) ([]int32, error) {
 	r := e.r
 	tol := r.spec.Tol
-	rowFits := make(map[int]*axisFit)
-	colFits := make(map[int]*axisFit)
 
-	// Phase 1: the cheap screen. Cells flat enough along their bounding
-	// rows and columns (and with no indicator crossing at their corners)
-	// become leaves without a center solve.
-	candidates := frontier[:0]
+	// Phase 1: solve every frontier cell's center in one wave.
+	reqs := make([]latticePt, 0, len(frontier))
 	for _, ci := range frontier {
-		c := &r.cells[ci]
-		ix, iy, span := int(c.ix), int(c.iy), int(c.span)
-		screened := !e.straddlesIndicatorCorners(ix, iy, span)
-		if screened {
-			dev, ok := e.cellDev(rowFits, colFits, ix, iy, span)
-			if !ok || dev > tol*screenFrac {
-				screened = false
-			}
-		}
-		if screened {
-			c.screened = true
-			r.stats.CellsInterpolated++
-			if err := e.finalizeLeaf(ci); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		candidates = append(candidates, ci)
-	}
-
-	// Phase 2: solve the candidates' centers in one wave.
-	reqs := make([]latticePt, 0, len(candidates))
-	for _, ci := range candidates {
 		c := &r.cells[ci]
 		h := int(c.span) / 2
 		reqs = append(reqs, latticePt{ix: int(c.ix) + h, iy: int(c.iy) + h})
@@ -638,10 +498,10 @@ func (e *engine) refineWave(ctx context.Context, frontier []int32) ([]int32, err
 		return nil, err
 	}
 
-	// Phase 3: the center test. Accept the cell when the solved center
+	// Phase 2: the center test. Accept the cell when the solved center
 	// agrees with the bilinear prediction; otherwise mark it for splitting.
 	var splits []int32
-	for _, ci := range candidates {
+	for _, ci := range frontier {
 		c := &r.cells[ci]
 		ix, iy, span := int(c.ix), int(c.iy), int(c.span)
 		h := span / 2
@@ -694,7 +554,7 @@ func (e *engine) refineWave(ctx context.Context, frontier []int32) ([]int32, err
 		splits = append(splits, ci)
 	}
 
-	// Phase 4: split. Solve the edge midpoints (centers are already in),
+	// Phase 3: split. Solve the edge midpoints (centers are already in),
 	// then create the four children.
 	reqs = reqs[:0]
 	for _, ci := range splits {
@@ -732,77 +592,6 @@ func (e *engine) refineWave(ctx context.Context, frontier []int32) ([]int32, err
 	return next, nil
 }
 
-// cellDev measures the worst normalized PCHIP-vs-linear disagreement over
-// the cell's bounding rows (probed at the cell's x quarter/mid/three-quarter
-// points) and columns (likewise in y). ok is false when any bounding axis
-// has too few solved points to measure curvature — such cells must not be
-// screen-accepted.
-func (e *engine) cellDev(rowFits, colFits map[int]*axisFit, ix, iy, span int) (float64, bool) {
-	r := e.r
-	x0, x1 := r.coordX(ix), r.coordX(ix+span)
-	y0, y1 := r.coordY(iy), r.coordY(iy+span)
-	fits := [4]*axisFit{
-		e.fitAxis(rowFits, e.rows[iy], true, iy),
-		e.fitAxis(rowFits, e.rows[iy+span], true, iy+span),
-		e.fitAxis(colFits, e.cols[ix], false, ix),
-		e.fitAxis(colFits, e.cols[ix+span], false, ix+span),
-	}
-	los := [4]float64{x0, x0, y0, y0}
-	his := [4]float64{x1, x1, y1, y1}
-	dev := 0.0
-	for fi, f := range fits {
-		if !f.ok {
-			return 0, false
-		}
-		lo, hi := los[fi], his[fi]
-		for _, frac := range [3]float64{0.25, 0.5, 0.75} {
-			at := lo + (hi-lo)*frac
-			for li := range r.prob.Layers {
-				d := screenDev(f.pch[li], f.lin[li], at) / r.scale[li]
-				if d > dev {
-					dev = d
-				}
-			}
-		}
-		// Second-difference evidence at every knot the cell spans.
-		jlo := sort.SearchFloat64s(f.knots, lo)
-		for j := jlo; j < len(f.knots) && f.knots[j] <= hi; j++ {
-			for li := range r.prob.Layers {
-				if d := f.est[li][j] / r.scale[li]; d > dev {
-					dev = d
-				}
-			}
-		}
-	}
-	return dev, true
-}
-
-// straddlesIndicatorCorners reports whether the indicator layer's corner
-// values straddle the indicator level — a regime boundary visibly crossing
-// the cell, which must never be screen-accepted.
-func (e *engine) straddlesIndicatorCorners(ix, iy, span int) bool {
-	r := e.r
-	if r.indicator < 0 {
-		return false
-	}
-	li := r.indicator
-	v := r.spec.IndicatorValue
-	v00 := r.points[r.key(ix, iy)][li]
-	v10 := r.points[r.key(ix+span, iy)][li]
-	v01 := r.points[r.key(ix, iy+span)][li]
-	v11 := r.points[r.key(ix+span, iy+span)][li]
-	min, max := v00, v00
-	for _, s := range [3]float64{v10, v01, v11} {
-		if s < min {
-			min = s
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return min < v && max > v
-}
-
 // finalizeLeaf records the leaf's depth in the histogram and streams it.
 func (e *engine) finalizeLeaf(ci int32) error {
 	r := e.r
@@ -815,20 +604,5 @@ func (e *engine) finalizeLeaf(ci int32) error {
 	if e.opt.OnLeaf == nil {
 		return nil
 	}
-	ix, iy, span := int(c.ix), int(c.iy), int(c.span)
-	leaf := Leaf{
-		X0: r.coordX(ix), X1: r.coordX(ix + span),
-		Y0: r.coordY(iy), Y1: r.coordY(iy + span),
-		Depth:    int(c.depth),
-		Screened: c.screened,
-		Corners:  make([][4]float64, len(r.prob.Layers)),
-	}
-	v00 := r.points[r.key(ix, iy)]
-	v10 := r.points[r.key(ix+span, iy)]
-	v01 := r.points[r.key(ix, iy+span)]
-	v11 := r.points[r.key(ix+span, iy+span)]
-	for li := range leaf.Corners {
-		leaf.Corners[li] = [4]float64{v00[li], v10[li], v01[li], v11[li]}
-	}
-	return e.opt.OnLeaf(leaf)
+	return e.opt.OnLeaf(r.leaf(c))
 }

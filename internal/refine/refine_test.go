@@ -43,6 +43,19 @@ func problemOf(nx, ny int, fs ...func(x, y float64) float64) Problem {
 	}
 }
 
+// checkLeafAccounting asserts that every leaf was accepted by its center
+// test or finalized untested at the depth cap — there is no third way.
+func checkLeafAccounting(t *testing.T, res *Result) {
+	t.Helper()
+	st := res.Stats()
+	if got := st.CellsVerified + st.LeafDepths[res.spec.MaxDepth]; got != st.Leaves() {
+		t.Fatalf("CellsVerified %d + depth-cap leaves %d = %d, want Leaves() %d",
+			st.CellsVerified, st.LeafDepths[res.spec.MaxDepth], got, st.Leaves())
+	}
+}
+
+// A plane is bilinear, so every seed cell passes its center test: the run
+// solves only the seed grid plus one center per seed cell, and never splits.
 func TestPlanarFieldSolvesOnlySeedGrid(t *testing.T) {
 	plane := func(x, y float64) float64 { return 2*x + 3*y - 1 }
 	prob := problemOf(5, 4, plane)
@@ -54,8 +67,8 @@ func TestPlanarFieldSolvesOnlySeedGrid(t *testing.T) {
 	if st.CellsSplit != 0 {
 		t.Fatalf("planar field split %d cells, want 0", st.CellsSplit)
 	}
-	if st.PointsSolved != 5*4 {
-		t.Fatalf("solved %d lattice points, want the 20 seed knots only", st.PointsSolved)
+	if st.PointsSolved != 5*4+4*3 {
+		t.Fatalf("solved %d lattice points, want the 20 seed knots + 12 centers", st.PointsSolved)
 	}
 	if st.ProbeSolves != 16 {
 		t.Fatalf("solved %d probes, want 16", st.ProbeSolves)
@@ -63,6 +76,10 @@ func TestPlanarFieldSolvesOnlySeedGrid(t *testing.T) {
 	if st.LeafDepths[0] != 4*3 {
 		t.Fatalf("depth-0 leaves = %d, want 12", st.LeafDepths[0])
 	}
+	if st.CellsVerified != 4*3 {
+		t.Fatalf("center-verified cells = %d, want 12", st.CellsVerified)
+	}
+	checkLeafAccounting(t, res)
 	if !res.Verified() {
 		t.Fatalf("planar surrogate not verified (maxErr=%g)", res.MaxError())
 	}
@@ -90,6 +107,7 @@ func TestKinkConcentratesSplits(t *testing.T) {
 	if st.CellsSplit == 0 {
 		t.Fatal("kinked field refined nothing")
 	}
+	checkLeafAccounting(t, res)
 	// Splits must concentrate on the kink column: every split cell spans it.
 	for _, l := range res.Leaves() {
 		if l.Depth > 0 && (l.X1 < a-0.26 || l.X0 > a+0.26) {
@@ -130,6 +148,7 @@ func TestIndicatorLayerForcesSplits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkLeafAccounting(t, res)
 	st := res.Stats()
 	if st.CellsSplit < 3 {
 		t.Fatalf("indicator forced only %d splits, want ≥ 3 (one per row of the crossing column)", st.CellsSplit)
@@ -165,13 +184,6 @@ func TestOutOfRangeModes(t *testing.T) {
 		if _, err := res.Values(p[0], p[1]); !errors.Is(err, numeric.ErrOutOfRange) {
 			t.Fatalf("Values(%v) error = %v, want ErrOutOfRange", p, err)
 		}
-	}
-	// Clamp mode answers from the nearest edge.
-	if got := res.AtClamped(-5, 0.5, 0); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("AtClamped(-5, 0.5) = %g, want 0.5", got)
-	}
-	if got := res.AtClamped(2, 2, 0); math.Abs(got-2) > 1e-12 {
-		t.Fatalf("AtClamped(2, 2) = %g, want 2", got)
 	}
 }
 
@@ -307,26 +319,13 @@ func TestContextCancellationStopsRun(t *testing.T) {
 }
 
 func TestZeroAllocHotPaths(t *testing.T) {
-	// The curvature estimator's inner kernel...
-	xs := numeric.Linspace(0, 1, 9)
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Sin(3 * x)
-	}
-	pch := numeric.NewPCHIP(xs, ys)
-	lin := numeric.NewLinearInterp(xs, ys)
-	var sink float64
-	if allocs := testing.AllocsPerRun(200, func() {
-		sink += screenDev(pch, lin, 0.37)
-	}); allocs != 0 {
-		t.Fatalf("screenDev allocates %v per run, want 0", allocs)
-	}
-	// ...and the surrogate evaluation behind warm /v1/query and Flatten.
+	// The surrogate evaluation behind warm /v1/query and Flatten.
 	res, err := Run(context.Background(), problemOf(4, 4, func(x, y float64) float64 { return math.Sin(3*x) * y }),
 		Spec{Tol: 0.01, MaxDepth: 3, Probes: -1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sink float64
 	if allocs := testing.AllocsPerRun(200, func() {
 		sink += res.eval(0.371, 0.642, 0)
 	}); allocs != 0 {
@@ -344,6 +343,7 @@ func TestFlattenMatchesTruthWithinTolerance(t *testing.T) {
 	if !res.Verified() {
 		t.Fatalf("smooth field did not verify: maxErr=%g tol=%g", res.MaxError(), res.Tolerance())
 	}
+	checkLeafAccounting(t, res)
 	nx, ny := res.FineDims()
 	g := res.Flatten(nx, ny)
 	worst := 0.0

@@ -121,13 +121,8 @@ func (r *Result) At(x, y float64, layer int) (float64, error) {
 	return r.eval(x, y, layer), nil
 }
 
-// AtClamped evaluates one layer in clamp mode: the query is clamped into
-// the domain first (rendering-friendly, mirrors numeric.Interpolator.At).
-func (r *Result) AtClamped(x, y float64, layer int) float64 {
-	cx, cy := r.clamp(x, y)
-	return r.eval(cx, cy, layer)
-}
-
+// clamp pulls (x, y) into the domain, absorbing floating-point dust at
+// the Linspace endpoints in Flatten.
 func (r *Result) clamp(x, y float64) (float64, float64) {
 	x0, x1, y0, y1 := r.Bounds()
 	if !(x > x0) { //pubopt:allow(floatcmp): NaN-safe clamp
@@ -191,24 +186,28 @@ func (r *Result) Leaves() []Leaf {
 		if c.child >= 0 {
 			continue
 		}
-		ix, iy, span := int(c.ix), int(c.iy), int(c.span)
-		leaf := Leaf{
-			X0: r.coordX(ix), X1: r.coordX(ix + span),
-			Y0: r.coordY(iy), Y1: r.coordY(iy + span),
-			Depth:    int(c.depth),
-			Screened: c.screened,
-			Corners:  make([][4]float64, len(r.prob.Layers)),
-		}
-		v00 := r.points[r.key(ix, iy)]
-		v10 := r.points[r.key(ix+span, iy)]
-		v01 := r.points[r.key(ix, iy+span)]
-		v11 := r.points[r.key(ix+span, iy+span)]
-		for li := range leaf.Corners {
-			leaf.Corners[li] = [4]float64{v00[li], v10[li], v01[li], v11[li]}
-		}
-		out = append(out, leaf)
+		out = append(out, r.leaf(c))
 	}
 	return out
+}
+
+// leaf materializes cell c as a Leaf with its corner values.
+func (r *Result) leaf(c *cellNode) Leaf {
+	ix, iy, span := int(c.ix), int(c.iy), int(c.span)
+	l := Leaf{
+		X0: r.coordX(ix), X1: r.coordX(ix + span),
+		Y0: r.coordY(iy), Y1: r.coordY(iy + span),
+		Depth:   int(c.depth),
+		Corners: make([][4]float64, len(r.prob.Layers)),
+	}
+	v00 := r.points[r.key(ix, iy)]
+	v10 := r.points[r.key(ix+span, iy)]
+	v01 := r.points[r.key(ix, iy+span)]
+	v11 := r.points[r.key(ix+span, iy+span)]
+	for li := range l.Corners {
+		l.Corners[li] = [4]float64{v00[li], v10[li], v01[li], v11[li]}
+	}
+	return l
 }
 
 // reverify runs the solver-verified error bound: solve spec.Probes off-knot

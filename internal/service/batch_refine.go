@@ -34,19 +34,17 @@ type refinePoint struct {
 }
 
 // leafFrame is one finalized leaf cell: the surrogate's bilinear patch over
-// [X0,X1]×[Y0,Y1], refined Depth levels below the seed grid. Screened
-// leaves were accepted by the cheap interpolant screen (no center solve).
+// [X0,X1]×[Y0,Y1], refined Depth levels below the seed grid.
 type leafFrame struct {
 	Leaf refineLeaf `json:"leaf"`
 }
 
 type refineLeaf struct {
-	X0       float64 `json:"x0"`
-	Y0       float64 `json:"y0"`
-	X1       float64 `json:"x1"`
-	Y1       float64 `json:"y1"`
-	Depth    int     `json:"depth"`
-	Screened bool    `json:"screened,omitempty"`
+	X0    float64 `json:"x0"`
+	Y0    float64 `json:"y0"`
+	X1    float64 `json:"x1"`
+	Y1    float64 `json:"y1"`
+	Depth int     `json:"depth"`
 }
 
 // refineDoneFrame closes a refined stream. Refine carries the run's full
@@ -90,8 +88,7 @@ func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, res *r
 			},
 			OnLeaf: func(l refine.Leaf) error {
 				return st.frame(&leafFrame{Leaf: refineLeaf{
-					X0: l.X0, Y0: l.Y0, X1: l.X1, Y1: l.Y1,
-					Depth: l.Depth, Screened: l.Screened,
+					X0: l.X0, Y0: l.Y0, X1: l.X1, Y1: l.Y1, Depth: l.Depth,
 				}})
 			},
 		})

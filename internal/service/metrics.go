@@ -262,7 +262,6 @@ func (m *metrics) render(w *strings.Builder, st cache.Stats, solver obs.SolveSta
 	counter("pubopt_refine_points_reused_total", "Adaptive-refinement lattice and probe points served by the solve-unit cache.", refined.PointsReused)
 	counter("pubopt_refine_probe_solves_total", "Surrogate-verification probe points solved.", refined.ProbeSolves)
 	counter("pubopt_refine_cells_split_total", "Refinement cells split into four children by curvature or indicator crossing.", refined.CellsSplit)
-	counter("pubopt_refine_cells_interpolated_total", "Refinement leaves accepted by the interpolant screen alone (no center solve).", refined.CellsInterpolated)
 	counter("pubopt_refine_cells_verified_total", "Refinement leaves accepted by a solved center point.", refined.CellsVerified)
 	fmt.Fprintf(w, "# HELP pubopt_refine_leaf_depth_total Refinement leaves finalized, by depth below the seed grid.\n")
 	fmt.Fprintf(w, "# TYPE pubopt_refine_leaf_depth_total counter\n")
