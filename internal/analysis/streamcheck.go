@@ -14,9 +14,11 @@ const streamCheckPackage = "internal/service"
 // StreamCheck hardens the streaming writers in internal/service:
 //
 //  1. The error results of frame-producing calls — (*json.Encoder).Encode,
-//     (*bufio.Writer).Flush, and the service's own ndjsonWriter.frame and
-//     its non-flushing twin ndjsonWriter.bufferedFrame — must be checked. A dropped write error means the handler keeps
-//     solving cells for a client that hung up.
+//     (*bufio.Writer).Flush, and the service's own ndjsonWriter.frame, its
+//     non-flushing twin ndjsonWriter.bufferedFrame and its writer of
+//     pre-encoded frames ndjsonWriter.encodedFrame — must be checked. A
+//     dropped write error means the handler keeps solving cells for a
+//     client that hung up.
 //
 //  2. Any loop that writes frames must consult its request context
 //     (ctx.Err(), ctx.Done(), or r.Context()) somewhere in the loop, so a
@@ -89,7 +91,7 @@ func frameCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "(*json.Encoder).Encode", true
 	case path == "bufio" && name == "Flush":
 		return "(*bufio.Writer).Flush", true
-	case (name == "frame" || name == "bufferedFrame") && strings.HasSuffix(path, streamCheckPackage):
+	case (name == "frame" || name == "bufferedFrame" || name == "encodedFrame") && strings.HasSuffix(path, streamCheckPackage):
 		return "ndjsonWriter." + name, true
 	}
 	return "", false

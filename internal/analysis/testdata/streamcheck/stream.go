@@ -11,6 +11,7 @@ import (
 
 type ndjsonWriter struct {
 	enc *json.Encoder
+	w   io.Writer
 }
 
 func (nw *ndjsonWriter) frame(v any) error {
@@ -20,6 +21,12 @@ func (nw *ndjsonWriter) frame(v any) error {
 // bufferedFrame is frame without a flush: a frame all the same.
 func (nw *ndjsonWriter) bufferedFrame(v any) error {
 	return nw.enc.Encode(v)
+}
+
+// encodedFrame writes a pre-encoded frame: a frame all the same.
+func (nw *ndjsonWriter) encodedFrame(b []byte, flush bool) error {
+	_, err := nw.w.Write(append(b, '\n'))
+	return err
 }
 
 type cell struct {
@@ -46,6 +53,25 @@ func badBufferedLoop(nw *ndjsonWriter, cells []cell) {
 		_ = nw.bufferedFrame(c) // want "bufferedFrame error assigned to _"
 	}
 	nw.bufferedFrame(cells[0]) // want "bufferedFrame error discarded"
+}
+
+func badEncodedLoop(nw *ndjsonWriter, frames [][]byte) {
+	for _, b := range frames { // want "streaming loop writes frames without consulting the request context"
+		nw.encodedFrame(b, false) // want "encodedFrame error discarded"
+	}
+	_ = nw.encodedFrame(frames[0], true) // want "encodedFrame error assigned to _"
+}
+
+func goodEncodedLoop(ctx context.Context, nw *ndjsonWriter, frames [][]byte) error {
+	for _, b := range frames {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := nw.encodedFrame(b, false); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func goodBufferedLoop(ctx context.Context, nw *ndjsonWriter, cells []cell) error {

@@ -159,29 +159,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // batchScenarios solves each listed scenario exactly as POST /v1/runs would,
 // streaming one frame per completion in request order. A bad element
 // (unknown name, invalid inline definition, a grid or dynamics scenario,
-// failed solve) becomes an error frame carrying its index; the rest of the
-// batch continues.
+// failed solve, a result that cannot be serialized) becomes an error frame
+// carrying its index; the rest of the batch continues.
 func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []json.RawMessage, workers int) {
 	if len(list) > maxBatchScenarios {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch lists at most %d scenarios, got %d", maxBatchScenarios, len(list))
 		return
 	}
 	nw := newNDJSONWriter(w, s.metrics)
+	echo := traceEcho(s.echo(r.Context()))
 	start := time.Now()
 	results, errs := 0, 0
 	for i, raw := range list {
 		if r.Context().Err() != nil {
 			return // client went away; stop solving
 		}
-		frame := s.batchEntry(r.Context(), i, raw, workers)
-		if ef, isErr := frame.(*errorFrame); isErr {
+		b, ef := s.batchEntry(r.Context(), i, raw, workers, echo)
+		var err error
+		if ef != nil {
 			errs++
 			s.logger.Warn("batch entry failed",
 				"index", i, "trace", obs.TraceID(r.Context()), "error", ef.Error)
+			err = nw.frame(ef)
 		} else {
 			results++
+			err = nw.encodedFrame(b, true)
 		}
-		if err := nw.frame(frame); err != nil {
+		if err != nil {
 			return // mid-stream write failure: the client is gone
 		}
 	}
@@ -194,21 +198,29 @@ func (s *Server) batchScenarios(w http.ResponseWriter, r *http.Request, list []j
 
 // batchEntry resolves one list element — a JSON string names a registered
 // scenario, anything else is an inline definition — and runs it, returning
-// the frame to stream.
-func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage, workers int) any {
+// its encoded scenarioFrame, or the error frame to stream instead.
+func (s *Server) batchEntry(ctx context.Context, index int, raw json.RawMessage, workers int, echo []byte) ([]byte, *errorFrame) {
 	entry := ref{inline: raw, entry: true}
 	if json.Unmarshal(raw, &entry.name) == nil {
 		entry.inline = nil
 	}
 	res, _, err := s.resolve(kindRun, entry)
 	if err != nil {
-		return &errorFrame{Index: &index, Error: err.Error()}
+		return nil, entryError(index, err.Error())
 	}
-	resp, err := s.runScenarioCached(ctx, res, workers)
+	u, status, elapsedMS, err := s.runScenarioCached(ctx, res, workers)
 	if err != nil {
-		return &errorFrame{Index: &index, Error: "solve failed: " + err.Error()}
+		return nil, entryError(index, "solve failed: "+err.Error())
 	}
-	return &scenarioFrame{Index: index, RunResponse: resp}
+	b, err := appendScenarioFrame(nil, index, u, status, elapsedMS, echo)
+	if err != nil {
+		return nil, entryError(index, "serializing result: "+err.Error())
+	}
+	return b, nil
+}
+
+func entryError(index int, msg string) *errorFrame {
+	return &errorFrame{Index: &index, Error: msg}
 }
 
 // ---------------------------------------------------------------------------
@@ -235,8 +247,11 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, res *resolved
 				return nil, err
 			}
 			st.hits++
-			cell := scenario.Cell{Row: row, Col: col, X: job.Xs[col], Y: job.Ys[row], Values: job.ValuesMap(val.([]float64))}
-			if err := st.bufferedFrame(&cellFrame{Cell: cell, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+			b, err := appendCellFrame(st.nw.scratch(), row, col, job.Xs[col], job.Ys[row], val.(*cellUnit), cache.Hit, st.echoJSON)
+			if err == nil {
+				err = st.nw.encodedFrame(b, false)
+			}
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -258,8 +273,9 @@ func (s *Server) batchGrid(w http.ResponseWriter, r *http.Request, res *resolved
 // solveGridCells solves the missing cells through the job's executor and
 // streams and banks each one as it completes. Solving runs on its own
 // goroutine so frames keep flowing while cells are in flight. When the
-// client disconnects the workers stop within one cell each and every cell
-// already solved stays cached — the work is not wasted.
+// client disconnects, or a cell cannot be serialized, the workers stop
+// within one cell each and every cell already solved stays cached — the
+// work is not wasted.
 func solveGridCells(st *stream, job *scenario.GridJob, key func(x, y float64) string, miss []int, workers int) error {
 	ctx, stop := context.WithCancel(st.ctx)
 	defer stop()
@@ -281,21 +297,30 @@ func solveGridCells(st *stream, job *scenario.GridJob, key func(x, y float64) st
 			cells <- c
 		}))
 	}()
+	var frameErr error
 	for c := range cells {
 		vals, _ := job.ValuesSlice(c.Values)
+		u := newCellUnit(job, vals)
 		st.solved++
-		st.bank("cell", key(c.X, c.Y), vals, obs.SolveStats{})
+		st.bank("cell", key(c.X, c.Y), u, obs.SolveStats{})
 		if ctx.Err() != nil {
 			continue
 		}
-		if st.frame(&cellFrame{Cell: c, Cache: cache.Miss.String(), Trace: st.echo}) != nil {
+		b, err := appendCellFrame(st.nw.scratch(), c.Row, c.Col, c.X, c.Y, u, cache.Miss, st.echoJSON)
+		if err == nil {
+			err = st.nw.encodedFrame(b, true)
+		}
+		if err != nil {
+			frameErr = err
 			stop()
 		}
 	}
-	if solveErr != nil {
+	switch {
+	case solveErr != nil:
 		return solveErr
-	}
-	if ctx.Err() != nil {
+	case frameErr != nil:
+		return frameErr
+	case ctx.Err() != nil:
 		return errClientGone
 	}
 	return nil

@@ -81,13 +81,13 @@ func (s *Server) batchGridRefined(w http.ResponseWriter, r *http.Request, res *r
 				if p.Reused {
 					outcome = cache.Hit.String()
 				}
-				return st.frame(&pointFrame{
+				return st.nw.frame(&pointFrame{
 					Point: refinePoint{X: p.X, Y: p.Y, Values: job.ValuesMap(p.Values)},
 					Cache: outcome, Trace: st.echo,
 				})
 			},
 			OnLeaf: func(l refine.Leaf) error {
-				return st.frame(&leafFrame{Leaf: refineLeaf{
+				return st.nw.frame(&leafFrame{Leaf: refineLeaf{
 					X0: l.X0, Y0: l.Y0, X1: l.X1, Y1: l.Y1, Depth: l.Depth,
 				}})
 			},

@@ -23,11 +23,12 @@ import (
 
 // Cache key namespaces, one per kind of cached value. Every content address
 // the server computes is cache.Key(namespace, content).
+// A cell, tick or run value carries its JSON encoding (units.go).
 const (
-	nsRun       = "run/scenario/v1"     // *RunResult of a 1-D scenario; content: its canonical JSON
-	nsCell      = "grid/cell/v1"        // []float64, one value per layer; content: GridJob.UnitSpec, then the cell's (x, y) (cellKeys)
+	nsRun       = "run/scenario/v1"     // *runUnit, a 1-D scenario's encoded RunResult; content: its canonical JSON
+	nsCell      = "grid/cell/v1"        // *cellUnit, one value per layer and their encoded object; content: GridJob.UnitSpec, then the cell's (x, y) (cellKeys)
 	nsSurrogate = "refine/surrogate/v1" // *refine.Result of a grid; content: its canonical JSON
-	nsTick      = "sim/tick/v1"         // dynamics.TickRecord; content: the canonical JSON, then the tick index (tickKeys)
+	nsTick      = "sim/tick/v1"         // *tickUnit, a dynamics.TickRecord and its encoding; content: the canonical JSON, then the tick index (tickKeys)
 )
 
 // scenarioKind is what a scenario declares and what an endpoint solves.
@@ -338,7 +339,9 @@ func (s *Server) cached(ctx context.Context, kind, name, key string, solve func(
 }
 
 // errClientGone marks a failed frame write: the client disconnected, so the
-// stream stops without telling anyone.
+// stream stops without telling anyone. A frame that cannot be serialized
+// fails with its serialization error instead, and its stream ends with an
+// error frame.
 var errClientGone = errors.New("client disconnected mid-stream")
 
 // stream is one NDJSON response between its header frame and its terminal
@@ -348,10 +351,15 @@ type stream struct {
 	nw    *ndjsonWriter
 	ctx   context.Context
 	trace string
-	echo  string // trace ID echoed in unit frames; "" without Options.Trace
 	kind  string // "grid" or "sim": the closing event's kind
 	name  string
 	start time.Time
+
+	// The trace ID echoed in unit frames ("" without Options.Trace), and
+	// the same encoded once as the spliced frames' trailing member
+	// (traceEcho).
+	echo     string
+	echoJSON []byte
 
 	// Set by the body: units served from the cache and solved, the solves'
 	// kernel telemetry, and the key the closing event carries, if any.
@@ -370,9 +378,10 @@ type stream struct {
 // ("miss" if any unit was solved, else "hit"), one summary event, and one
 // log line.
 func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, kind, name string, header any, body func(st *stream) (done any, err error)) {
+	echo := s.echo(r.Context())
 	st := &stream{
 		s: s, nw: newNDJSONWriter(w, s.metrics), ctx: r.Context(),
-		trace: obs.TraceID(r.Context()), echo: s.echo(r.Context()),
+		trace: obs.TraceID(r.Context()), echo: echo, echoJSON: traceEcho(echo),
 		kind: kind, name: name, start: time.Now(),
 	}
 	if err := st.nw.bufferedFrame(header); err != nil {
@@ -440,26 +449,11 @@ func (st *stream) reserve() error {
 	return nil
 }
 
-// frame writes one unit frame and flushes it.
-func (st *stream) frame(v any) error {
-	if err := st.nw.frame(v); err != nil {
-		return errClientGone
-	}
-	return nil
-}
-
-// bufferedFrame writes one cache-served unit's frame without flushing it.
-func (st *stream) bufferedFrame(v any) error {
-	if err := st.nw.bufferedFrame(v); err != nil {
-		return errClientGone
-	}
-	return nil
-}
-
-// bank caches one solved unit and records it as a flight-recorder event of
-// kind ("cell" or "tick") carrying the unit's solver telemetry.
-func (st *stream) bank(kind, key string, val any, solver obs.SolveStats) {
-	st.s.store.Put(key, val)
+// bank caches one solved unit, encoded by its caller (newCellUnit,
+// newTickUnit), and records it as a flight-recorder event of kind ("cell"
+// or "tick") carrying the unit's solver telemetry.
+func (st *stream) bank(kind, key string, unit any, solver obs.SolveStats) {
+	st.s.store.Put(key, unit)
 	st.s.recorder.Record(obs.Event{
 		Time: time.Now(), Trace: st.trace, Kind: kind, Name: st.name,
 		Key: shortKey(key), Outcome: cache.Miss.String(), Solver: solver,
@@ -472,14 +466,19 @@ func (st *stream) elapsedMS() float64 { return ms(time.Since(st.start)) }
 // line. A frame that cost a solve is flushed on its own, so results stream
 // instead of buffering; frames that cost none (a stream's header, cached
 // units) are buffered and go out together at the stream's next flush: before
-// it waits for a pool slot or a solve, or with its terminal frame. Each
-// frame's serialize+write(+flush) time feeds the
-// pubopt_batch_frame_write_seconds histogram.
+// it waits for a pool slot or a solve, or with its terminal frame. A failed
+// write returns errClientGone; a frame that cannot be serialized, its
+// serialization error. Each frame's serialize+write(+flush) time feeds the
+// pubopt_batch_frame_write_seconds histogram; for a pre-encoded frame the
+// serialization is the splice its caller did.
 type ndjsonWriter struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	metrics *metrics
 	started bool
+	// buf is the scratch buffer pre-encoded frames are built in, kept from
+	// frame to frame (scratch, encodedFrame).
+	buf []byte
 }
 
 func newNDJSONWriter(w http.ResponseWriter, m *metrics) *ndjsonWriter {
@@ -495,19 +494,36 @@ func (nw *ndjsonWriter) frame(v any) error { return nw.write(v, true) }
 // bufferedFrame is frame without the flush.
 func (nw *ndjsonWriter) bufferedFrame(v any) error { return nw.write(v, false) }
 
+// scratch returns the empty scratch buffer to build a pre-encoded frame in.
+func (nw *ndjsonWriter) scratch() []byte { return nw.buf[:0] }
+
+// encodedFrame writes b, one pre-encoded frame without its newline, and
+// flushes it when flush is set: a unit frame spliced from the unit's stored
+// encoding (units.go). It keeps b's array as the next scratch buffer.
+func (nw *ndjsonWriter) encodedFrame(b []byte, flush bool) error {
+	b = append(b, '\n')
+	nw.buf = b[:0]
+	return nw.line(b, flush, time.Now())
+}
+
 func (nw *ndjsonWriter) write(v any, flush bool) error {
 	start := time.Now()
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("serializing frame: %w", err)
 	}
+	return nw.line(append(b, '\n'), flush, start)
+}
+
+// line writes one newline-terminated frame begun at start.
+func (nw *ndjsonWriter) line(b []byte, flush bool, start time.Time) error {
 	if !nw.started {
 		nw.w.Header().Set("Content-Type", "application/x-ndjson")
 		nw.w.WriteHeader(http.StatusOK)
 		nw.started = true
 	}
-	if _, err := nw.w.Write(append(b, '\n')); err != nil {
-		return err
+	if _, err := nw.w.Write(b); err != nil {
+		return errClientGone
 	}
 	if flush {
 		nw.flush()

@@ -27,7 +27,7 @@ func TestStreamRunnerTurnsPanicIntoErrorFrame(t *testing.T) {
 		if err := st.reserve(); err != nil {
 			return nil, err
 		}
-		if err := st.frame(map[string]int{"unit": 0}); err != nil {
+		if err := st.nw.frame(map[string]int{"unit": 0}); err != nil {
 			return nil, err
 		}
 		panic("tick exploded")

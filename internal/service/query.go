@@ -176,9 +176,9 @@ func (s *Server) refineGrid(ctx context.Context, res *resolved, stats *obs.Count
 		if !ok {
 			return nil, false
 		}
-		return val.([]float64), true
+		return val.(*cellUnit).vals, true
 	}
-	opts.Store = func(x, y float64, vals []float64) { s.store.Put(key(x, y), vals) }
+	opts.Store = func(x, y float64, vals []float64) { s.store.Put(key(x, y), newCellUnit(job, vals)) }
 	prob, flush := job.RefineProblem(stats)
 	surr, err := refine.Run(ctx, prob, job.RefineSpec(), opts)
 	flush()
@@ -202,10 +202,10 @@ func (s *Server) solvePoint(ctx context.Context, res *resolved, x, y float64) (m
 		before := w.Stats()
 		vals, _ := job.ValuesSlice(w.SolveAt(x, y))
 		stats.Add(w.Stats().Since(before))
-		return vals, nil
+		return newCellUnit(job, vals), nil
 	})
 	if err != nil {
 		return nil, status, err
 	}
-	return job.ValuesMap(val.([]float64)), status, nil
+	return job.ValuesMap(val.(*cellUnit).vals), status, nil
 }

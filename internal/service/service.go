@@ -336,21 +336,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "%v", err)
 		return
 	}
-	resp, err := s.runScenarioCached(r.Context(), res, s.workers(req.Workers))
+	u, status, elapsedMS, err := s.runScenarioCached(r.Context(), res, s.workers(req.Workers))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "solve failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	b, err := appendRunResponse(nil, u, status, elapsedMS, traceEcho(s.echo(r.Context())))
+	if err != nil {
+		// A result that cannot serialize (e.g. NaN from a degenerate
+		// market) is a server-side failure, not a client one; it stays
+		// cached, so it is solved once, not once per request.
+		writeError(w, http.StatusInternalServerError, "serializing response: %v", err)
+		return
+	}
+	writeBody(w, http.StatusOK, b)
 }
 
 // runScenarioCached solves a resolved 1-D scenario through the cache and
-// answers in the run envelope: the result, how the cache satisfied it, and
-// the wall time. Its content address is the canonical scenario, so a named
-// scenario and an identical inline copy share one entry. A registered
-// scenario is only materialized — a deep copy of the shared registry
-// entry — on a miss.
-func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers int) (RunResponse, error) {
+// returns the encoded result, how the cache satisfied the request and its
+// wall time in milliseconds: what the run envelope (RunResponse) carries.
+// Its content address is the canonical scenario, so a named scenario and
+// an identical inline copy share one entry. A registered scenario is only
+// materialized — a deep copy of the shared registry entry — on a miss.
+func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers int) (*runUnit, cache.Status, float64, error) {
 	val, status, elapsed, err := s.cached(ctx, "run", res.sc.Name, res.key, func(stats *obs.Counters) (any, error) {
 		sc := res.sc
 		if res.named {
@@ -360,12 +368,12 @@ func (s *Server) runScenarioCached(ctx context.Context, res *resolved, workers i
 		if err != nil {
 			return nil, err
 		}
-		return &RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tables}, nil
+		return newRunUnit(&RunResult{Kind: "scenario", Name: sc.Name, Title: sc.Title, Tables: tables}), nil
 	})
 	if err != nil {
-		return RunResponse{}, err
+		return nil, status, 0, err
 	}
-	return RunResponse{RunResult: *val.(*RunResult), Cache: status.String(), ElapsedMS: ms(elapsed), Trace: s.echo(ctx)}, nil
+	return val.(*runUnit), status, ms(elapsed), nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -441,6 +449,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		writeError(w, http.StatusInternalServerError, "serializing response: %v", err)
 		return
 	}
+	writeBody(w, code, b)
+}
+
+// writeBody writes an encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(b)

@@ -99,12 +99,16 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				break
 			}
-			rec := val.(dynamics.TickRecord)
-			if err := st.bufferedFrame(&simTickFrame{Tick: rec, Cache: cache.Hit.String(), Trace: st.echo}); err != nil {
+			u := val.(*tickUnit)
+			b, err := appendTickFrame(st.nw.scratch(), u, cache.Hit, st.echoJSON)
+			if err == nil {
+				err = st.nw.encodedFrame(b, false)
+			}
+			if err != nil {
 				return nil, err
 			}
 			st.hits++
-			last = &rec
+			last = &u.rec
 		}
 		if st.hits < ticks {
 			if err := simulateRest(st, sc, keys, last); err != nil {
@@ -140,9 +144,14 @@ func simulateRest(st *stream, sc *scenario.Scenario, keys []string, last *dynami
 			return err
 		}
 		rec := eng.Step()
-		st.bank("tick", keys[rec.Tick], rec, rec.Solver)
+		u := newTickUnit(rec)
+		st.bank("tick", keys[rec.Tick], u, rec.Solver)
 		st.solved++
-		if err := st.frame(&simTickFrame{Tick: rec, Cache: cache.Miss.String(), Trace: st.echo}); err != nil {
+		b, err := appendTickFrame(st.nw.scratch(), u, cache.Miss, st.echoJSON)
+		if err == nil {
+			err = st.nw.encodedFrame(b, true)
+		}
+		if err != nil {
 			return err
 		}
 	}

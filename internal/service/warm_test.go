@@ -22,9 +22,11 @@ type warmReplay struct {
 	name, path, body string
 }
 
-// warmReplays builds the three inline replays: a 24-tick simulation over 80
-// CPs, a dense 4×3 sizing grid over 200 CPs, and a point query on that
-// grid's refinement surrogate.
+// warmReplays builds the replays: three inline ones — a 24-tick simulation
+// over 80 CPs, a dense 4×3 sizing grid over 200 CPs and a point query on
+// that grid's refinement surrogate — and two named ones, a 1-D run and a
+// list-mode batch of two 1-D runs. Between them they serve every kind of
+// spliced frame (units.go).
 func warmReplays(t testing.TB) []warmReplay {
 	t.Helper()
 	sim, ok := scenario.Get("dyn-convergence")
@@ -65,6 +67,8 @@ func warmReplays(t testing.TB) []warmReplay {
 		{"simulate", "/v1/simulate", fmt.Sprintf(`{"scenario_json":%s}`, simJSON)},
 		{"batch", "/v1/batch", fmt.Sprintf(`{"grid_json":%s}`, gridJSON)},
 		{"query", "/v1/query", fmt.Sprintf(`{"grid_json":%s,"x":%v,"y":%v}`, gridJSON, x, y)},
+		{"runs", "/v1/runs", `{"scenario":"archetypes-capacity"}`},
+		{"list", "/v1/batch", `{"scenarios":["archetypes-capacity","neutral-baseline"]}`},
 	}
 }
 
@@ -90,23 +94,28 @@ func primedServer(t testing.TB, replays []warmReplay) *Server {
 	return s
 }
 
-// warmReplayBudget is the heap budget of one warm inline request through
+// warmReplayBudget is the heap budget of one warm request through
 // Server.ServeHTTP, from the request's construction to its recorded body.
-// Measured: 81,800 B per simulate, 25,862 B per batch and 6,320 B per
-// query, against 116,932, 50,992 and 30,688 B when every request
-// re-parsed, hashed and compiled its definition and marshalled 24 tick
-// addresses. Most of what is left is encoding the cached frames. The
-// budgets sit about 20% above the measurements: a regression to
-// per-request compiling or per-tick hashing exceeds them.
+// Measured: 55,750 B per simulate, 17,672 B per batch, 6,320 B per query,
+// 4,152 B per named run and 8,544 B per two-entry list, against 81,814,
+// 25,848, 6,320, 4,264 and 8,816 B when every cached unit was marshalled
+// again on every replay, and 116,932, 50,992 and 30,688 B for the first
+// three when every request re-parsed, hashed and compiled its definition.
+// Most of what is left is the recorded body. The budgets sit about 20%
+// above the measurements: a regression to re-encoding cached units, to
+// per-request compiling or to per-tick hashing exceeds them.
 var warmReplayBudget = map[string]uint64{
-	"simulate": 96 << 10,
-	"batch":    30 << 10,
-	"query":    8 << 10,
+	"simulate": 67_000,
+	"batch":    21_200,
+	"query":    7_600,
+	"runs":     5_000,
+	"list":     10_300,
 }
 
-// TestWarmReplayBytes bounds the bytes a warm inline replay allocates: a
-// repeated definition resolves from the inline memo, its keys are
-// precomputed, and nothing but the response is built per request.
+// TestWarmReplayBytes bounds the bytes a warm replay allocates: a repeated
+// definition resolves from the inline memo, its keys are precomputed, its
+// units are served from their stored encodings, and nothing but the
+// response is built per request.
 func TestWarmReplayBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -143,7 +152,7 @@ func TestWarmReplayBytes(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmReplay times the warm inline replays of TestWarmReplayBytes.
+// BenchmarkWarmReplay times the warm replays of TestWarmReplayBytes.
 func BenchmarkWarmReplay(b *testing.B) {
 	replays := warmReplays(b)
 	s := primedServer(b, replays)
