@@ -24,10 +24,6 @@ type Result struct {
 // Demand returns d_i(θ_i), the equilibrium demand level of CP i.
 func (r *Result) Demand(i int) float64 { return r.Pop[i].DemandAt(r.Theta[i]) }
 
-// Rho returns ρ_i = d_i(θ_i)·θ_i, CP i's equilibrium per-capita throughput
-// over its own user base (Eq. 5).
-func (r *Result) Rho(i int) float64 { return r.Pop[i].Rho(r.Theta[i]) }
-
 // PerCapitaRate returns λ_i/M = α_i·d_i(θ_i)·θ_i for CP i.
 func (r *Result) PerCapitaRate(i int) float64 { return r.Pop[i].PerCapitaRate(r.Theta[i]) }
 
@@ -59,15 +55,6 @@ func (r *Result) CopyInto(dst *Result) *Result {
 	dst.Theta = append(theta[:0], r.Theta...)
 	dst.Pop = append(pop[:0], r.Pop...)
 	return dst
-}
-
-// Utilization returns the fraction of capacity in use, Aggregate()/ν, or 1
-// for ν = 0.
-func (r *Result) Utilization() float64 {
-	if r.Nu <= 0 {
-		return 1
-	}
-	return r.Aggregate() / r.Nu
 }
 
 // String summarizes the equilibrium for debugging.
@@ -144,25 +131,4 @@ func SolveSystem(a Allocator, m, mu float64, pop traffic.Population) *Result {
 		panic(fmt.Sprintf("alloc: SolveSystem called with M=%g, want > 0", m))
 	}
 	return Solve(a, mu/m, pop)
-}
-
-// ThetaCurve samples the equilibrium throughput of every CP across a grid of
-// per-capita capacities, returning curves[i][j] = θ_i at nuGrid[j]. It is
-// the numerical object behind Lemma 1 (each row is non-decreasing and
-// continuous in ν) and behind Figure 3.
-func ThetaCurve(a Allocator, nuGrid []float64, pop traffic.Population) [][]float64 {
-	curves := make([][]float64, len(pop))
-	for i := range curves {
-		curves[i] = make([]float64, len(nuGrid))
-	}
-	// One workspace for the whole curve: each capacity's water level
-	// warm-starts the next (the level is monotone in ν, Axiom 3).
-	w := NewWorkspace(a)
-	for j, nu := range nuGrid {
-		res := w.Solve(nu, pop)
-		for i := range pop {
-			curves[i][j] = res.Theta[i]
-		}
-	}
-	return curves
 }

@@ -103,14 +103,6 @@ func NewWorkspace(a Allocator) *Workspace {
 	return w
 }
 
-// Allocator returns the mechanism this workspace solves under.
-func (w *Workspace) Allocator() Allocator { return w.a }
-
-// Evals returns the cumulative number of aggregate-rate evaluations the
-// workspace has performed — the unit of solver work. Warm solves should
-// show a small fraction of a cold solve's count.
-func (w *Workspace) Evals() int { return int(w.stats.Evals) }
-
 // Stats returns the workspace's cumulative solver telemetry. The returned
 // value is a snapshot; use obs.SolveStats.Since against a previous snapshot
 // to attribute work to one solve or one sweep segment.

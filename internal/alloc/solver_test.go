@@ -184,16 +184,16 @@ func TestWorkspaceWarmMatchesCold(t *testing.T) {
 	warm.Solve(1.0/50*total, pop) // prime the warm level
 
 	const solves = 39
-	var warmEvals, coldEvals int
+	var warmEvals, coldEvals uint64
 	for k := 2; k <= solves+1; k++ {
 		nu := total * float64(k) / 50
 		cold := NewWorkspace(MaxMin{})
 		refColdStart := cold.Solve(nu, pop).Clone()
-		coldEvals += cold.Evals()
+		coldEvals += cold.Stats().Evals
 
-		before := warm.Evals()
+		before := warm.Stats().Evals
 		got := warm.Solve(nu, pop)
-		warmEvals += warm.Evals() - before
+		warmEvals += warm.Stats().Evals - before
 
 		ref := Solve(MaxMin{}, nu, pop)
 		assertGolden(t, ref, got, MaxMin{}.LevelHi(pop), fmt.Sprintf("warm ν=%g", nu))

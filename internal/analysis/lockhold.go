@@ -46,7 +46,7 @@ var lockHoldIOPackages = map[string]bool{
 // internal/service mutexes: solver calls, channel operations, select,
 // sync waits, and I/O. Critical sections in these packages must stay
 // O(map probe): take a snapshot under the lock, release, then do the slow
-// thing (the pattern Store.Do already follows).
+// thing (the pattern Store.DoContext already follows).
 //
 // The analysis is intra-procedural and syntactic about lock regions: a
 // region opens at x.Lock()/x.RLock() on a sync.Mutex/RWMutex-typed

@@ -58,7 +58,7 @@ func (s *store) good(key string) float64 {
 	return v
 }
 
-// goodEarlyReturn mirrors Store.Do: branches that unlock and return do not
+// goodEarlyReturn mirrors Store.DoContext: branches that unlock and return do not
 // poison the fall-through path, and the unconditional unlock ends the
 // region before the channel ops.
 func (s *store) goodEarlyReturn(key string) float64 {

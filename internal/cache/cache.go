@@ -48,7 +48,7 @@ func Key(parts ...any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// Status classifies how Do satisfied a request.
+// Status classifies how DoContext satisfied a request.
 type Status int
 
 const (
@@ -128,21 +128,12 @@ func New(maxEntries, workers int) *Store {
 	return s
 }
 
-// Reserve blocks until a worker-pool slot is free and returns its release
-// func (a no-op pair when the pool is unbounded). It lets callers that
-// execute solves outside Do — the batch endpoint's grid path, which runs
-// its own row-parallel solve — count against the same concurrency bound as
-// pooled solves.
-func (s *Store) Reserve() (release func()) {
-	if s.sem == nil {
-		return func() {}
-	}
-	s.sem <- struct{}{}
-	return func() { <-s.sem }
-}
-
-// ReserveContext is Reserve with cancellable waiting: when ctx ends before
-// a pool slot frees up, it returns ctx.Err() and no slot is held.
+// ReserveContext blocks until a worker-pool slot is free and returns its
+// release func (a no-op when the pool is unbounded). It lets callers that
+// execute solves outside DoContext — a service stream's solve phase, which
+// runs its own cell-parallel solve — count against the same concurrency
+// bound as pooled solves. When ctx ends before a slot frees up, it returns
+// ctx.Err() and no slot is held.
 func (s *Store) ReserveContext(ctx context.Context) (release func(), err error) {
 	if s.sem == nil {
 		return func() {}, nil
@@ -155,22 +146,19 @@ func (s *Store) ReserveContext(ctx context.Context) (release func(), err error) 
 	}
 }
 
-// Do returns the cached value for key, or executes solve to produce it.
-// Concurrent calls with the same key run solve exactly once: the first
+// DoContext returns the cached value for key, or executes solve to produce
+// it. Concurrent calls with the same key run solve exactly once: the first
 // caller solves (inside the worker pool), the rest block until it finishes
 // and share its value or error. A panic inside solve is recovered into an
 // error so one poisonous request cannot take the server down.
-func (s *Store) Do(key string, solve func() (any, error)) (any, Status, error) {
-	return s.DoContext(context.Background(), key, solve)
-}
-
-// DoContext is Do with cancellable waiting. A coalesced caller whose ctx
-// ends before the in-flight solve completes returns ctx.Err() immediately —
-// the solve itself keeps running for the remaining waiters and still
-// populates the cache. A solving caller whose ctx ends while it waits for a
-// worker-pool slot gives up before solving; its error propagates to every
-// waiter coalesced onto it (failed solves are never cached, so the next
-// request retries).
+//
+// Waiting is cancellable. A coalesced caller whose ctx ends before the
+// in-flight solve completes returns ctx.Err() immediately — the solve
+// itself keeps running for the remaining waiters and still populates the
+// cache. A solving caller whose ctx ends while it waits for a worker-pool
+// slot gives up before solving; its error propagates to every waiter
+// coalesced onto it (failed solves are never cached, so the next request
+// retries).
 func (s *Store) DoContext(ctx context.Context, key string, solve func() (any, error)) (any, Status, error) {
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -220,19 +208,6 @@ func (s *Store) DoContext(ctx context.Context, key string, solve func() (any, er
 	s.mu.Unlock()
 	close(f.done)
 	return f.val, Miss, f.err
-}
-
-// Get returns the cached value without solving. It is a silent peek: the
-// hit/miss counters are untouched (use Lookup for counted probes).
-func (s *Store) Get(key string) (any, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		return nil, false
-	}
-	s.ll.MoveToFront(el)
-	return el.Value.(*entry).val, true
 }
 
 // Lookup returns the cached value for key, counting the probe as a hit or

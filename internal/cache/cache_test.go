@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,11 +40,11 @@ func TestDoHitMiss(t *testing.T) {
 	calls := 0
 	solve := func() (any, error) { calls++; return 42, nil }
 
-	v, st, err := s.Do("k", solve)
+	v, st, err := s.DoContext(context.Background(), "k", solve)
 	if err != nil || v != 42 || st != Miss {
 		t.Fatalf("first Do = (%v, %v, %v), want (42, miss, nil)", v, st, err)
 	}
-	v, st, err = s.Do("k", solve)
+	v, st, err = s.DoContext(context.Background(), "k", solve)
 	if err != nil || v != 42 || st != Hit {
 		t.Fatalf("second Do = (%v, %v, %v), want (42, hit, nil)", v, st, err)
 	}
@@ -59,11 +60,11 @@ func TestErrorsAreNotCached(t *testing.T) {
 	s := New(8, 0)
 	boom := errors.New("boom")
 	calls := 0
-	_, _, err := s.Do("k", func() (any, error) { calls++; return nil, boom })
+	_, _, err := s.DoContext(context.Background(), "k", func() (any, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	_, st, err := s.Do("k", func() (any, error) { calls++; return 7, nil })
+	_, st, err := s.DoContext(context.Background(), "k", func() (any, error) { calls++; return 7, nil })
 	if err != nil || st != Miss {
 		t.Fatalf("retry after error = (%v, %v), want (miss, nil)", st, err)
 	}
@@ -74,11 +75,11 @@ func TestErrorsAreNotCached(t *testing.T) {
 
 func TestPanicRecoveredToError(t *testing.T) {
 	s := New(8, 0)
-	_, _, err := s.Do("k", func() (any, error) { panic("poison") })
+	_, _, err := s.DoContext(context.Background(), "k", func() (any, error) { panic("poison") })
 	if err == nil {
 		t.Fatal("panicking solve returned nil error")
 	}
-	if _, ok := s.Get("k"); ok {
+	if _, ok := s.Lookup("k"); ok {
 		t.Fatal("panicked solve was cached")
 	}
 }
@@ -88,7 +89,7 @@ func TestLRUEvictionBoundsEntries(t *testing.T) {
 	s := New(max, 0)
 	for i := 0; i < 3*max; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if _, _, err := s.Do(key, func() (any, error) { return i, nil }); err != nil {
+		if _, _, err := s.DoContext(context.Background(), key, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,24 +101,24 @@ func TestLRUEvictionBoundsEntries(t *testing.T) {
 		t.Fatalf("evictions = %d, want %d", st.Evictions, 2*max)
 	}
 	// The oldest keys are gone, the newest survive.
-	if _, ok := s.Get("k0"); ok {
+	if _, ok := s.Lookup("k0"); ok {
 		t.Fatal("oldest key survived eviction")
 	}
-	if _, ok := s.Get(fmt.Sprintf("k%d", 3*max-1)); !ok {
+	if _, ok := s.Lookup(fmt.Sprintf("k%d", 3*max-1)); !ok {
 		t.Fatal("newest key was evicted")
 	}
 }
 
 func TestLRUTouchOnHit(t *testing.T) {
 	s := New(2, 0)
-	s.Do("a", func() (any, error) { return 1, nil })
-	s.Do("b", func() (any, error) { return 2, nil })
-	s.Do("a", func() (any, error) { t.Fatal("unexpected solve"); return nil, nil }) // touch a
-	s.Do("c", func() (any, error) { return 3, nil })                                // evicts b, not a
-	if _, ok := s.Get("a"); !ok {
+	s.DoContext(context.Background(), "a", func() (any, error) { return 1, nil })
+	s.DoContext(context.Background(), "b", func() (any, error) { return 2, nil })
+	s.DoContext(context.Background(), "a", func() (any, error) { t.Fatal("unexpected solve"); return nil, nil }) // touch a
+	s.DoContext(context.Background(), "c", func() (any, error) { return 3, nil })                                // evicts b, not a
+	if _, ok := s.Lookup("a"); !ok {
 		t.Fatal("recently used key evicted")
 	}
-	if _, ok := s.Get("b"); ok {
+	if _, ok := s.Lookup("b"); ok {
 		t.Fatal("least recently used key survived")
 	}
 }
@@ -144,7 +145,7 @@ func TestSingleflightCoalescesIdenticalKeys(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			values[i], statuses[i], errs[i] = s.Do("k", solve)
+			values[i], statuses[i], errs[i] = s.DoContext(context.Background(), "k", solve)
 		}()
 	}
 	<-entered // the first solve is running; everyone else must coalesce
@@ -180,11 +181,11 @@ func TestSingleflightPropagatesErrorToWaiters(t *testing.T) {
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	entered := make(chan struct{})
-	go s.Do("k", func() (any, error) { close(entered); <-release; return nil, boom })
+	go s.DoContext(context.Background(), "k", func() (any, error) { close(entered); <-release; return nil, boom })
 	<-entered
 	done := make(chan error)
 	go func() {
-		_, _, err := s.Do("k", func() (any, error) { t.Error("waiter must not solve"); return nil, nil })
+		_, _, err := s.DoContext(context.Background(), "k", func() (any, error) { t.Error("waiter must not solve"); return nil, nil })
 		done <- err
 	}()
 	// Let the waiter coalesce, then release the solver.
@@ -207,7 +208,7 @@ func TestWorkerPoolBoundsConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Do(fmt.Sprintf("k%d", i), func() (any, error) {
+			s.DoContext(context.Background(), fmt.Sprintf("k%d", i), func() (any, error) {
 				n := inFlight.Add(1)
 				for {
 					p := peak.Load()
@@ -236,8 +237,8 @@ func TestWorkerPoolBoundsConcurrentSolves(t *testing.T) {
 func TestZeroMaxDisablesCachingButKeepsSingleflight(t *testing.T) {
 	s := New(0, 0)
 	calls := 0
-	s.Do("k", func() (any, error) { calls++; return 1, nil })
-	_, st, _ := s.Do("k", func() (any, error) { calls++; return 1, nil })
+	s.DoContext(context.Background(), "k", func() (any, error) { calls++; return 1, nil })
+	_, st, _ := s.DoContext(context.Background(), "k", func() (any, error) { calls++; return 1, nil })
 	if st != Miss || calls != 2 {
 		t.Fatalf("max=0 store cached (status %v, %d calls)", st, calls)
 	}

@@ -19,7 +19,7 @@ func TestDoContextCoalescedCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Do("k", func() (any, error) {
+		s.DoContext(context.Background(), "k", func() (any, error) {
 			close(started)
 			<-release
 			return 42, nil
@@ -55,7 +55,7 @@ func TestDoContextPoolWaitCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s.Do("occupant", func() (any, error) {
+		s.DoContext(context.Background(), "occupant", func() (any, error) {
 			close(started)
 			<-release
 			return 1, nil
@@ -76,7 +76,7 @@ func TestDoContextPoolWaitCancel(t *testing.T) {
 	wg.Wait()
 
 	// The failed flight must not be cached and must not wedge the key.
-	v, status, err := s.Do("blocked", func() (any, error) { return 7, nil })
+	v, status, err := s.DoContext(context.Background(), "blocked", func() (any, error) { return 7, nil })
 	if err != nil || status != Miss || v != 7 {
 		t.Fatalf("key wedged after canceled flight: %v %v %v", v, status, err)
 	}

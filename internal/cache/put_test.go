@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func TestPutAndLookup(t *testing.T) {
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Fatalf("stats after overflow: %+v", st)
 	}
-	if _, ok := s.Get("c"); !ok {
+	if _, ok := s.Lookup("c"); !ok {
 		t.Fatal("most recent Put evicted")
 	}
 }
@@ -50,7 +51,7 @@ func TestLookupDoesNotCoalesce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.Do("k", func() (any, error) {
+		s.DoContext(context.Background(), "k", func() (any, error) {
 			close(started)
 			<-release
 			return 42, nil
@@ -75,7 +76,7 @@ func TestPutOverwriteKeepsSingleEntry(t *testing.T) {
 	if st := s.Stats(); st.Entries != 1 {
 		t.Fatalf("repeated Put of one key left %d entries", st.Entries)
 	}
-	if v, _ := s.Get("k"); v.(int) != 2 {
+	if v, _ := s.Lookup("k"); v.(int) != 2 {
 		t.Fatalf("Put did not overwrite: %v", v)
 	}
 }
@@ -109,17 +110,25 @@ func TestKeyDistinguishesCellSpecs(t *testing.T) {
 }
 
 func TestReserveBoundsConcurrency(t *testing.T) {
+	ctx := context.Background()
 	s := New(0, 1)
-	release := s.Reserve()
+	release, err := s.ReserveContext(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acquired := make(chan struct{})
 	go func() {
-		r := s.Reserve()
+		r, err := s.ReserveContext(ctx)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		close(acquired)
 		r()
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("second Reserve succeeded while the only slot was held")
+		t.Fatal("second reservation succeeded while the only slot was held")
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()
@@ -131,8 +140,11 @@ func TestReserveBoundsConcurrency(t *testing.T) {
 
 	// Unbounded stores hand out no-op slots without blocking.
 	u := New(0, 0)
-	r1 := u.Reserve()
-	r2 := u.Reserve()
+	r1, err1 := u.ReserveContext(ctx)
+	r2, err2 := u.ReserveContext(ctx)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	r1()
 	r2()
 }

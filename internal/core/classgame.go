@@ -195,25 +195,12 @@ func (e *ClassEquilibrium) Psi() float64 {
 	return econ.Revenue(e.Premium, e.Strategy.C)
 }
 
-// PremiumRate returns λ_P/M, the per-capita aggregate premium throughput.
-func (e *ClassEquilibrium) PremiumRate() float64 { return e.Premium.Aggregate() }
-
 // Utilization returns total carried traffic divided by ν (1 when ν = 0).
 func (e *ClassEquilibrium) Utilization() float64 {
 	if e.Nu <= 0 {
 		return 1
 	}
 	return (e.Ordinary.Aggregate() + e.Premium.Aggregate()) / e.Nu
-}
-
-// CPUtility returns CP i's per-capita utility u_i/M (Eq. 4) at the
-// equilibrium.
-func (e *ClassEquilibrium) CPUtility(i int) float64 {
-	price := 0.0
-	if e.InPremium[i] {
-		price = e.Strategy.C
-	}
-	return econ.CPUtilityPerCapita(&e.Pop[i], e.Theta[i], price)
 }
 
 // String summarizes the equilibrium.
@@ -672,38 +659,3 @@ func (ps *partitionSet) add(premium []bool) bool {
 
 // key returns the k-th stored packed partition.
 func (ps *partitionSet) key(k int) []byte { return ps.arena[k*ps.n : (k+1)*ps.n] }
-
-// VerifyCompetitive counts the CPs whose class choice violates the
-// ε-equilibrium condition (Definition 3 under the rational-expectations
-// estimator, equivalently Definition 2): a violation is a CP that would gain
-// strictly more than eps times its utility scale by switching classes, where
-// the target class is evaluated at its exact post-join level. eps <= 0 uses
-// the equilibrium's own EpsUsed. A converged equilibrium has zero violations
-// at its EpsUsed by construction.
-func (s *Solver) VerifyCompetitive(eq *ClassEquilibrium, eps float64) int {
-	if eq.Strategy.NoPremium() {
-		return 0 // single class: nothing to choose
-	}
-	if eps <= 0 {
-		eps = eq.EpsUsed
-	}
-	capO := (1 - eq.Strategy.Kappa) * eq.Nu
-	capP := eq.Strategy.Kappa * eq.Nu
-	o, p := s.splitScratch(eq.Pop, eq.InPremium)
-	violations := 0
-	for i := range eq.Pop {
-		cp := &eq.Pop[i]
-		var uCur, uTarget float64
-		if eq.InPremium[i] {
-			uCur = (cp.V - eq.Strategy.C) * cp.Alpha * cp.Rho(eq.Theta[i])
-			uTarget = cp.V * cp.Alpha * cp.Rho(s.postJoinTheta(cp, capO, o))
-		} else {
-			uCur = cp.V * cp.Alpha * cp.Rho(eq.Theta[i])
-			uTarget = (cp.V - eq.Strategy.C) * cp.Alpha * cp.Rho(s.postJoinTheta(cp, capP, p))
-		}
-		if uTarget-uCur > eps*utilityScale(cp, eq.Strategy.C) {
-			violations++
-		}
-	}
-	return violations
-}

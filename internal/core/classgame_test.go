@@ -198,18 +198,18 @@ func TestClassEquilibriumAccessors(t *testing.T) {
 	nu := 0.3 * pop.TotalUnconstrainedPerCapita()
 	s := NewSolver(nil)
 	eq := s.Competitive(Strategy{Kappa: 0.5, C: 0.2}, nu, pop)
-	// CPUtility must be consistent with class membership and θ.
+	// A CP's utility must be consistent with class membership and θ.
 	for i := range pop {
 		price := 0.0
 		if eq.InPremium[i] {
 			price = 0.2
 		}
 		want := (pop[i].V - price) * pop[i].PerCapitaRate(eq.Theta[i])
-		if got := eq.CPUtility(i); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("CPUtility(%d) = %v, want %v", i, got, want)
+		if got := econ.CPUtilityPerCapita(&eq.Pop[i], eq.Theta[i], price); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("CPUtilityPerCapita(%d) = %v, want %v", i, got, want)
 		}
 	}
-	if got := eq.PremiumRate(); got < 0 || got > nu+1e-9 {
+	if got := eq.Premium.Aggregate(); got < 0 || got > nu+1e-9 {
 		t.Fatalf("premium rate %v outside [0, ν]", got)
 	}
 	if str := eq.String(); str == "" {

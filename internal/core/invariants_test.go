@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/netecon-sim/publicoption/internal/econ"
 	"github.com/netecon-sim/publicoption/internal/numeric"
 )
 
@@ -53,8 +54,11 @@ func TestClassGameInvariantsQuick(t *testing.T) {
 		// earns — it could always take the free class; allow the
 		// indifference band).
 		for i := range pop {
-			if eq.InPremium[i] && eq.CPUtility(i) < -eq.EpsUsed*utilityScale(&pop[i], strat.C)-1e-12 {
-				t.Logf("CP %d in premium with negative utility %v", i, eq.CPUtility(i))
+			if !eq.InPremium[i] {
+				continue
+			}
+			if u := econ.CPUtilityPerCapita(&eq.Pop[i], eq.Theta[i], strat.C); u < -eq.EpsUsed*utilityScale(&pop[i], strat.C)-1e-12 {
+				t.Logf("CP %d in premium with negative utility %v", i, u)
 				return false
 			}
 		}

@@ -30,26 +30,6 @@ type MarketOutcome struct {
 	Phi float64
 }
 
-// Share returns the market share of the ISP with the given name, or NaN.
-func (o *MarketOutcome) Share(name string) float64 {
-	for k := range o.ISPs {
-		if o.ISPs[k].Name == name {
-			return o.Shares[k]
-		}
-	}
-	return math.NaN()
-}
-
-// Eq returns the class equilibrium of the named ISP, or nil.
-func (o *MarketOutcome) Eq(name string) *ClassEquilibrium {
-	for k := range o.ISPs {
-		if o.ISPs[k].Name == name {
-			return o.Eqs[k]
-		}
-	}
-	return nil
-}
-
 // String summarizes the outcome.
 func (o *MarketOutcome) String() string {
 	s := fmt.Sprintf("market(ν̄=%g, Φ=%.4g", o.NuBar, o.Phi)

@@ -188,12 +188,6 @@ func TestMarketOutcomeAccessors(t *testing.T) {
 		ISP{Name: "a", Gamma: 0.5, Strategy: PublicOption},
 		ISP{Name: "b", Gamma: 0.5, Strategy: PublicOption},
 	)
-	if math.IsNaN(out.Share("a")) || out.Eq("a") == nil {
-		t.Fatal("named accessors broken")
-	}
-	if !math.IsNaN(out.Share("zzz")) || out.Eq("zzz") != nil {
-		t.Fatal("missing names should return NaN/nil")
-	}
 	if out.String() == "" {
 		t.Fatal("String() empty")
 	}
@@ -311,7 +305,7 @@ func TestSolveGivesATinySubMarketToItsBestSide(t *testing.T) {
 	if gap := coldGap(pop, nuBar, out); gap > 1e-6 {
 		t.Fatalf("%v: cold gap %.3g, want ≤ 1e-6", out, gap)
 	}
-	if m := out.Share("a"); m < 0.1 || m > 0.125 {
+	if m := out.Shares[0]; m < 0.1 || m > 0.125 {
 		t.Errorf("%v: a holds %v, want about 0.112", out, m)
 	}
 

@@ -84,36 +84,6 @@ func (m *Monopoly) OptimalStrategy(cHi, nu float64, pop traffic.Population, kGri
 	return best, m.Outcome(best, nu, pop)
 }
 
-// RevenueCurve samples Ψ and Φ across a price grid at fixed κ (the Figure 4
-// object). The sweep warm-starts along the grid.
-func (m *Monopoly) RevenueCurve(kappa float64, cGrid []float64, nu float64, pop traffic.Population) (psi, phi []float64) {
-	psi = make([]float64, len(cGrid))
-	phi = make([]float64, len(cGrid))
-	m.ResetWarm()
-	for i, c := range cGrid {
-		eq := m.Outcome(Strategy{Kappa: kappa, C: c}, nu, pop)
-		psi[i] = eq.Psi()
-		phi[i] = eq.Phi()
-	}
-	m.ResetWarm()
-	return psi, phi
-}
-
-// CapacityCurve samples Ψ and Φ across a per-capita capacity grid at fixed
-// strategy (the Figure 5 object).
-func (m *Monopoly) CapacityCurve(s Strategy, nuGrid []float64, pop traffic.Population) (psi, phi []float64) {
-	psi = make([]float64, len(nuGrid))
-	phi = make([]float64, len(nuGrid))
-	m.ResetWarm()
-	for i, nu := range nuGrid {
-		eq := m.Outcome(s, nu, pop)
-		psi[i] = eq.Psi()
-		phi[i] = eq.Phi()
-	}
-	m.ResetWarm()
-	return psi, phi
-}
-
 // CheckTheorem4 verifies the dominance claim of Theorem 4 on a price grid:
 // for every price c, revenue under (κ, c) must not exceed revenue under
 // (1, c) beyond tolerance. It returns the worst observed violation (a

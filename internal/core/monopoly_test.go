@@ -44,7 +44,13 @@ func TestRevenueCurveRegimes(t *testing.T) {
 	m := NewMonopoly(nil)
 	nu := 0.2 * sat // scarce capacity
 	grid := numeric.Linspace(0, 1, 51)
-	psi, phi := m.RevenueCurve(1, grid, nu, pop)
+	psi := make([]float64, len(grid))
+	phi := make([]float64, len(grid))
+	m.ResetWarm()
+	for i, c := range grid {
+		eq := m.Outcome(Strategy{Kappa: 1, C: c}, nu, pop)
+		psi[i], phi[i] = eq.Psi(), eq.Phi()
+	}
 
 	// Regime 1: Ψ = c·ν on the low-price linear segment.
 	for i, c := range grid[:5] {
@@ -94,7 +100,13 @@ func TestCapacityCurveRegimes(t *testing.T) {
 	sat := pop.TotalUnconstrainedPerCapita()
 	m := NewMonopoly(nil)
 	grid := numeric.Linspace(0.02*sat, 2*sat, 40)
-	psi, phi := m.CapacityCurve(Strategy{Kappa: 0.5, C: 0.5}, grid, pop)
+	psi := make([]float64, len(grid))
+	phi := make([]float64, len(grid))
+	m.ResetWarm()
+	for i, nu := range grid {
+		eq := m.Outcome(Strategy{Kappa: 0.5, C: 0.5}, nu, pop)
+		psi[i], phi[i] = eq.Psi(), eq.Phi()
+	}
 
 	peak := numeric.ArgMax(psi)
 	if peak == 0 {

@@ -1,9 +1,16 @@
 package core
 
+// The reference implementations the class-game and market tests compare
+// against: Definition 2's exact Nash solver and check, the Definition 3
+// violation count, Theorem 6's δ_s and Eq. 9's ε_s. No production path runs
+// them; they live beside the tests so the library holds only what the
+// program executes.
+
 import (
 	"math"
 
 	"github.com/netecon-sim/publicoption/internal/alloc"
+	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
 
@@ -137,4 +144,85 @@ func (s *Solver) AllNash(strategy Strategy, nu float64, pop traffic.Population) 
 		}
 	}
 	return out
+}
+
+// VerifyCompetitive counts the CPs whose class choice violates the
+// ε-equilibrium condition (Definition 3 under the rational-expectations
+// estimator, equivalently Definition 2): a violation is a CP that would gain
+// strictly more than eps times its utility scale by switching classes, where
+// the target class is evaluated at its exact post-join level. eps <= 0 uses
+// the equilibrium's own EpsUsed. A converged equilibrium has zero violations
+// at its EpsUsed by construction.
+func (s *Solver) VerifyCompetitive(eq *ClassEquilibrium, eps float64) int {
+	if eq.Strategy.NoPremium() {
+		return 0 // single class: nothing to choose
+	}
+	if eps <= 0 {
+		eps = eq.EpsUsed
+	}
+	capO := (1 - eq.Strategy.Kappa) * eq.Nu
+	capP := eq.Strategy.Kappa * eq.Nu
+	o, p := s.splitScratch(eq.Pop, eq.InPremium)
+	violations := 0
+	for i := range eq.Pop {
+		cp := &eq.Pop[i]
+		var uCur, uTarget float64
+		if eq.InPremium[i] {
+			uCur = (cp.V - eq.Strategy.C) * cp.Alpha * cp.Rho(eq.Theta[i])
+			uTarget = cp.V * cp.Alpha * cp.Rho(s.postJoinTheta(cp, capO, o))
+		} else {
+			uCur = cp.V * cp.Alpha * cp.Rho(eq.Theta[i])
+			uTarget = (cp.V - eq.Strategy.C) * cp.Alpha * cp.Rho(s.postJoinTheta(cp, capP, p))
+		}
+		if uTarget-uCur > eps*utilityScale(cp, eq.Strategy.C) {
+			violations++
+		}
+	}
+	return violations
+}
+
+// DeltaGap computes the paper's δ_s metric for ISP `who` from sampled
+// deviation outcomes: the largest market-share advantage a deviation can
+// deliver without also delivering more consumer surplus,
+//
+//	δ = sup{ m(s′) − m(s) : Φ(s′) ≤ Φ(s) }
+//
+// evaluated over all ordered pairs of grid strategies. Theorem 6 bounds the
+// market-share loss of a surplus-maximizing ISP by this quantity.
+func (mk *Market) DeltaGap(isps []ISP, who int, grid StrategyGrid) float64 {
+	type point struct{ m, phi float64 }
+	cand := append([]ISP(nil), isps...)
+	var pts []point
+	out := new(MarketOutcome)
+	for _, s := range grid.Strategies() {
+		cand[who].Strategy = s
+		mk.SolveInto(out, cand)
+		pts = append(pts, point{m: out.Shares[who], phi: out.Phi})
+	}
+	var delta float64
+	for _, a := range pts { // deviation s′
+		for _, b := range pts { // reference s
+			if a.phi <= b.phi+1e-12 {
+				if d := a.m - b.m; d > delta {
+					delta = d
+				}
+			}
+		}
+	}
+	return delta
+}
+
+// EpsilonGapForStrategy evaluates ε_s (Eq. 9) for one ISP strategy on this
+// market's population: the largest downward jump of Φ(ν, N, s) over the
+// capacity grid.
+func (mk *Market) EpsilonGapForStrategy(s Strategy, nuGrid []float64) float64 {
+	solver := mk.Solver
+	ys := make([]float64, len(nuGrid))
+	var warm []bool
+	for i, nu := range nuGrid {
+		eq := solver.CompetitiveScratch(s, nu, mk.Pop, warm)
+		warm = append(warm[:0], eq.InPremium...)
+		ys[i] = eq.Phi()
+	}
+	return numeric.MaxDownwardGap(ys)
 }

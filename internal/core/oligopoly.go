@@ -78,88 +78,3 @@ func (mk *Market) bestResponse(a, b *MarketOutcome, isps []ISP, who int, grid St
 	}
 	return bestS, bestOut, bestValue
 }
-
-// NashResult is the outcome of iterated best response over strategies.
-type NashResult struct {
-	ISPs      []ISP // final strategies
-	Outcome   *MarketOutcome
-	Rounds    int
-	Converged bool // true if a full round passed with no strategy change
-}
-
-// MarketShareNash runs iterated best response on the strategy grid until no
-// ISP can improve its market share (a grid-restricted market-share Nash
-// equilibrium, Definition 6) or maxRounds passes. Order is round-robin; the
-// grid restriction makes existence a finite search rather than a theorem.
-func (mk *Market) MarketShareNash(isps []ISP, grid StrategyGrid, maxRounds int) *NashResult {
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
-	cur := append([]ISP(nil), isps...)
-	res := &NashResult{}
-	for round := 1; round <= maxRounds; round++ {
-		res.Rounds = round
-		changed := false
-		for who := range cur {
-			before := cur[who].Strategy
-			s, _, _ := mk.BestResponse(cur, who, grid)
-			if s != before {
-				cur[who].Strategy = s
-				changed = true
-			}
-		}
-		if !changed {
-			res.Converged = true
-			break
-		}
-	}
-	res.ISPs = cur
-	res.Outcome = mk.Solve(cur)
-	return res
-}
-
-// DeltaGap computes the paper's δ_s metric for ISP `who` from sampled
-// deviation outcomes: the largest market-share advantage a deviation can
-// deliver without also delivering more consumer surplus,
-//
-//	δ = sup{ m(s′) − m(s) : Φ(s′) ≤ Φ(s) }
-//
-// evaluated over all ordered pairs of grid strategies. Theorem 6 bounds the
-// market-share loss of a surplus-maximizing ISP by this quantity.
-func (mk *Market) DeltaGap(isps []ISP, who int, grid StrategyGrid) float64 {
-	type point struct{ m, phi float64 }
-	cand := append([]ISP(nil), isps...)
-	var pts []point
-	out := new(MarketOutcome)
-	for _, s := range grid.Strategies() {
-		cand[who].Strategy = s
-		mk.SolveInto(out, cand)
-		pts = append(pts, point{m: out.Shares[who], phi: out.Phi})
-	}
-	var delta float64
-	for _, a := range pts { // deviation s′
-		for _, b := range pts { // reference s
-			if a.phi <= b.phi+1e-12 {
-				if d := a.m - b.m; d > delta {
-					delta = d
-				}
-			}
-		}
-	}
-	return delta
-}
-
-// EpsilonGapForStrategy evaluates ε_s (Eq. 9) for one ISP strategy on this
-// market's population: the largest downward jump of Φ(ν, N, s) over the
-// capacity grid.
-func (mk *Market) EpsilonGapForStrategy(s Strategy, nuGrid []float64) float64 {
-	solver := mk.Solver
-	ys := make([]float64, len(nuGrid))
-	var warm []bool
-	for i, nu := range nuGrid {
-		eq := solver.CompetitiveScratch(s, nu, mk.Pop, warm)
-		warm = append(warm[:0], eq.InPremium...)
-		ys[i] = eq.Phi()
-	}
-	return numeric.MaxDownwardGap(ys)
-}

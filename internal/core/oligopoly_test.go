@@ -58,28 +58,6 @@ func TestTheorem6ShareAndSurplusBestResponsesAligned(t *testing.T) {
 	}
 }
 
-func TestMarketShareNashConverges(t *testing.T) {
-	pop := ensemble(63, 50)
-	sat := pop.TotalUnconstrainedPerCapita()
-	mk := NewMarket(nil, pop, 0.35*sat)
-	isps := []ISP{
-		{Name: "i", Gamma: 0.5, Strategy: Strategy{Kappa: 1, C: 0.8}},
-		{Name: "j", Gamma: 0.5, Strategy: Strategy{Kappa: 1, C: 0.2}},
-	}
-	res := mk.MarketShareNash(isps, smallGrid(), 6)
-	if !res.Converged {
-		t.Skip("best-response dynamics did not settle on this grid (legitimate for coarse grids)")
-	}
-	// At a Nash point, neither ISP can improve its share on the grid.
-	for who := range res.ISPs {
-		cur := res.Outcome.Shares[who]
-		_, _, best := mk.BestResponse(res.ISPs, who, smallGrid())
-		if best > cur+1e-6 {
-			t.Errorf("ISP %d can still improve share from %v to %v", who, cur, best)
-		}
-	}
-}
-
 func TestDeltaGapNonNegative(t *testing.T) {
 	pop := ensemble(64, 40)
 	sat := pop.TotalUnconstrainedPerCapita()

@@ -29,7 +29,7 @@ import (
 //
 // Implementations must satisfy (the normalized restatement of) Assumption 1:
 // At is non-negative, continuous and non-decreasing on [0, 1] with At(1) = 1.
-// Validate checks these properties numerically.
+// The package tests check every built-in curve against them numerically.
 type Curve interface {
 	// At returns the demand level at normalized throughput omega. Callers
 	// may pass values slightly outside [0,1] due to floating-point noise;

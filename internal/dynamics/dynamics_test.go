@@ -319,3 +319,23 @@ func TestTablesAndGridShapes(t *testing.T) {
 		t.Fatalf("Grid: %d layers, want %d", len(g.Layers), len(GridLayers))
 	}
 }
+
+// Converged reports whether the trajectory settled: over the final window+1
+// records, no share, price, or capacity moved by more than tol between
+// consecutive ticks. False when the trajectory is shorter than the window.
+func (tr *Trajectory) Converged(window int, tol float64) bool {
+	if window < 1 || len(tr.Ticks) < window+1 {
+		return false
+	}
+	for i := len(tr.Ticks) - window; i < len(tr.Ticks); i++ {
+		prev, cur := &tr.Ticks[i-1], &tr.Ticks[i]
+		for k := range cur.Shares {
+			if math.Abs(cur.Shares[k]-prev.Shares[k]) > tol ||
+				math.Abs(cur.Prices[k]-prev.Prices[k]) > tol ||
+				math.Abs(cur.Caps[k]-prev.Caps[k]) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -134,26 +134,6 @@ func (tr *Trajectory) Grid() *sweep.Grid {
 	return g
 }
 
-// Converged reports whether the trajectory settled: over the final window+1
-// records, no share, price, or capacity moved by more than tol between
-// consecutive ticks. False when the trajectory is shorter than the window.
-func (tr *Trajectory) Converged(window int, tol float64) bool {
-	if window < 1 || len(tr.Ticks) < window+1 {
-		return false
-	}
-	for i := len(tr.Ticks) - window; i < len(tr.Ticks); i++ {
-		prev, cur := &tr.Ticks[i-1], &tr.Ticks[i]
-		for k := range cur.Shares {
-			if math.Abs(cur.Shares[k]-prev.Shares[k]) > tol ||
-				math.Abs(cur.Prices[k]-prev.Prices[k]) > tol ||
-				math.Abs(cur.Caps[k]-prev.Caps[k]) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // FixedPointGap measures how far a tick record sits from the static
 // Theorem-1/Assumption-5 equilibrium of its own frozen state: the market is
 // re-solved one-shot at the record's capacities, strategies, and traffic

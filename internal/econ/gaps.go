@@ -4,28 +4,8 @@ import (
 	"fmt"
 
 	"github.com/netecon-sim/publicoption/internal/alloc"
-	"github.com/netecon-sim/publicoption/internal/numeric"
 	"github.com/netecon-sim/publicoption/internal/traffic"
 )
-
-// EpsilonGap evaluates the paper's discontinuity metric ε_s (Eq. 9) on a
-// capacity grid:
-//
-//	ε_s = sup{ Φ(ν₁, N, s) − Φ(ν₂, N, s) : ν₁ < ν₂ }
-//
-// the largest downward move of the consumer-surplus curve as capacity grows.
-// For a single-class (neutral) system Theorem 2 makes ε_s = 0; with two
-// service classes, CPs hopping between classes can make Φ drop at isolated
-// capacities, and ε_s measures the worst such drop. phiAt must return
-// Φ(ν, N, s) for the strategy under study; nuGrid should be sorted
-// ascending and dense enough to catch the class-switch points.
-func EpsilonGap(phiAt func(nu float64) float64, nuGrid []float64) float64 {
-	ys := make([]float64, len(nuGrid))
-	for i, nu := range nuGrid {
-		ys[i] = phiAt(nu)
-	}
-	return numeric.MaxDownwardGap(ys)
-}
 
 // CheckTheorem2 numerically verifies Theorem 2 for a neutral (single class,
 // no pricing) system: Φ(ν) must be non-decreasing everywhere and strictly

@@ -1,9 +1,8 @@
 // Package econ implements the economic accounting of the Ma–Misra model:
 // per-capita consumer surplus Φ (Eq. 2), ISP surplus Ψ (§III-A), content
-// provider utilities (Eq. 4), welfare decompositions, and the
-// surplus-discontinuity metric ε_s (Eq. 9) that quantifies how far
-// market-share incentives can drift from consumer surplus in the
-// oligopolistic analysis (Theorem 6).
+// provider utilities (Eq. 4), welfare decompositions, and the numerical
+// check of Theorem 2. The surplus-discontinuity metric ε_s (Eq. 9) is a test
+// oracle in internal/core (nash_oracle_test.go).
 //
 // Everything is per capita, consistent with the alloc package: multiply by
 // the consumer mass M for absolute surpluses. Per-capita quantities are the
@@ -76,9 +75,6 @@ type Welfare struct {
 	ISP      float64 // Ψ
 	CPs      float64 // Σ u_i / M
 }
-
-// Total returns the sum of all parties' per-capita surplus.
-func (w Welfare) Total() float64 { return w.Consumer + w.ISP + w.CPs }
 
 // WelfareOf computes the welfare decomposition of a class equilibrium at
 // price c (use c = 0 for an ordinary/neutral class).

@@ -23,16 +23,18 @@ func ExampleSolve_ablation() {
 		nu := f * sat
 		eq := mm1.Solve(nu, pop)
 		res := alloc.Solve(alloc.MaxMin{}, nu, pop)
-		fmt.Printf("%6g  %11.3f  %8.3f\n", f, res.Utilization(), eq.TotalLoad()/nu)
+		fmt.Printf("%6g  %11.3f  %8.3f\n", f, res.Aggregate()/nu, eq.TotalLoad()/nu)
 	}
 
 	nu := 0.2 * sat
 	prices := numeric.Linspace(0, 1, 11)
-	psi, _ := core.NewMonopoly(nil).RevenueCurve(1, prices, nu, pop)
+	m := core.NewMonopoly(nil)
+	m.ResetWarm()
 	fmt.Println("revenue Ψ(c) at nu/sat = 0.2, κ = 1")
 	fmt.Println("   c  maxmin     mm1")
-	for i, c := range prices {
-		fmt.Printf("%4.1f  %6.3f  %6.3f\n", c, psi[i], mm1.SolveClasses(1, c, nu, pop, 0).Psi())
+	for _, c := range prices {
+		psi := m.Outcome(core.Strategy{Kappa: 1, C: c}, nu, pop).Psi()
+		fmt.Printf("%4.1f  %6.3f  %6.3f\n", c, psi, mm1.SolveClasses(1, c, nu, pop, 0).Psi())
 	}
 	// Output:
 	// nu/sat  maxmin-util  mm1-util

@@ -11,6 +11,6 @@
 // experiment must be bit-reproducible (seeded SplitMix64, no global state).
 //
 // All functions are pure and safe for concurrent use unless documented
-// otherwise (RNG values are stateful and not safe for concurrent use; create
-// one per goroutine via RNG.Split).
+// otherwise (RNG values are stateful and not safe for concurrent use; seed
+// one per goroutine with NewRNG).
 package numeric

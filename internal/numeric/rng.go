@@ -9,7 +9,7 @@ import "math"
 // specified by its 64-bit seed.
 //
 // An RNG value is stateful and must not be shared between goroutines without
-// external synchronization; use Split to derive independent streams.
+// external synchronization; seed one per goroutine with NewRNG.
 type RNG struct {
 	state uint64
 }
@@ -18,12 +18,6 @@ type RNG struct {
 // that are statistically independent for the purposes of this repository.
 func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
-}
-
-// Split derives a new, independent generator from r, advancing r once. It is
-// the supported way to hand separate streams to concurrent workers.
-func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() ^ 0x9e3779b97f4a7c15}
 }
 
 // Uint64 returns the next 64 bits from the stream.

@@ -129,21 +129,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(1)
-	child := parent.Split()
-	// The child stream must differ from the parent's continuation.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split stream collides with parent %d/100 times", same)
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := NewRNG(17)
 	const n = 100000

@@ -160,15 +160,3 @@ func AlmostEqual(a, b, tol float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return d <= tol*scale
 }
-
-// IsMonotoneNonDecreasing reports whether ys never decreases by more than
-// slack between consecutive samples. Slack absorbs solver tolerance when the
-// property holds only up to numerics.
-func IsMonotoneNonDecreasing(ys []float64, slack float64) bool {
-	for i := 1; i < len(ys); i++ {
-		if ys[i] < ys[i-1]-slack {
-			return false
-		}
-	}
-	return true
-}

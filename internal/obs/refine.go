@@ -50,18 +50,6 @@ func (s RefineStats) Leaves() uint64 {
 	return n
 }
 
-// Accumulate adds d's counters into s.
-func (s *RefineStats) Accumulate(d RefineStats) {
-	s.PointsSolved += d.PointsSolved
-	s.PointsReused += d.PointsReused
-	s.CellsSplit += d.CellsSplit
-	s.CellsVerified += d.CellsVerified
-	s.ProbeSolves += d.ProbeSolves
-	for i := range s.LeafDepths {
-		s.LeafDepths[i] += d.LeafDepths[i]
-	}
-}
-
 // RefineCounters is the cross-goroutine aggregation sink for RefineStats —
 // the refinement counterpart of Counters, fed once per run by the HTTP
 // service and rendered as pubopt_refine_* Prometheus counters. The zero

@@ -7,7 +7,8 @@ import "testing"
 // an accepted scenario revalidates cleanly (validation is idempotent and
 // Load left the struct in a consistent state); and its canonical JSON form
 // is accepted back, so anything the loader admits can round-trip through
-// the batch endpoint and the on-disk scenario files.
+// the batch endpoint and the on-disk scenario files; and it is within the
+// shape caps (MaxAxisPoints per axis, MaxGridCells per grid).
 //
 // The seed corpus is the whole built-in registry — the reference corpus for
 // the schema — plus a few deliberately-broken shapes.
@@ -24,6 +25,7 @@ func FuzzScenarioValidate(f *testing.F) {
 	f.Add(`{"name":"x","title":"x","population":{"kind":"paper","n":-3}}`)
 	f.Add(`not json at all`)
 	f.Add(`{"name":"x","title":"x","sweep":{"axis":"nu","from":1,"to":0,"points":0}}`)
+	f.Add(`{"name":"x","title":"x","population":{"kind":"paper"},"providers":[{"name":"isp","gamma":1}],"sweep":{"axis":"nu","lo":0.1,"hi":1,"points":1048576}}`)
 	f.Fuzz(func(t *testing.T, js string) {
 		s, err := LoadString(js)
 		if err != nil {
@@ -34,6 +36,17 @@ func FuzzScenarioValidate(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted scenario fails revalidation: %v\ninput: %s", err, js)
+		}
+		sw := s.Sweep
+		cols := len(sw.XValues())
+		if cols > MaxAxisPoints {
+			t.Fatalf("accepted a %d-point axis, above MaxAxisPoints\ninput: %s", cols, js)
+		}
+		if sw.Grid != nil {
+			rows := len(sw.Grid.RowValues())
+			if rows > MaxAxisPoints || cols*rows > MaxGridCells {
+				t.Fatalf("accepted a %d×%d grid, above the caps\ninput: %s", cols, rows, js)
+			}
 		}
 		out, err := s.JSON()
 		if err != nil {

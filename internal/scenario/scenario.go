@@ -262,6 +262,24 @@ type GridSpec struct {
 	Refine *RefineSpec `json:"refine,omitempty"`
 }
 
+// Shape caps. Validation checks them before it materializes any axis, so a
+// request cannot make the program allocate a huge value grid: each swept
+// axis (points or explicit values) holds at most MaxAxisPoints values, and a
+// 2-D grid at most MaxGridCells cells. The largest built-in axis has 101
+// points.
+const (
+	MaxAxisPoints = 1024
+	MaxGridCells  = 65536
+)
+
+// axisLen is the length of the grid axisValues would materialize.
+func axisLen(points int, values []float64) int {
+	if len(values) > 0 {
+		return len(values)
+	}
+	return max(points, 0)
+}
+
 // axisValues materializes an evenly spaced or explicit value grid; explicit
 // values win over Lo/Hi/Points.
 func axisValues(lo, hi float64, points int, values []float64) []float64 {
@@ -478,6 +496,9 @@ func (s *Scenario) validateSweep() error {
 	} else if !validAxes[sw.Axis] {
 		return fmt.Errorf("unknown sweep axis %q", sw.Axis)
 	}
+	if err := sw.validateShape(); err != nil {
+		return err
+	}
 	if s.Dynamics == nil {
 		if err := validateAxisGrid(sw.Axis, sw.Lo, sw.Hi, sw.Points, sw.Values); err != nil {
 			return err
@@ -519,6 +540,26 @@ func (s *Scenario) validateSweep() error {
 		if !(sw.Nu > 0) || math.IsInf(sw.Nu, 0) {
 			return fmt.Errorf("axes %s need a finite, positive fixed capacity sweep.nu, got %g", s.axisList(), sw.Nu)
 		}
+	}
+	return nil
+}
+
+// validateShape enforces MaxAxisPoints and MaxGridCells from the declared
+// lengths alone, before any axis is materialized.
+func (sw SweepSpec) validateShape() error {
+	cols := axisLen(sw.Points, sw.Values)
+	if cols > MaxAxisPoints {
+		return fmt.Errorf("axis %q has %d points, above the cap of %d per axis (scenario.MaxAxisPoints)", sw.Axis, cols, MaxAxisPoints)
+	}
+	if sw.Grid == nil {
+		return nil
+	}
+	rows := axisLen(sw.Grid.Points, sw.Grid.Values)
+	if rows > MaxAxisPoints {
+		return fmt.Errorf("grid row axis %q has %d points, above the cap of %d per axis (scenario.MaxAxisPoints)", sw.Grid.Axis, rows, MaxAxisPoints)
+	}
+	if cols*rows > MaxGridCells {
+		return fmt.Errorf("grid has %d×%d = %d cells, above the cap of %d per grid (scenario.MaxGridCells)", cols, rows, cols*rows, MaxGridCells)
 	}
 	return nil
 }

@@ -2,11 +2,14 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/netecon-sim/publicoption/internal/core"
+	"github.com/netecon-sim/publicoption/internal/numeric"
 )
 
 // Every built-in must survive marshal → unmarshal → deep-equal: scenarios
@@ -195,6 +198,71 @@ func TestValidateRejects(t *testing.T) {
 				t.Error("Run accepted what Validate rejected")
 			}
 		})
+	}
+}
+
+// TestShapeCaps: an axis of MaxAxisPoints values is accepted and one more
+// is rejected, whether it is declared by points or by explicit values, on
+// either axis; a grid of two legal axes is rejected once its cell count
+// passes MaxGridCells.
+func TestShapeCaps(t *testing.T) {
+	values := func(n int) []float64 { return numeric.Linspace(0.1, 1, n) }
+	grid := func(cols, rows int) SweepSpec {
+		return SweepSpec{Axis: AxisNu, Lo: 0.1, Hi: 1, Points: cols,
+			Grid: &GridSpec{Axis: AxisPrice, Lo: 0, Hi: 1, Points: rows}}
+	}
+	axisCap := fmt.Sprintf("cap of %d per axis (scenario.MaxAxisPoints)", MaxAxisPoints)
+	cellCap := fmt.Sprintf("cap of %d per grid (scenario.MaxGridCells)", MaxGridCells)
+	cases := []struct {
+		name  string
+		sweep SweepSpec
+		want  string // "" when accepted, else a substring of the error
+	}{
+		{"points at the cap", SweepSpec{Axis: AxisNu, Lo: 0.1, Hi: 1, Points: MaxAxisPoints}, ""},
+		{"points over the cap", SweepSpec{Axis: AxisNu, Lo: 0.1, Hi: 1, Points: MaxAxisPoints + 1}, axisCap},
+		{"values at the cap", SweepSpec{Axis: AxisNu, Values: values(MaxAxisPoints)}, ""},
+		{"values over the cap", SweepSpec{Axis: AxisNu, Values: values(MaxAxisPoints + 1)}, axisCap},
+		{"row points over the cap", grid(2, MaxAxisPoints+1), axisCap},
+		{"grid at the cell cap", grid(MaxGridCells/256, 256), ""},
+		{"grid over the cell cap", grid(MaxGridCells/256+1, 256), cellCap},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := valid()
+			s.Sweep = tc.sweep
+			err := s.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.want != "" && err == nil:
+				t.Fatal("accepted an over-cap scenario")
+			case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+				t.Fatalf("error %q does not name the cap %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestOverCapRejectionAllocatesLittle: the caps are checked from the
+// declared lengths, so rejecting a body that declares ten million points
+// costs about what parsing it does, not the 76 MB grid it asks for.
+func TestOverCapRejectionAllocatesLittle(t *testing.T) {
+	s := valid()
+	s.Sweep = SweepSpec{Axis: AxisNu, Lo: 0.1, Hi: 1, Points: 10_000_000}
+	js, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(js)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadString(body)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "MaxAxisPoints") {
+		t.Fatalf("LoadString error %v, want the axis cap", err)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("rejecting a %d-point axis allocated %d bytes, want < 1 MiB", s.Sweep.Points, b)
 	}
 }
 

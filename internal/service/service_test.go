@@ -299,6 +299,44 @@ func TestRunRejectsProvidersOverCap(t *testing.T) {
 	}
 }
 
+// TestAxisOverCapIs400: an inline body whose axis passes
+// scenario.MaxAxisPoints is a client error naming the cap at every endpoint
+// that takes one, and it reaches neither the solver nor the cache.
+func TestAxisOverCapIs400(t *testing.T) {
+	s, calls := newStubServer(Options{})
+	before := s.CacheStats()
+	over := scenario.MaxAxisPoints + 1
+	run := fmt.Sprintf(`{"name": "wide", "title": "wide",
+		"population": {"kind": "ensemble", "n": 20, "seed": 1},
+		"providers": [{"name": "a", "gamma": 1}],
+		"sweep": {"axis": "nu", "lo": 0.1, "hi": 1, "points": %d}}`, over)
+	grid := fmt.Sprintf(`{"name": "wide", "title": "wide",
+		"population": {"kind": "ensemble", "n": 20, "seed": 1},
+		"providers": [{"name": "a", "gamma": 1}],
+		"sweep": {"axis": "nu", "lo": 0.1, "hi": 1, "points": 2,
+			"grid": {"axis": "price", "lo": 0, "hi": 1, "points": %d}}}`, over)
+	want := fmt.Sprintf("cap of %d per axis (scenario.MaxAxisPoints)", scenario.MaxAxisPoints)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/runs", `{"scenario_json": ` + run + `}`},
+		{"/v1/batch", `{"grid_json": ` + grid + `}`},
+		{"/v1/query", `{"grid_json": ` + grid + `, "x": 0.5, "y": 0.5}`},
+	} {
+		w := do(t, s, "POST", tc.path, tc.body)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %s)", tc.path, w.Code, w.Body)
+		}
+		if msg, _ := decode[map[string]any](t, w)["error"].(string); !strings.Contains(msg, want) {
+			t.Fatalf("%s: error %q does not name the cap %q", tc.path, msg, want)
+		}
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("rejected scenarios reached the solver (%d solves)", calls.Load())
+	}
+	if after := s.CacheStats(); after != before {
+		t.Fatalf("cache stats moved from %+v to %+v", before, after)
+	}
+}
+
 func TestOversizedBodyReturns413(t *testing.T) {
 	s, _ := newStubServer(Options{})
 	huge := `{"scenario": "` + strings.Repeat("x", maxRequestBody) + `"}`

@@ -129,16 +129,6 @@ func (p Population) MaxThetaHat() float64 {
 	return m
 }
 
-// Subset returns the sub-population with the given indices (shared backing
-// records; CPs are treated as immutable once created).
-func (p Population) Subset(idx []int) Population {
-	out := make(Population, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, p[i])
-	}
-	return out
-}
-
 // Names returns the CP names in order.
 func (p Population) Names() []string {
 	out := make([]string, len(p))

@@ -187,10 +187,6 @@ func TestEnsembleDeterminism(t *testing.T) {
 
 func TestSubsetAndNames(t *testing.T) {
 	pop := Archetypes()
-	sub := pop.Subset([]int{2, 0})
-	if len(sub) != 2 || sub[0].Name != "skype" || sub[1].Name != "google" {
-		t.Fatalf("Subset = %v", sub.Names())
-	}
 	names := pop.Names()
 	if strings.Join(names, ",") != "google,netflix,skype" {
 		t.Fatalf("Names = %v", names)

@@ -281,19 +281,6 @@ func (r *Report) Counts() (verdicts, failed int) {
 	return verdicts, failed
 }
 
-// Failures returns the failing verdicts.
-func (r *Report) Failures() []Verdict {
-	var out []Verdict
-	for i := range r.Samples {
-		for _, v := range r.Samples[i].Verdicts {
-			if !v.Pass {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
 // Scenario samples the scenario's solved equilibria and replays each
 // sampled link through the packet simulator, in parallel across links.
 // Scenarios whose equilibria cannot be sampled (batched populations)

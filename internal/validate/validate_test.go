@@ -206,3 +206,16 @@ func TestReportRendering(t *testing.T) {
 		t.Errorf("text rendering missing scenario name:\n%s", txt.String())
 	}
 }
+
+// Failures returns the failing verdicts.
+func (r *Report) Failures() []Verdict {
+	var out []Verdict
+	for i := range r.Samples {
+		for _, v := range r.Samples[i].Verdicts {
+			if !v.Pass {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}

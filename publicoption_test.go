@@ -92,7 +92,7 @@ func TestFacadeMonopolyAndWelfare(t *testing.T) {
 		t.Fatal("expected positive monopoly revenue")
 	}
 	w := publicoption.WelfareOf(eq.Premium, 0.2)
-	if w.ISP <= 0 || w.Total() <= 0 {
+	if w.ISP <= 0 || w.Consumer+w.ISP+w.CPs <= 0 {
 		t.Fatalf("welfare decomposition broken: %+v", w)
 	}
 }
@@ -108,8 +108,8 @@ func TestFacadeDuopolyWithPublicOption(t *testing.T) {
 	if out.Phi <= 0 {
 		t.Fatal("market surplus must be positive")
 	}
-	if out.Eq("public-option") == nil {
-		t.Fatal("named ISP accessor broken")
+	if out.ISPs[1].Name != "public-option" || out.Eqs[1] == nil {
+		t.Fatalf("second ISP %q should be the public option with an equilibrium", out.ISPs[1].Name)
 	}
 }
 
